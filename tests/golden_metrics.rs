@@ -1,27 +1,36 @@
 //! Golden-metric regression suite.
 //!
-//! Executes the fixed `golden-small` scenario (2 small SBM datasets × GCN ×
-//! all five methods × 2 seeds) and compares every aggregated metric —
+//! Executes two fixed scenarios and compares every aggregated metric —
 //! accuracy, bias, mean attack AUC, worst-case threat AUC, the Δ metrics
-//! and the per-distance / per-threat AUCs — against the committed snapshot
-//! `tests/golden/golden_small.json`, with per-metric tolerances that absorb
-//! cross-machine libm drift but catch behavioural regressions.
+//! and the per-distance / per-threat AUCs — against a committed snapshot,
+//! with per-metric tolerances that absorb cross-machine libm drift but catch
+//! behavioural regressions:
 //!
-//! The same execution is repeated under forced `PPFR_NUM_THREADS` ∈ {1, 4}
-//! and must be **bit-identical** across thread counts, and a cache-warm
-//! re-run must be bit-identical to the cold run.
+//! * `golden-small` (2 small SBM datasets × GCN × all five methods × 2
+//!   seeds) against `tests/golden/golden_small.json`;
+//! * `golden-models` (the `two-block` dataset × GAT and GraphSAGE × all five
+//!   methods × the same 2 seeds) against `tests/golden/golden_models.json`.
+//!   GraphSAGE runs with the pipeline's neighbour sampling, so its sampled
+//!   path is pinned too.
 //!
-//! Regenerate the snapshot after an intentional metric change with:
+//! Each execution is repeated under forced `PPFR_NUM_THREADS` ∈ {1, 4} and
+//! must be **bit-identical** across thread counts, and a cache-warm re-run
+//! must be bit-identical to the cold run.
+//!
+//! Regenerate the snapshots after an intentional metric change with:
 //!
 //! ```sh
 //! PPFR_UPDATE_GOLDEN=1 cargo test -q -p ppfr --test golden_metrics
 //! ```
 
+use ppfr_gnn::ModelKind;
 use ppfr_runner::{run_scenario, ArtifactCache, MatrixReport, ScenarioSpec};
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/golden_small.json")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file)
 }
 
 /// Comparison tolerance per metric family, given the golden value.  The raw
@@ -41,7 +50,7 @@ fn tolerance(metric: &str, golden_value: f64) -> f64 {
     }
 }
 
-fn compare_against_golden(report: &MatrixReport, golden: &MatrixReport) {
+fn compare_against_golden(report: &MatrixReport, golden: &MatrixReport, file: &str) {
     assert_eq!(report.scenario, golden.scenario, "scenario name changed");
     assert_eq!(report.seeds, golden.seeds, "seed axis changed");
     assert_eq!(
@@ -80,43 +89,44 @@ fn compare_against_golden(report: &MatrixReport, golden: &MatrixReport) {
     }
     assert!(
         failures.is_empty(),
-        "{} metric(s) regressed vs tests/golden/golden_small.json \
+        "{} metric(s) regressed vs tests/golden/{file} \
          (regenerate with PPFR_UPDATE_GOLDEN=1 if the change is intentional):\n{}",
         failures.len(),
         failures.join("\n")
     );
 }
 
-#[test]
-fn golden_small_matrix_matches_snapshot_across_thread_counts() {
-    let spec = ScenarioSpec::golden_small();
-
+/// Runs `spec` cold at 1 and 4 forced worker threads and cache-warm, checks
+/// the three reports are bit-identical, then compares (or, with
+/// `PPFR_UPDATE_GOLDEN=1`, rewrites) the snapshot `tests/golden/<file>`.
+fn check_matrix_against_snapshot(spec: &ScenarioSpec, file: &str) {
     // Cold run at 1 forced worker thread, then a cold run at 4: the report
     // must be bit-identical (same guarantee as the kernel layer's
     // serial/parallel twins).
     let cache = ArtifactCache::new();
-    let report_t1 = ppfr_linalg::parallel::with_forced_threads(1, || run_scenario(&spec, &cache))
+    let report_t1 = ppfr_linalg::parallel::with_forced_threads(1, || run_scenario(spec, &cache))
         .expect("golden scenario is valid");
-    let report_t4 = ppfr_linalg::parallel::with_forced_threads(4, || {
-        run_scenario(&spec, &ArtifactCache::new())
-    })
-    .expect("golden scenario is valid");
+    let report_t4 =
+        ppfr_linalg::parallel::with_forced_threads(4, || run_scenario(spec, &ArtifactCache::new()))
+            .expect("golden scenario is valid");
     assert_eq!(
         report_t1.to_json(),
         report_t4.to_json(),
-        "golden matrix differs between 1 and 4 forced threads"
+        "{} matrix differs between 1 and 4 forced threads",
+        spec.name
     );
 
     // Cache-warm re-run (same cache as the first execution): bit-identical.
-    let warm = run_scenario(&spec, &cache).expect("golden scenario is valid");
+    let warm = run_scenario(spec, &cache).expect("golden scenario is valid");
     assert_eq!(
         report_t1.to_json(),
         warm.to_json(),
-        "cache-warm golden matrix differs from cold"
+        "cache-warm {} matrix differs from cold",
+        spec.name
     );
     assert!(cache.hits() > 0, "warm run did not hit the artifact cache");
 
-    let path = golden_path();
+    let path = golden_path(file);
     if std::env::var("PPFR_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
         std::fs::write(&path, report_t1.to_json()).expect("write golden snapshot");
@@ -131,5 +141,24 @@ fn golden_small_matrix_matches_snapshot_across_thread_counts() {
         )
     });
     let golden: MatrixReport = serde_json::from_str(&text).expect("parse golden snapshot");
-    compare_against_golden(&report_t1, &golden);
+    compare_against_golden(&report_t1, &golden, file);
+}
+
+#[test]
+fn golden_small_matrix_matches_snapshot_across_thread_counts() {
+    check_matrix_against_snapshot(&ScenarioSpec::golden_small(), "golden_small.json");
+}
+
+#[test]
+fn golden_models_matrix_matches_snapshot_across_thread_counts() {
+    let mut spec =
+        ScenarioSpec::golden_small().with_models(&[ModelKind::Gat, ModelKind::GraphSage]);
+    spec.name = "golden-models".into();
+    spec.datasets.retain(|d| d.name == "two-block");
+    assert_eq!(
+        spec.datasets.len(),
+        1,
+        "golden-small lists the two-block set"
+    );
+    check_matrix_against_snapshot(&spec, "golden_models.json");
 }
