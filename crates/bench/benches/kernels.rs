@@ -6,9 +6,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppfr_core::attack_sample;
 use ppfr_core::PpfrConfig;
 use ppfr_datasets::{cora, generate, two_block_synthetic};
-use ppfr_gnn::{AnyModel, GnnModel, GraphContext, ModelKind};
+use ppfr_gnn::{AnyModel, GnnModel, GraphContext, ModelKind, TrainWorkspace};
 use ppfr_graph::jaccard_similarity;
-use ppfr_influence::hessian_vector_product;
+use ppfr_influence::{hessian_vector_product_with, HvpScratch};
 use ppfr_linalg::{row_softmax, Matrix};
 use ppfr_privacy::average_attack_auc;
 use ppfr_qclp::{solve, QclpProblem, SolverOptions};
@@ -23,12 +23,15 @@ fn bench_model_passes(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     for kind in ModelKind::ALL {
         let model = AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1);
-        let d_logits = Matrix::filled(ds.n_nodes(), ds.n_classes, 1e-3);
+        let mut ws = TrainWorkspace::new();
         group.bench_function(format!("forward_{}", kind.name()), |b| {
-            b.iter(|| model.forward(&ctx))
+            b.iter(|| model.forward_ws(&ctx, &mut ws))
         });
+        // The backward pass reuses the activations of the last forward.
+        model.forward_ws(&ctx, &mut ws);
+        ws.d_logits = Matrix::filled(ds.n_nodes(), ds.n_classes, 1e-3);
         group.bench_function(format!("backward_{}", kind.name()), |b| {
-            b.iter(|| model.backward(&ctx, &d_logits))
+            b.iter(|| model.backward_ws(&ctx, &mut ws))
         });
     }
     group.finish();
@@ -70,13 +73,22 @@ fn bench_influence_and_qclp(c: &mut Criterion) {
     let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
     let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 8, ds.n_classes, 1);
     let v = vec![0.01; model.n_params()];
+    let mut scratch = HvpScratch::new(&model);
     let mut group = c.benchmark_group("influence_and_qclp");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     group.bench_function("hessian_vector_product", |b| {
         b.iter(|| {
-            hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.01)
+            hessian_vector_product_with(
+                &mut scratch,
+                &ctx,
+                &ds.labels,
+                &ds.splits.train,
+                &v,
+                1e-4,
+                0.01,
+            )
         })
     });
     let n = 200;

@@ -1,16 +1,11 @@
-//! End-to-end training benchmark: the legacy allocating loop against the
-//! zero-allocation `TrainWorkspace` fast path, per architecture, plus the
-//! per-epoch forward+backward building blocks (allocating vs workspace).
-//!
-//! The two paths are bit-identical (pinned by
-//! `crates/gnn/tests/workspace_equivalence.rs`), so any gap measured here is
-//! pure allocator/bandwidth overhead.
+//! End-to-end training benchmark of the zero-allocation `TrainWorkspace`
+//! path, per architecture: the per-epoch forward+backward building block
+//! and a 5-epoch training run on a warm workspace.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppfr_datasets::{cora, generate};
 use ppfr_gnn::{
-    train_legacy, train_with_workspace, AnyModel, GnnModel, GraphContext, ModelKind, TrainConfig,
-    TrainWorkspace,
+    train_with_workspace, AnyModel, GnnModel, GraphContext, ModelKind, TrainConfig, TrainWorkspace,
 };
 use ppfr_linalg::Matrix;
 use std::time::Duration;
@@ -25,12 +20,6 @@ fn bench_epoch_passes(c: &mut Criterion) {
     for kind in ModelKind::ALL {
         let model = AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1);
         let d_logits = Matrix::filled(ds.n_nodes(), ds.n_classes, 1e-3);
-        group.bench_function(format!("legacy_{}", kind.name()), |b| {
-            b.iter(|| {
-                let _logits = model.forward(&ctx);
-                model.backward(&ctx, &d_logits)
-            })
-        });
         let mut ws = TrainWorkspace::new();
         group.bench_function(format!("workspace_{}", kind.name()), |b| {
             b.iter(|| {
@@ -58,23 +47,6 @@ fn bench_full_training(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     for kind in ModelKind::ALL {
-        group.bench_function(format!("legacy_{}", kind.name()), |b| {
-            b.iter_batched(
-                || AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1),
-                |mut model| {
-                    train_legacy(
-                        &mut model,
-                        &ctx,
-                        &ds.labels,
-                        &ds.splits.train,
-                        &weights,
-                        None,
-                        &cfg,
-                    )
-                },
-                BatchSize::SmallInput,
-            )
-        });
         let mut ws = TrainWorkspace::new();
         group.bench_function(format!("workspace_{}", kind.name()), |b| {
             b.iter_batched(

@@ -10,7 +10,7 @@ use ppfr_core::ExperimentScale;
 use ppfr_datasets::{generate, two_block_synthetic, DatasetSpec};
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext, ModelKind};
 use ppfr_graph::{jaccard_similarity, jaccard_similarity_serial};
-use ppfr_influence::hessian_vector_product;
+use ppfr_influence::{hessian_vector_product_with, HvpScratch};
 use ppfr_linalg::parallel::{current_num_threads, with_forced_threads};
 use ppfr_linalg::{row_softmax, Matrix};
 use ppfr_privacy::AttackEvaluator;
@@ -61,21 +61,16 @@ pub struct AttackStageBench {
     pub ms: f64,
 }
 
-/// End-to-end training timing per architecture: the legacy allocating loop
-/// against the zero-allocation `TrainWorkspace` fast path (bit-identical
-/// results; the gap is pure allocator/bandwidth overhead).
+/// End-to-end training timing per architecture through the zero-allocation
+/// `TrainWorkspace` path, with a cold and a warm workspace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainingBench {
     /// Architecture name (GCN / GAT / GraphSage).
     pub model: String,
     /// Problem-size label.
     pub size: String,
-    /// Best-of-reps per-epoch time of the legacy loop (milliseconds).
-    pub legacy_epoch_ms: f64,
     /// Best-of-reps per-epoch time of the warm workspace path (milliseconds).
     pub workspace_epoch_ms: f64,
-    /// `legacy_epoch_ms / workspace_epoch_ms`.
-    pub speedup: f64,
     /// Epochs per second with a cold (freshly allocated) workspace.
     pub cold_epochs_per_s: f64,
     /// Epochs per second with a warm (reused) workspace.
@@ -236,24 +231,29 @@ fn main() {
         || jaccard_similarity(&ds.graph),
     ));
 
-    // Hessian-vector product (parallel = the two FD gradients via par_join
-    // plus the parallel forward/backward kernels underneath).
+    // Hessian-vector product through a warm HvpScratch (parallel = the two
+    // FD gradients via par_join plus the parallel forward/backward kernels
+    // underneath).
     let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
     let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 16, ds.n_classes, 1);
     let v = vec![0.01; model.n_params()];
-    let hvp = || hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.01);
+    let hvp = |scratch: &mut HvpScratch| {
+        hessian_vector_product_with(scratch, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.01)
+    };
+    let (mut serial_scratch, mut parallel_scratch) =
+        (HvpScratch::new(&model), HvpScratch::new(&model));
     kernels.push(compare(
         "hvp",
         format!("params={}", model.n_params()),
         reps,
-        || with_forced_threads(1, hvp),
-        hvp,
+        || with_forced_threads(1, || hvp(&mut serial_scratch)),
+        || hvp(&mut parallel_scratch),
     ));
 
-    // End-to-end GNN training: legacy allocating loop vs the TrainWorkspace
-    // fast path, per architecture (bit-identical results).
+    // End-to-end GNN training through the TrainWorkspace path, per
+    // architecture, with a cold and a warm workspace.
     let training = {
-        use ppfr_gnn::{train_legacy, train_with_workspace, TrainConfig, TrainWorkspace};
+        use ppfr_gnn::{train_with_workspace, TrainConfig, TrainWorkspace};
         let epochs = match scale {
             ExperimentScale::Full => 20,
             ExperimentScale::Smoke => 8,
@@ -269,18 +269,6 @@ fn main() {
         let mut rows = Vec::new();
         for kind in ModelKind::ALL {
             let fresh = || AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1);
-            let legacy_ms = best_ms(reps, || {
-                let mut model = fresh();
-                train_legacy(
-                    &mut model,
-                    &ctx,
-                    &ds.labels,
-                    &ds.splits.train,
-                    &weights,
-                    None,
-                    &cfg,
-                )
-            });
             // Cold: a fresh workspace per run (first-call warm-up included).
             let cold_ms = best_ms(reps, || {
                 let mut model = fresh();
@@ -314,19 +302,15 @@ fn main() {
             let row = TrainingBench {
                 model: kind.name().to_string(),
                 size: size.clone(),
-                legacy_epoch_ms: legacy_ms / epochs as f64,
                 workspace_epoch_ms: warm_ms / epochs as f64,
-                speedup: legacy_ms / warm_ms,
                 cold_epochs_per_s: epochs as f64 / (cold_ms / 1e3),
                 warm_epochs_per_s: epochs as f64 / (warm_ms / 1e3),
             };
             println!(
-                "{:<24} {:<18} legacy {:>7.3} ms/ep   workspace {:>7.3} ms/ep   speedup {:>5.2}x   ({:.0} -> {:.0} ep/s)",
+                "{:<24} {:<18} workspace {:>7.3} ms/ep   (cold {:.0} / warm {:.0} ep/s)",
                 format!("training_{}", row.model),
                 row.size,
-                row.legacy_epoch_ms,
                 row.workspace_epoch_ms,
-                row.speedup,
                 row.cold_epochs_per_s,
                 row.warm_epochs_per_s
             );

@@ -1,4 +1,8 @@
 //! Pre-computed per-graph operators shared by every model.
+//!
+//! The context holds the features as given: the backward passes read `Xᵀ`
+//! through the transpose-free `matmul_at_b` kernels, so no transposed copy
+//! is built.
 
 use ppfr_graph::{Graph, SparseMatrix};
 use ppfr_linalg::Matrix;
@@ -10,14 +14,9 @@ use ppfr_linalg::Matrix;
 pub struct GraphContext {
     /// The underlying graph.
     pub graph: Graph,
-    /// Node features `X` (one row per node).  Treat as immutable: the cached
-    /// operators below (including [`GraphContext::features_t`]) are derived
-    /// from it at construction — build a new context to change features.
+    /// Node features `X` (one row per node).  Treat as immutable: build a
+    /// new context to change features.
     pub features: Matrix,
-    /// Cached transpose `Xᵀ`, computed once per context: the backward passes
-    /// used to materialise it every epoch.  Kept coherent with
-    /// [`GraphContext::features`] by the build-a-new-context convention.
-    pub features_t: Matrix,
     /// Symmetrically normalised adjacency `Â = D̃^{-1/2}(A+I)D̃^{-1/2}` (GCN).
     pub a_hat: SparseMatrix,
     /// Row-normalised neighbour-mean operator (GraphSAGE).
@@ -46,11 +45,9 @@ impl GraphContext {
             att_ptr.push(cursor);
         }
         debug_assert_eq!(cursor, att_edges.len());
-        let features_t = features.transpose();
         Self {
             graph,
             features,
-            features_t,
             a_hat,
             mean_agg,
             att_edges,
@@ -103,14 +100,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]);
         let x = Matrix::zeros(2, 3);
         let _ = GraphContext::new(g, x);
-    }
-
-    #[test]
-    fn cached_transpose_matches_features() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let ctx = GraphContext::new(g, x.clone());
-        assert_eq!(ctx.features_t, x.transpose());
     }
 
     #[test]

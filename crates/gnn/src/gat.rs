@@ -6,10 +6,7 @@
 
 use crate::workspace::{ensure_len, GatLayerBufs};
 use crate::{GnnModel, GraphContext, TrainWorkspace};
-use ppfr_linalg::{
-    leaky_relu, leaky_relu_grad, par_fill, par_rows, relu, relu_grad, relu_grad_into, relu_into,
-    Matrix,
-};
+use ppfr_linalg::{leaky_relu, leaky_relu_grad, par_fill, relu_grad_into, relu_into, Matrix};
 use rand::Rng;
 
 const LEAKY_SLOPE: f64 = 0.2;
@@ -22,14 +19,6 @@ struct GatLayer {
     a_dst: Vec<f64>,
     in_dim: usize,
     out_dim: usize,
-}
-
-/// Per-layer forward cache used by the hand-derived backward pass.
-struct LayerCache {
-    h: Matrix,
-    pre: Vec<f64>,
-    alpha: Vec<f64>,
-    out: Matrix,
 }
 
 impl GatLayer {
@@ -48,115 +37,12 @@ impl GatLayer {
         self.in_dim * self.out_dim + 2 * self.out_dim
     }
 
-    fn forward(&self, ctx: &GraphContext, x: &Matrix) -> LayerCache {
-        let n = ctx.n_nodes();
-        let h = x.matmul(&self.w);
-        // s_i = h_i · a_src, t_j = h_j · a_dst — independent per node, so
-        // computed through the shared parallel row idiom.
-        let s: Vec<f64> = par_rows(n, |i| dot(h.row(i), &self.a_src));
-        let t: Vec<f64> = par_rows(n, |j| dot(h.row(j), &self.a_dst));
-        let m = ctx.att_edges.len();
-        let mut pre = vec![0.0; m];
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            pre[e] = s[dst] + t[src];
-        }
-        // Softmax of LeakyReLU(pre) within each destination group.
-        let mut alpha = vec![0.0; m];
-        for v in 0..n {
-            let range = ctx.att_ptr[v]..ctx.att_ptr[v + 1];
-            let max = pre[range.clone()]
-                .iter()
-                .map(|&p| leaky_relu(p, LEAKY_SLOPE))
-                // lint: allow(par-float-reduction) — serial per-destination
-                // post-pass after the par_rows projections; forward is pinned
-                // across thread counts by gnn/tests/workspace_equivalence.rs
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for e in range.clone() {
-                let a = (leaky_relu(pre[e], LEAKY_SLOPE) - max).exp();
-                alpha[e] = a;
-                sum += a;
-            }
-            for e in range {
-                alpha[e] /= sum;
-            }
-        }
-        // out_i = Σ_j α_ij h_j
-        let mut out = Matrix::zeros(n, self.out_dim);
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            let a = alpha[e];
-            let h_src = h.row(src).to_vec();
-            let row = out.row_mut(dst);
-            for (o, hv) in row.iter_mut().zip(h_src.iter()) {
-                *o += a * hv;
-            }
-        }
-        LayerCache { h, pre, alpha, out }
-    }
-
-    /// Backward pass; returns `(d_w, d_a_src, d_a_dst, d_x)`.
-    fn backward(
-        &self,
-        ctx: &GraphContext,
-        x: &Matrix,
-        cache: &LayerCache,
-        d_out: &Matrix,
-    ) -> (Matrix, Vec<f64>, Vec<f64>, Matrix) {
-        let n = ctx.n_nodes();
-        let m = ctx.att_edges.len();
-        let h = &cache.h;
-        let mut d_h = Matrix::zeros(n, self.out_dim);
-        // dα_e = d_out[dst] · h[src]; accumulate dH[src] += α_e d_out[dst].
-        let mut d_alpha = vec![0.0; m];
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            d_alpha[e] = dot(d_out.row(dst), h.row(src));
-            let a = cache.alpha[e];
-            let d_row = d_out.row(dst).to_vec();
-            let target = d_h.row_mut(src);
-            for (t_v, d_v) in target.iter_mut().zip(d_row.iter()) {
-                *t_v += a * d_v;
-            }
-        }
-        // Softmax backward within each destination group, then LeakyReLU.
-        let mut d_s = vec![0.0; n];
-        let mut d_t = vec![0.0; n];
-        for v in 0..n {
-            let range = ctx.att_ptr[v]..ctx.att_ptr[v + 1];
-            let inner: f64 = range.clone().map(|e| cache.alpha[e] * d_alpha[e]).sum();
-            for e in range {
-                let d_e = cache.alpha[e] * (d_alpha[e] - inner);
-                let d_pre = d_e * leaky_relu_grad(cache.pre[e], LEAKY_SLOPE);
-                let (dst, src) = ctx.att_edges[e];
-                d_s[dst] += d_pre;
-                d_t[src] += d_pre;
-            }
-        }
-        // s_i = h_i · a_src, t_j = h_j · a_dst.
-        let mut d_a_src = vec![0.0; self.out_dim];
-        let mut d_a_dst = vec![0.0; self.out_dim];
-        for i in 0..n {
-            let h_row = h.row(i);
-            for c in 0..self.out_dim {
-                d_a_src[c] += d_s[i] * h_row[c];
-                d_a_dst[c] += d_t[i] * h_row[c];
-            }
-            let row = d_h.row_mut(i);
-            for (c, r) in row.iter_mut().enumerate() {
-                *r += d_s[i] * self.a_src[c] + d_t[i] * self.a_dst[c];
-            }
-        }
-        // h = x W.
-        let d_w = x.transpose().matmul(&d_h);
-        let d_x = d_h.matmul(&self.w.transpose());
-        (d_w, d_a_src, d_a_dst, d_x)
-    }
-
-    /// Workspace twin of [`GatLayer::forward`]: every intermediate lands in
-    /// `b`, fully overwritten, with the same per-element computation order as
-    /// the allocating path (bit-identical results).
+    /// Forward pass of the layer on input `x`: every intermediate lands in
+    /// `b`, fully overwritten.
     fn forward_ws(&self, ctx: &GraphContext, x: &Matrix, b: &mut GatLayerBufs) {
         let n = ctx.n_nodes();
         x.matmul_into(&self.w, &mut b.h);
+        // s_i = h_i · a_src, t_j = h_j · a_dst: independent per node.
         ensure_len(&mut b.s, n);
         ensure_len(&mut b.t, n);
         par_fill(&mut b.s, |i| dot(b.h.row(i), &self.a_src));
@@ -166,6 +52,7 @@ impl GatLayer {
         for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
             b.pre[e] = b.s[dst] + b.t[src];
         }
+        // Softmax of LeakyReLU(pre) within each destination group.
         ensure_len(&mut b.alpha, m);
         for v in 0..n {
             let range = ctx.att_ptr[v]..ctx.att_ptr[v + 1];
@@ -186,6 +73,7 @@ impl GatLayer {
                 b.alpha[e] /= sum;
             }
         }
+        // out_i = Σ_j α_ij h_j
         b.out.resize_to(n, self.out_dim);
         b.out.as_mut_slice().fill(0.0);
         for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
@@ -196,7 +84,7 @@ impl GatLayer {
         }
     }
 
-    /// Workspace twin of [`GatLayer::backward`], reusing the activations that
+    /// Backward pass of the layer, reusing the activations that
     /// [`GatLayer::forward_ws`] cached in `b`.  Leaves the parameter
     /// gradients in `b.d_w` / `b.d_a_src` / `b.d_a_dst`; the gradient w.r.t.
     /// the layer input is only materialised in `b.d_x` when `need_d_x` is set
@@ -297,28 +185,6 @@ impl Gat {
 }
 
 impl GnnModel for Gat {
-    fn forward(&self, ctx: &GraphContext) -> Matrix {
-        let c1 = self.layer1.forward(ctx, &ctx.features);
-        let h1 = relu(&c1.out);
-        self.layer2.forward(ctx, &h1).out
-    }
-
-    fn backward(&self, ctx: &GraphContext, d_logits: &Matrix) -> Vec<f64> {
-        let c1 = self.layer1.forward(ctx, &ctx.features);
-        let h1 = relu(&c1.out);
-        let c2 = self.layer2.forward(ctx, &h1);
-        let (d_w2, d_a2s, d_a2d, d_h1) = self.layer2.backward(ctx, &h1, &c2, d_logits);
-        let d_pre1 = relu_grad(&c1.out, &d_h1);
-        let (d_w1, d_a1s, d_a1d, _d_x) = self.layer1.backward(ctx, &ctx.features, &c1, &d_pre1);
-        let mut grads = d_w1.into_vec();
-        grads.extend(d_a1s);
-        grads.extend(d_a1d);
-        grads.extend(d_w2.into_vec());
-        grads.extend(d_a2s);
-        grads.extend(d_a2d);
-        grads
-    }
-
     fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
         let g = &mut ws.gat;
         self.layer1.forward_ws(ctx, &ctx.features, &mut g.l1);
@@ -398,6 +264,7 @@ impl GnnModel for Gat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::workspace_grad;
     use ppfr_graph::Graph;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
@@ -425,10 +292,11 @@ mod tests {
         let ctx = tiny_ctx();
         let mut rng = StdRng::seed_from_u64(2);
         let gat = Gat::new(4, 5, 3, &mut rng);
-        let cache = gat.layer1.forward(&ctx, &ctx.features);
+        let mut ws = TrainWorkspace::new();
+        gat.forward_ws(&ctx, &mut ws);
         for v in 0..ctx.n_nodes() {
             let sum: f64 = (ctx.att_ptr[v]..ctx.att_ptr[v + 1])
-                .map(|e| cache.alpha[e])
+                .map(|e| ws.gat.l1.alpha[e])
                 .sum();
             assert!(
                 (sum - 1.0).abs() < 1e-12,
@@ -443,7 +311,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let gat = Gat::new(4, 3, 2, &mut rng);
         let coeff = Matrix::gaussian(6, 2, 0.0, 1.0, &mut rng);
-        let analytic = gat.backward(&ctx, &coeff);
+        let analytic = workspace_grad(&gat, &ctx, &coeff);
         let f = |p: &[f64]| {
             let mut m = gat.clone();
             m.set_params(p);

@@ -5,7 +5,7 @@
 
 use crate::workspace::ensure_len;
 use crate::{GnnModel, GraphContext, TrainWorkspace};
-use ppfr_linalg::{relu, relu_grad, relu_grad_into, relu_into, Matrix};
+use ppfr_linalg::{relu_grad_into, relu_into, Matrix};
 use rand::Rng;
 
 /// Two-layer GCN with hidden width `hidden`.
@@ -34,39 +34,11 @@ impl Gcn {
             n_classes,
         }
     }
-
-    fn forward_cached(&self, ctx: &GraphContext) -> (Matrix, Matrix, Matrix) {
-        // pre1 = Â X W1 ; h1 = ReLU(pre1) ; logits = Â h1 W2
-        let xw1 = ctx.features.matmul(&self.w1);
-        let pre1 = ctx.a_hat.matmul_dense(&xw1);
-        let h1 = relu(&pre1);
-        let h1w2 = h1.matmul(&self.w2);
-        let logits = ctx.a_hat.matmul_dense(&h1w2);
-        (pre1, h1, logits)
-    }
 }
 
 impl GnnModel for Gcn {
-    fn forward(&self, ctx: &GraphContext) -> Matrix {
-        self.forward_cached(ctx).2
-    }
-
-    fn backward(&self, ctx: &GraphContext, d_logits: &Matrix) -> Vec<f64> {
-        let (pre1, h1, _) = self.forward_cached(ctx);
-        // logits = Â (h1 W2): Â is symmetric, so d(h1 W2) = Â d_logits.
-        let d_h1w2 = ctx.a_hat.matmul_dense(d_logits);
-        let d_w2 = h1.transpose().matmul(&d_h1w2);
-        let d_h1 = d_h1w2.matmul(&self.w2.transpose());
-        let d_pre1 = relu_grad(&pre1, &d_h1);
-        // pre1 = Â (X W1): d(X W1) = Â d_pre1.
-        let d_xw1 = ctx.a_hat.matmul_dense(&d_pre1);
-        let d_w1 = ctx.features_t.matmul(&d_xw1);
-        let mut grads = d_w1.into_vec();
-        grads.extend(d_w2.into_vec());
-        grads
-    }
-
     fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
+        // pre1 = Â X W1 ; h1 = ReLU(pre1) ; logits = Â h1 W2
         let b = &mut ws.gcn;
         ctx.features.matmul_into(&self.w1, &mut b.xw1);
         ctx.a_hat.matmul_dense_into(&b.xw1, &mut b.pre1);
@@ -76,14 +48,14 @@ impl GnnModel for Gcn {
     }
 
     fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        // Reuses pre1/h1 cached by forward_ws; transpose-free kernels keep the
-        // accumulation order of the allocating backward, so the gradient is
-        // bit-identical.
+        // Reuses pre1/h1 cached by forward_ws.
         let b = &mut ws.gcn;
+        // logits = Â (h1 W2): Â is symmetric, so d(h1 W2) = Â d_logits.
         ctx.a_hat.matmul_dense_into(&ws.d_logits, &mut b.d_h1w2);
         b.h1.matmul_at_b_into(&b.d_h1w2, &mut b.d_w2);
         b.d_h1w2.matmul_a_bt_into(&self.w2, &mut b.d_h1);
         relu_grad_into(&b.pre1, &b.d_h1, &mut b.d_pre1);
+        // pre1 = Â (X W1): d(X W1) = Â d_pre1.
         ctx.a_hat.matmul_dense_into(&b.d_pre1, &mut b.d_xw1);
         ctx.features.matmul_at_b_into(&b.d_xw1, &mut b.d_w1);
         let (n1, n2) = (b.d_w1.as_slice().len(), b.d_w2.as_slice().len());
@@ -117,6 +89,7 @@ impl GnnModel for Gcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::workspace_grad;
     use ppfr_graph::Graph;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
@@ -146,7 +119,7 @@ mod tests {
         let gcn = Gcn::new(4, 5, 3, &mut rng);
         // Scalar objective: f(θ) = sum(C ⊙ logits) for a fixed coefficient matrix C.
         let coeff = Matrix::gaussian(6, 3, 0.0, 1.0, &mut rng);
-        let analytic = gcn.backward(&ctx, &coeff);
+        let analytic = workspace_grad(&gcn, &ctx, &coeff);
         let f = |p: &[f64]| {
             let mut m = gcn.clone();
             m.set_params(p);

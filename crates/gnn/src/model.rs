@@ -1,4 +1,9 @@
 //! The object-safe [`GnnModel`] trait and the [`AnyModel`] dispatcher.
+//!
+//! Each model implements exactly one forward and one backward pass, the
+//! workspace pair [`GnnModel::forward_ws`] / [`GnnModel::backward_ws`];
+//! everything else — training, evaluation, perturbation, the influence
+//! gradients and Hessian-vector products — runs through it.
 
 use crate::{Gat, Gcn, GraphContext, GraphSage, TrainWorkspace};
 use ppfr_linalg::Matrix;
@@ -11,18 +16,39 @@ use rand::SeedableRng;
 /// influence-function machinery and the PPFR pipeline can stay model
 /// agnostic (the paper's method is "plug-and-play" across GCN/GAT/SAGE):
 ///
-/// * [`forward`](GnnModel::forward) maps a [`GraphContext`] to logits;
-/// * [`backward`](GnnModel::backward) maps an upstream gradient w.r.t. the
-///   logits to a flat gradient w.r.t. the parameters (recomputing the forward
-///   pass internally, which keeps the trait object-safe and stateless);
+/// * [`forward_ws`](GnnModel::forward_ws) maps a [`GraphContext`] to logits
+///   through a reusable [`TrainWorkspace`], caching every activation;
+/// * [`backward_ws`](GnnModel::backward_ws) maps an upstream gradient w.r.t.
+///   the logits to a flat gradient w.r.t. the parameters, reusing those
+///   cached activations;
+/// * [`forward`](GnnModel::forward) is the one-shot convenience for
+///   evaluation: `forward_ws` on a fresh workspace;
 /// * parameters are exposed as a flat `Vec<f64>` so optimisers, Hessian-vector
 ///   products and conjugate-gradient solvers can treat every model uniformly.
 pub trait GnnModel {
-    /// Forward pass producing one logit row per node.
-    fn forward(&self, ctx: &GraphContext) -> Matrix;
+    /// Forward pass through a reusable [`TrainWorkspace`]: the logits land in
+    /// `ws.logits` (one row per node) and every intermediate activation is
+    /// cached in the workspace for the matching
+    /// [`backward_ws`](GnnModel::backward_ws).
+    fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace);
 
-    /// Gradient of `sum(d_logits ⊙ logits(θ))` w.r.t. the flat parameters.
-    fn backward(&self, ctx: &GraphContext, d_logits: &Matrix) -> Vec<f64>;
+    /// Backward pass through the workspace: reads the upstream logit gradient
+    /// from `ws.d_logits` and leaves the gradient of
+    /// `sum(d_logits ⊙ logits(θ))` w.r.t. the flat parameters in `ws.grads`.
+    ///
+    /// Contract: must be preceded by [`forward_ws`](GnnModel::forward_ws)
+    /// with the same parameters, context and stochastic structure — the
+    /// backward pass reuses the cached forward activations instead of
+    /// recomputing them.
+    fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace);
+
+    /// Logits of every node, computed by
+    /// [`forward_ws`](GnnModel::forward_ws) on a fresh workspace.
+    fn forward(&self, ctx: &GraphContext) -> Matrix {
+        let mut ws = TrainWorkspace::new();
+        self.forward_ws(ctx, &mut ws);
+        ws.logits
+    }
 
     /// Flattened copy of all parameters.
     fn params(&self) -> Vec<f64>;
@@ -39,31 +65,6 @@ pub trait GnnModel {
     /// Re-draws any stochastic structure (e.g. GraphSAGE neighbour sampling).
     /// Deterministic models ignore this.
     fn resample(&mut self, _ctx: &GraphContext, _seed: u64) {}
-
-    /// Forward pass through a reusable [`TrainWorkspace`]: the logits land in
-    /// `ws.logits` and every intermediate activation is cached in the
-    /// workspace for the matching [`backward_ws`](GnnModel::backward_ws).
-    ///
-    /// The default delegates to the allocating [`forward`](GnnModel::forward);
-    /// the in-tree models override it with buffer-reusing kernels that are
-    /// **bit-identical** to the fallback.
-    fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        ws.logits = self.forward(ctx);
-    }
-
-    /// Backward pass through the workspace: reads the upstream logit gradient
-    /// from `ws.d_logits` and leaves the flat parameter gradient in
-    /// `ws.grads`.
-    ///
-    /// Contract: must be preceded by [`forward_ws`](GnnModel::forward_ws)
-    /// with the same parameters, context and stochastic structure — the
-    /// in-tree overrides reuse the cached forward activations instead of
-    /// recomputing them (the allocating [`backward`](GnnModel::backward)
-    /// recomputes the forward pass, producing the same values).
-    fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        let grads = self.backward(ctx, &ws.d_logits);
-        ws.grads = grads;
-    }
 }
 
 /// Which architecture to instantiate — used by experiment configuration.
@@ -145,12 +146,12 @@ impl AnyModel {
 }
 
 impl GnnModel for AnyModel {
-    fn forward(&self, ctx: &GraphContext) -> Matrix {
-        self.inner().forward(ctx)
+    fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
+        self.inner().forward_ws(ctx, ws);
     }
 
-    fn backward(&self, ctx: &GraphContext, d_logits: &Matrix) -> Vec<f64> {
-        self.inner().backward(ctx, d_logits)
+    fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
+        self.inner().backward_ws(ctx, ws);
     }
 
     fn params(&self) -> Vec<f64> {
@@ -172,14 +173,21 @@ impl GnnModel for AnyModel {
     fn resample(&mut self, ctx: &GraphContext, seed: u64) {
         self.inner_mut().resample(ctx, seed);
     }
+}
 
-    fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        self.inner().forward_ws(ctx, ws);
-    }
-
-    fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        self.inner().backward_ws(ctx, ws);
-    }
+/// Flat gradient of `sum(d_logits ⊙ logits)` through a fresh workspace: the
+/// analytic side of the per-model finite-difference checks.
+#[cfg(test)]
+pub(crate) fn workspace_grad(
+    model: &dyn GnnModel,
+    ctx: &GraphContext,
+    d_logits: &Matrix,
+) -> Vec<f64> {
+    let mut ws = TrainWorkspace::new();
+    model.forward_ws(ctx, &mut ws);
+    ws.d_logits = d_logits.clone();
+    model.backward_ws(ctx, &mut ws);
+    ws.grads
 }
 
 #[cfg(test)]

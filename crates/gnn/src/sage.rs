@@ -10,7 +10,7 @@
 use crate::workspace::ensure_len;
 use crate::{GnnModel, GraphContext, TrainWorkspace};
 use ppfr_graph::SparseMatrix;
-use ppfr_linalg::{relu, relu_grad, relu_grad_into, relu_into, Matrix};
+use ppfr_linalg::{relu_grad_into, relu_into, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -61,52 +61,12 @@ impl GraphSage {
     fn aggregator<'a>(&'a self, ctx: &'a GraphContext) -> &'a SparseMatrix {
         self.sampled_agg.as_ref().unwrap_or(&ctx.mean_agg)
     }
-
-    fn forward_cached(&self, ctx: &GraphContext) -> (Matrix, Matrix, Matrix) {
-        let agg = self.aggregator(ctx);
-        let x = &ctx.features;
-        let mx = agg.matmul_dense(x);
-        let pre1 = x.matmul(&self.w1_self).add(&mx.matmul(&self.w1_neigh));
-        let h1 = relu(&pre1);
-        let mh1 = agg.matmul_dense(&h1);
-        let logits = h1.matmul(&self.w2_self).add(&mh1.matmul(&self.w2_neigh));
-        (pre1, h1, logits)
-    }
 }
 
 impl GnnModel for GraphSage {
-    fn forward(&self, ctx: &GraphContext) -> Matrix {
-        self.forward_cached(ctx).2
-    }
-
-    fn backward(&self, ctx: &GraphContext, d_logits: &Matrix) -> Vec<f64> {
-        let agg = self.aggregator(ctx);
-        let x = &ctx.features;
-        let (pre1, h1, _) = self.forward_cached(ctx);
-        let mx = agg.matmul_dense(x);
-        let mh1 = agg.matmul_dense(&h1);
-
-        // logits = h1 W2_self + (M h1) W2_neigh
-        let d_w2_self = h1.transpose().matmul(d_logits);
-        let d_w2_neigh = mh1.transpose().matmul(d_logits);
-        let d_h1_direct = d_logits.matmul(&self.w2_self.transpose());
-        let d_mh1 = d_logits.matmul(&self.w2_neigh.transpose());
-        let d_h1_agg = agg.transpose_matmul_dense(&d_mh1);
-        let d_h1 = d_h1_direct.add(&d_h1_agg);
-        let d_pre1 = relu_grad(&pre1, &d_h1);
-
-        // pre1 = x W1_self + (M x) W1_neigh
-        let d_w1_self = ctx.features_t.matmul(&d_pre1);
-        let d_w1_neigh = mx.transpose().matmul(&d_pre1);
-
-        let mut grads = d_w1_self.into_vec();
-        grads.extend(d_w1_neigh.into_vec());
-        grads.extend(d_w2_self.into_vec());
-        grads.extend(d_w2_neigh.into_vec());
-        grads
-    }
-
     fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
+        // pre1 = X W1_self + (M X) W1_neigh ; h1 = ReLU(pre1) ;
+        // logits = h1 W2_self + (M h1) W2_neigh
         let agg = self.aggregator(ctx);
         let b = &mut ws.sage;
         agg.matmul_dense_into(&ctx.features, &mut b.mx);
@@ -122,8 +82,7 @@ impl GnnModel for GraphSage {
     }
 
     fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        // Reuses mx/pre1/h1/mh1 cached by forward_ws; transpose-free kernels
-        // keep the accumulation order of the allocating backward.
+        // Reuses mx/pre1/h1/mh1 cached by forward_ws.
         let agg = self.aggregator(ctx);
         let b = &mut ws.sage;
         b.h1.matmul_at_b_into(&ws.d_logits, &mut b.d_w2_self);
@@ -207,6 +166,7 @@ impl GnnModel for GraphSage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::workspace_grad;
     use ppfr_graph::Graph;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
@@ -235,7 +195,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sage = GraphSage::new(4, 3, 2, &mut rng);
         let coeff = Matrix::gaussian(6, 2, 0.0, 1.0, &mut rng);
-        let analytic = sage.backward(&ctx, &coeff);
+        let analytic = workspace_grad(&sage, &ctx, &coeff);
         let f = |p: &[f64]| {
             let mut m = sage.clone();
             m.set_params(p);

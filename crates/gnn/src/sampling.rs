@@ -52,8 +52,8 @@ pub fn sample_subgraph(base: &Graph, fanout: usize, seed: u64) -> Graph {
 /// A full graph plus a per-epoch neighbour-sampled [`GraphContext`] that any
 /// [`GnnModel`] can train on.
 ///
-/// Features (and the cached transpose) are built once and never touched by
-/// resampling; only the graph and its operators are swapped in place.
+/// Features are built once and never touched by resampling; only the graph
+/// and its operators are swapped in place.
 #[derive(Debug, Clone)]
 pub struct SampledContext {
     base: Graph,
@@ -104,7 +104,7 @@ impl SampledContext {
     }
 
     /// Swaps `graph` and its derived operators into the held context without
-    /// touching the feature matrices.
+    /// touching the features.
     fn install(&mut self, graph: Graph) {
         self.ctx.a_hat = graph.normalized_adjacency();
         self.ctx.mean_agg = graph.mean_aggregation();

@@ -8,8 +8,8 @@
 
 use crate::{GnnModel, GraphContext, TrainWorkspace};
 use ppfr_graph::SparseMatrix;
-use ppfr_linalg::{row_softmax_backward, row_softmax_backward_into, Matrix};
-use ppfr_nn::{accuracy, weighted_cross_entropy, weighted_cross_entropy_into, Adam, Optimizer};
+use ppfr_linalg::{row_softmax_backward_into, Matrix};
+use ppfr_nn::{accuracy, weighted_cross_entropy_into, Adam, Optimizer};
 
 /// Individual-fairness regulariser configuration: the similarity Laplacian
 /// `L_S` and the weight λ of `Tr(Pᵀ L_S P)` in the loss.
@@ -32,17 +32,10 @@ impl FairnessReg {
         tr / probs.rows() as f64
     }
 
-    /// Gradient of `λ · Tr(Pᵀ L_S P) / n` w.r.t. the probabilities.
-    pub fn grad_wrt_probs(&self, probs: &Matrix) -> Matrix {
-        // L_S is symmetric, so d/dP Tr(Pᵀ L P) = 2 L P.
-        self.laplacian
-            .matmul_dense(probs)
-            .scale(2.0 * self.lambda / probs.rows() as f64)
-    }
-
-    /// [`FairnessReg::grad_wrt_probs`] writing into a caller-owned buffer;
-    /// bit-identical to the allocating version.
+    /// Gradient of `λ · Tr(Pᵀ L_S P) / n` w.r.t. the probabilities, written
+    /// into a caller-owned buffer.
     pub fn grad_wrt_probs_into(&self, probs: &Matrix, out: &mut Matrix) {
+        // L_S is symmetric, so d/dP Tr(Pᵀ L P) = 2 L P.
         self.laplacian.matmul_dense_into(probs, out);
         let s = 2.0 * self.lambda / probs.rows() as f64;
         out.map_inplace(|v| v * s);
@@ -102,11 +95,10 @@ pub struct TrainReport {
 ///   `1 + w_v` for PPFR fine-tuning);
 /// * `fairness` — optional InFoRM regulariser (the Reg baseline).
 ///
-/// This is the workspace fast path: every epoch runs through a
-/// [`TrainWorkspace`] of preallocated buffers (zero heap allocations per
-/// epoch after warm-up, unless neighbour resampling is active) and the
-/// backward pass reuses the cached forward activations.  The result is
-/// **bit-identical** to the allocating reference loop [`train_legacy`],
+/// Every epoch runs through a [`TrainWorkspace`] of preallocated buffers
+/// (zero heap allocations per epoch after warm-up, unless neighbour
+/// resampling is active) and the backward pass reuses the cached forward
+/// activations.  The result is bit-identical across worker-thread counts,
 /// pinned by `crates/gnn/tests/workspace_equivalence.rs`.
 pub fn train(
     model: &mut dyn GnnModel,
@@ -173,67 +165,12 @@ pub fn train_with_workspace(
         model.set_params(&params);
         loss_history.push(loss);
     }
-    // Final report through the warm workspace too (bit-identical to the
-    // allocating forward/softmax, per the pinned equivalence tests).
+    // Final report through the warm workspace too.
     model.forward_ws(ctx, ws);
     let train_accuracy = accuracy(&ws.logits, labels, train_ids);
     let final_bias = fairness.map(|reg| {
         ppfr_linalg::row_softmax_into(&ws.logits, &mut ws.probs);
         reg.bias(&ws.probs)
-    });
-    TrainReport {
-        loss_history,
-        train_accuracy,
-        final_bias,
-    }
-}
-
-/// The original allocating training loop, kept as the reference oracle for
-/// the workspace fast path: every intermediate is a fresh matrix and the
-/// backward pass recomputes the forward internally.  [`train`] must produce
-/// bit-identical parameters and loss history.
-pub fn train_legacy(
-    model: &mut dyn GnnModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    weights: &[f64],
-    fairness: Option<&FairnessReg>,
-    cfg: &TrainConfig,
-) -> TrainReport {
-    assert_eq!(
-        train_ids.len(),
-        weights.len(),
-        "one weight per training node"
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut params = model.params();
-    let mut loss_history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        // Same budget checkpoint as the workspace path, so the legacy oracle
-        // stays bit-identical to `train` even under an exhausted budget.
-        if !ppfr_resilience::checkpoint(1) {
-            break;
-        }
-        model.resample(ctx, cfg.seed.wrapping_add(epoch as u64));
-        let logits = model.forward(ctx);
-        let ce = weighted_cross_entropy(&logits, labels, train_ids, weights);
-        let mut d_logits = ce.d_logits;
-        if let Some(reg) = fairness {
-            let d_probs = reg.grad_wrt_probs(&ce.probs);
-            let d_from_reg = row_softmax_backward(&ce.probs, &d_probs);
-            d_logits = d_logits.add(&d_from_reg);
-        }
-        let grads = model.backward(ctx, &d_logits);
-        opt.step(&mut params, &grads);
-        model.set_params(&params);
-        loss_history.push(ce.loss);
-    }
-    let logits = model.forward(ctx);
-    let train_accuracy = accuracy(&logits, labels, train_ids);
-    let final_bias = fairness.map(|reg| {
-        let probs = ppfr_linalg::row_softmax(&logits);
-        reg.bias(&probs)
     });
     TrainReport {
         loss_history,

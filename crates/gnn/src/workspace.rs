@@ -6,12 +6,12 @@
 //! (or when the problem shape changes) and fully overwritten by the in-place
 //! kernels of `ppfr_linalg` / `ppfr_graph` on every subsequent epoch.
 //!
-//! The workspace fast path is **bit-identical** to the allocating reference
-//! implementations ([`crate::train_legacy`], [`GnnModel::forward`] /
-//! [`GnnModel::backward`](crate::GnnModel::backward)): every in-place kernel
-//! accumulates its terms in the same order with the same sparse fast paths,
-//! which is pinned by the equivalence tests in
-//! `crates/gnn/tests/workspace_equivalence.rs`.
+//! The workspace path is the only forward/backward implementation of each
+//! model: training, the influence gradients and Hessian-vector products run
+//! it on long-lived workspaces, and [`GnnModel::forward`] runs it on a fresh
+//! one.  Its gradients are checked against central finite differences in
+//! the model modules, and its results are pinned across worker-thread counts
+//! and warm-workspace reuse by `crates/gnn/tests/workspace_equivalence.rs`.
 //!
 //! One workspace serves one model at a time; the per-architecture buffer
 //! groups ([`GcnBufs`], [`SageBufs`], [`GatBufs`]) stay empty for the
@@ -48,7 +48,7 @@ pub struct TrainWorkspace {
     /// Flat parameter gradient, output of
     /// [`GnnModel::backward_ws`](crate::GnnModel::backward_ws).
     pub grads: Vec<f64>,
-    /// All-one loss weights kept for the influence fast path.
+    /// All-one loss weights kept for the influence gradients.
     pub unit_weights: Vec<f64>,
     /// GCN-specific buffers.
     pub gcn: GcnBufs,
@@ -66,7 +66,7 @@ impl TrainWorkspace {
     }
 
     /// Makes `unit_weights` hold exactly `len` ones (used by the influence
-    /// fast path, whose utility gradient is the unit-weight training loss).
+    /// engine, whose utility gradient is the unit-weight training loss).
     pub fn ensure_unit_weights(&mut self, len: usize) {
         if self.unit_weights.len() != len {
             self.unit_weights.clear();

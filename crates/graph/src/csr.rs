@@ -306,16 +306,9 @@ impl SparseMatrix {
     }
 
     /// Transposed sparse × dense product (`selfᵀ * dense`) without building the
-    /// transpose explicitly.
-    pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_matmul_dense_into(dense, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::transpose_matmul_dense`] writing into a caller-owned
-    /// buffer.  Serial by construction: the scatter over output rows follows
-    /// the CSR layout of `self`, which keeps the accumulation order fixed.
+    /// transpose explicitly, written into a caller-owned buffer.  Serial by
+    /// construction: the scatter over output rows follows the CSR layout of
+    /// `self`, which keeps the accumulation order fixed.
     pub fn transpose_matmul_dense_into(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(self.n_rows, dense.rows(), "spmmᵀ dimension mismatch");
         let cols = dense.cols();
@@ -392,8 +385,11 @@ mod tests {
     fn transpose_spmm_matches_dense() {
         let m = sample();
         let d = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let got = m.transpose_matmul_dense(&d);
+        // A stale, wrongly shaped buffer must be fully overwritten.
+        let mut got = Matrix::filled(4, 4, 9.0);
+        m.transpose_matmul_dense_into(&d, &mut got);
         let want = m.to_dense().transpose().matmul(&d);
+        assert_eq!(got.shape(), want.shape());
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -441,11 +437,6 @@ mod tests {
         }
         m.matmul_dense_into_serial(&d, &mut buf);
         assert_eq!(buf.as_slice(), want.as_slice());
-
-        let want_t = m.transpose_matmul_dense(&d);
-        m.transpose_matmul_dense_into(&d, &mut buf);
-        assert_eq!(buf.as_slice(), want_t.as_slice());
-        assert_eq!(buf.shape(), want_t.shape());
 
         // Buffer reuse across calls must not leak previous contents.
         m.matmul_dense_into(&d, &mut buf);

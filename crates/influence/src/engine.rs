@@ -53,8 +53,8 @@ pub struct InfluenceSet {
 /// product with every per-node loss gradient (computed in parallel).
 ///
 /// The CG solve runs its Hessian-vector products through one persistent
-/// [`HvpScratch`], so the per-iteration model clones and gradient buffers of
-/// the oracle path are reused instead of reallocated (bit-identical results).
+/// [`HvpScratch`], so the iterations share two model clones and their
+/// gradient workspaces instead of reallocating them.
 pub fn influence_on(
     model: &AnyModel,
     ctx: &GraphContext,

@@ -1,11 +1,15 @@
 //! Parameter-space gradients of the interested functions (utility, bias, risk).
+//!
+//! Every gradient runs the model's workspace path once: `forward_ws`, the
+//! loss or the softmax and its backward, then `backward_ws`, which reuses the
+//! cached forward activations.
 
 use crate::risk_grad::sq_risk_gradient_wrt_probs;
 use ppfr_fairness::bias_gradient_wrt_probs;
 use ppfr_gnn::{GnnModel, GraphContext, TrainWorkspace};
 use ppfr_graph::SparseMatrix;
-use ppfr_linalg::{row_softmax, row_softmax_backward};
-use ppfr_nn::{weighted_cross_entropy, weighted_cross_entropy_into};
+use ppfr_linalg::{row_softmax_backward_into, row_softmax_into, Matrix};
+use ppfr_nn::weighted_cross_entropy_into;
 use ppfr_privacy::PairSample;
 
 /// Gradient of the *total* (unit-weight) training loss w.r.t. the parameters,
@@ -16,19 +20,15 @@ pub fn training_loss_grad(
     labels: &[usize],
     train_ids: &[usize],
 ) -> Vec<f64> {
-    let logits = model.forward(ctx);
-    let weights = vec![1.0; train_ids.len()];
-    let ce = weighted_cross_entropy(&logits, labels, train_ids, &weights);
-    // weighted_cross_entropy divides by |V_l|; rescale to the paper's sum form.
-    let d_logits = ce.d_logits.scale(train_ids.len() as f64);
-    model.backward(ctx, &d_logits)
+    let mut ws = TrainWorkspace::new();
+    training_loss_grad_ws(model, ctx, labels, train_ids, &mut ws);
+    ws.grads
 }
 
-/// [`training_loss_grad`] through a reusable [`TrainWorkspace`]: the gradient
-/// lands in `ws.grads` and no intermediate is allocated once the workspace is
-/// warm.  Bit-identical to the allocating entry point (pinned by the tests in
-/// this crate), which is what lets the conjugate-gradient solver call it once
-/// per Hessian-vector product without churning the allocator.
+/// [`training_loss_grad`] through a caller-owned [`TrainWorkspace`]: the
+/// gradient lands in `ws.grads` and no intermediate is allocated once the
+/// workspace is warm, which is what lets the conjugate-gradient solver call
+/// it once per Hessian-vector product without churning the allocator.
 pub fn training_loss_grad_ws(
     model: &dyn GnnModel,
     ctx: &GraphContext,
@@ -46,7 +46,8 @@ pub fn training_loss_grad_ws(
         &mut ws.probs,
         &mut ws.d_logits,
     );
-    // Rescale to the paper's sum form, mirroring `training_loss_grad`.
+    // weighted_cross_entropy_into divides by |V_l|; rescale to the paper's
+    // sum form.
     let n = train_ids.len() as f64;
     ws.d_logits.map_inplace(|v| v * n);
     model.backward_ws(ctx, ws);
@@ -59,9 +60,18 @@ pub fn node_loss_grad(
     labels: &[usize],
     node: usize,
 ) -> Vec<f64> {
-    let logits = model.forward(ctx);
-    let ce = weighted_cross_entropy(&logits, labels, &[node], &[1.0]);
-    model.backward(ctx, &ce.d_logits)
+    let mut ws = TrainWorkspace::new();
+    model.forward_ws(ctx, &mut ws);
+    weighted_cross_entropy_into(
+        &ws.logits,
+        labels,
+        &[node],
+        &[1.0],
+        &mut ws.probs,
+        &mut ws.d_logits,
+    );
+    model.backward_ws(ctx, &mut ws);
+    ws.grads
 }
 
 /// Gradient of the InFoRM bias `f_bias(θ) = Tr(Pᵀ L_S P)/n` w.r.t. the
@@ -71,11 +81,7 @@ pub fn bias_grad_wrt_params(
     ctx: &GraphContext,
     l_s: &SparseMatrix,
 ) -> Vec<f64> {
-    let logits = model.forward(ctx);
-    let probs = row_softmax(&logits);
-    let d_probs = bias_gradient_wrt_probs(&probs, l_s);
-    let d_logits = row_softmax_backward(&probs, &d_probs);
-    model.backward(ctx, &d_logits)
+    grad_through_softmax(model, ctx, |probs| bias_gradient_wrt_probs(probs, l_s))
 }
 
 /// Gradient of the normalised privacy-risk function
@@ -85,11 +91,25 @@ pub fn risk_grad_wrt_params(
     ctx: &GraphContext,
     sample: &PairSample,
 ) -> Vec<f64> {
-    let logits = model.forward(ctx);
-    let probs = row_softmax(&logits);
-    let d_probs = sq_risk_gradient_wrt_probs(&probs, sample);
-    let d_logits = row_softmax_backward(&probs, &d_probs);
-    model.backward(ctx, &d_logits)
+    grad_through_softmax(model, ctx, |probs| {
+        sq_risk_gradient_wrt_probs(probs, sample)
+    })
+}
+
+/// Parameter gradient of a function of the softmax probabilities, given the
+/// map from the probabilities to its gradient w.r.t. them.
+fn grad_through_softmax(
+    model: &dyn GnnModel,
+    ctx: &GraphContext,
+    d_probs_of: impl FnOnce(&Matrix) -> Matrix,
+) -> Vec<f64> {
+    let mut ws = TrainWorkspace::new();
+    model.forward_ws(ctx, &mut ws);
+    row_softmax_into(&ws.logits, &mut ws.probs);
+    let d_probs = d_probs_of(&ws.probs);
+    row_softmax_backward_into(&ws.probs, &d_probs, &mut ws.d_logits);
+    model.backward_ws(ctx, &mut ws);
+    ws.grads
 }
 
 #[cfg(test)]
@@ -98,6 +118,7 @@ mod tests {
     use ppfr_datasets::{generate, two_block_synthetic};
     use ppfr_gnn::{AnyModel, ModelKind};
     use ppfr_graph::{jaccard_similarity, similarity_laplacian};
+    use ppfr_linalg::row_softmax;
     use ppfr_nn::central_difference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

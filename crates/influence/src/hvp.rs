@@ -1,6 +1,10 @@
 //! Hessian-vector products and the damped conjugate-gradient solver.
+//!
+//! There is one HVP implementation, [`hessian_vector_product_with`], which
+//! runs its two finite-difference gradients through a persistent
+//! [`HvpScratch`]; a one-off product is a call on a fresh scratch.
 
-use crate::{training_loss_grad, training_loss_grad_ws};
+use crate::training_loss_grad_ws;
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext, TrainWorkspace};
 use ppfr_linalg::par_join;
 
@@ -16,9 +20,8 @@ struct SideScratch {
 
 /// Persistent scratch state for repeated Hessian-vector products at a fixed
 /// base point `θ*`: two model/workspace pairs (one per finite-difference
-/// side) reused across every conjugate-gradient iteration, instead of the
-/// two model clones and full gradient re-allocation the oracle
-/// [`hessian_vector_product`] performs per call.
+/// side) reused across every conjugate-gradient iteration, so a product
+/// clones no model and allocates no gradient buffer.
 ///
 /// The base parameters are captured at construction; rebuild the scratch if
 /// the model's parameters change.
@@ -63,10 +66,15 @@ impl HvpScratch {
     }
 }
 
-/// [`hessian_vector_product`] through a persistent [`HvpScratch`]:
-/// bit-identical to the oracle (pinned by this crate's tests) but reuses the
-/// scratch models, shifted-parameter buffers and training workspaces across
-/// calls, so a conjugate-gradient solve allocates only its result vectors.
+/// Hessian-vector product `(H + damping·I) v` where `H` is the Hessian of the
+/// *mean* training loss at the scratch's base point.
+///
+/// Computed with central finite differences of the analytic gradient:
+/// `H v ≈ (∇L(θ + εv) − ∇L(θ − εv)) / 2ε` with `ε` scaled by `1/‖v‖` so the
+/// perturbation stays small regardless of the direction's magnitude.  The
+/// two gradient evaluations run concurrently, each through its side of the
+/// persistent [`HvpScratch`], so a conjugate-gradient solve allocates only
+/// its result vectors.
 pub fn hessian_vector_product_with(
     scratch: &mut HvpScratch,
     ctx: &GraphContext,
@@ -101,54 +109,6 @@ pub fn hessian_vector_product_with(
         .grads
         .iter()
         .zip(minus.ws.grads.iter())
-        .zip(v.iter())
-        .map(|((&gp, &gm), &vi)| (gp - gm) / (2.0 * eps * n_train) + damping * vi)
-        .collect()
-}
-
-/// Hessian-vector product `(H + damping·I) v` where `H` is the Hessian of the
-/// *mean* training loss at the model's current parameters.
-///
-/// Computed with central finite differences of the analytic gradient:
-/// `H v ≈ (∇L(θ + εv) − ∇L(θ − εv)) / 2ε` with `ε` scaled by `1/‖v‖` so the
-/// perturbation stays small regardless of the direction's magnitude.
-pub fn hessian_vector_product(
-    model: &AnyModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    v: &[f64],
-    fd_step: f64,
-    damping: f64,
-) -> Vec<f64> {
-    let n_train = train_ids.len().max(1) as f64;
-    // lint: allow(par-float-reduction) — the `.sum` norm runs serially before
-    // par_join; the oracle is pinned against the scratch path by this
-    // crate's tests
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm <= f64::EPSILON {
-        return vec![0.0; v.len()];
-    }
-    let eps = fd_step / norm;
-    let theta = model.params();
-
-    // The two finite-difference gradient evaluations are independent; run
-    // them concurrently via the shared parallel idiom, each on its own model
-    // clone.
-    let grad_at = |direction: f64| {
-        let mut shifted = theta.clone();
-        for (p, &vi) in shifted.iter_mut().zip(v) {
-            *p += direction * eps * vi;
-        }
-        let mut work = model.clone();
-        work.set_params(&shifted);
-        training_loss_grad(&work, ctx, labels, train_ids)
-    };
-    let (g_plus, g_minus) = par_join(|| grad_at(1.0), || grad_at(-1.0));
-
-    g_plus
-        .iter()
-        .zip(g_minus.iter())
         .zip(v.iter())
         .map(|((&gp, &gm), &vi)| (gp - gm) / (2.0 * eps * n_train) + damping * vi)
         .collect()
@@ -230,6 +190,20 @@ mod tests {
         assert!((x[1] - 7.0 / 11.0).abs() < 1e-9);
     }
 
+    /// One HVP through a fresh scratch: the reference the reuse tests compare
+    /// a warm scratch against.
+    fn fresh_hvp(
+        model: &AnyModel,
+        ctx: &GraphContext,
+        labels: &[usize],
+        train_ids: &[usize],
+        v: &[f64],
+        damping: f64,
+    ) -> Vec<f64> {
+        let mut scratch = HvpScratch::new(model);
+        hessian_vector_product_with(&mut scratch, ctx, labels, train_ids, v, 1e-4, damping)
+    }
+
     #[test]
     fn hvp_is_linear_and_symmetric() {
         let ds = generate(&two_block_synthetic(), 11);
@@ -241,7 +215,10 @@ mod tests {
         let dim = model.n_params();
         let u: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let hvp = |x: &[f64]| hessian_vector_product(&model, &ctx, labels, train, x, 1e-4, 0.0);
+        let mut scratch = HvpScratch::new(&model);
+        let mut hvp = |x: &[f64]| {
+            hessian_vector_product_with(&mut scratch, &ctx, labels, train, x, 1e-4, 0.0)
+        };
         // Symmetry of the Hessian: uᵀ(Hv) == vᵀ(Hu) (up to FD noise).
         let hu = hvp(&u);
         let hv = hvp(&v);
@@ -270,10 +247,8 @@ mod tests {
         let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 4, ds.n_classes, 3);
         let dim = model.n_params();
         let v = vec![1.0; dim];
-        let no_damp =
-            hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.0);
-        let damped =
-            hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.5);
+        let no_damp = fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 0.0);
+        let damped = fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 0.5);
         for (a, b) in damped.iter().zip(no_damp.iter()) {
             assert!(
                 (a - b - 0.5).abs() < 1e-6,
@@ -284,48 +259,49 @@ mod tests {
 
     #[test]
     fn hvp_is_identical_across_thread_counts() {
+        // Every architecture, a fresh scratch per thread count.
         let ds = generate(&two_block_synthetic(), 14);
         let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
-        let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 4, ds.n_classes, 6);
-        let mut rng = StdRng::seed_from_u64(15);
-        let v: Vec<f64> = (0..model.n_params())
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect();
-        let hvp_at = |threads: usize| {
-            ppfr_linalg::parallel::with_forced_threads(threads, || {
-                hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.1)
-            })
-        };
-        let single = hvp_at(1);
-        for threads in [2, 4] {
-            assert_eq!(hvp_at(threads), single, "HVP differs at {threads} threads");
+        for kind in ModelKind::ALL {
+            let model = AnyModel::new(kind, ctx.feat_dim(), 4, ds.n_classes, 6);
+            let mut rng = StdRng::seed_from_u64(15);
+            let v: Vec<f64> = (0..model.n_params())
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let hvp_at = |threads: usize| {
+                ppfr_linalg::parallel::with_forced_threads(threads, || {
+                    fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 0.1)
+                })
+            };
+            let single = hvp_at(1);
+            for threads in [2, 4] {
+                assert_eq!(
+                    hvp_at(threads),
+                    single,
+                    "{} HVP differs at {threads} threads",
+                    kind.name()
+                );
+            }
         }
     }
 
     #[test]
     fn scratch_hvp_is_bit_identical_to_oracle_and_reusable() {
+        // The oracle is a fresh scratch per product: a scratch reused across
+        // products (as in a CG solve) and reset() onto a moved base point
+        // must reproduce it exactly.
         let ds = generate(&two_block_synthetic(), 14);
         let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
-        for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::GraphSage] {
+        for kind in ModelKind::ALL {
             let model = AnyModel::new(kind, ctx.feat_dim(), 4, ds.n_classes, 6);
             let mut rng = StdRng::seed_from_u64(21);
-            let mut scratch = super::HvpScratch::new(&model);
-            // Several successive products through the same scratch (as in a
-            // CG solve) must each equal the allocating oracle exactly.
+            let mut scratch = HvpScratch::new(&model);
             for round in 0..3 {
                 let v: Vec<f64> = (0..model.n_params())
                     .map(|_| rng.gen_range(-1.0..1.0))
                     .collect();
-                let oracle = hessian_vector_product(
-                    &model,
-                    &ctx,
-                    &ds.labels,
-                    &ds.splits.train,
-                    &v,
-                    1e-4,
-                    0.1,
-                );
-                let fast = super::hessian_vector_product_with(
+                let oracle = fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 0.1);
+                let reused = hessian_vector_product_with(
                     &mut scratch,
                     &ctx,
                     &ds.labels,
@@ -334,7 +310,7 @@ mod tests {
                     1e-4,
                     0.1,
                 );
-                assert_eq!(fast, oracle, "round {round} diverges for {:?}", kind);
+                assert_eq!(reused, oracle, "round {round} diverges for {:?}", kind);
             }
             // reset() re-captures a changed base point without rebuilding.
             let mut moved = model.clone();
@@ -342,9 +318,8 @@ mod tests {
             moved.set_params(&bumped);
             scratch.reset(&moved);
             let v = vec![0.5; model.n_params()];
-            let oracle =
-                hessian_vector_product(&moved, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.1);
-            let fast = super::hessian_vector_product_with(
+            let oracle = fresh_hvp(&moved, &ctx, &ds.labels, &ds.splits.train, &v, 0.1);
+            let reused = hessian_vector_product_with(
                 &mut scratch,
                 &ctx,
                 &ds.labels,
@@ -353,7 +328,7 @@ mod tests {
                 1e-4,
                 0.1,
             );
-            assert_eq!(fast, oracle, "post-reset HVP diverges for {:?}", kind);
+            assert_eq!(reused, oracle, "post-reset HVP diverges for {:?}", kind);
         }
     }
 
@@ -367,15 +342,14 @@ mod tests {
             GraphSage::new(ctx.feat_dim(), 4, ds.n_classes, &mut rng).with_sampling(2),
         );
         model.resample(&ctx, 40);
-        let mut scratch = super::HvpScratch::new(&model);
+        let mut scratch = HvpScratch::new(&model);
         // Change *non-parameter* state (the sampled aggregation operator):
         // reset() must pick it up, not just the parameter vector.
         model.resample(&ctx, 41);
         scratch.reset(&model);
         let v = vec![0.3; model.n_params()];
-        let oracle =
-            hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.1);
-        let fast = super::hessian_vector_product_with(
+        let oracle = fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 0.1);
+        let reused = hessian_vector_product_with(
             &mut scratch,
             &ctx,
             &ds.labels,
@@ -384,11 +358,12 @@ mod tests {
             1e-4,
             0.1,
         );
-        assert_eq!(fast, oracle, "reset missed the resampled aggregator");
+        assert_eq!(reused, oracle, "reset missed the resampled aggregator");
     }
 
     #[test]
     fn scratch_hvp_is_identical_across_thread_counts() {
+        // One warm scratch reused across the thread counts.
         let ds = generate(&two_block_synthetic(), 14);
         let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
         let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 4, ds.n_classes, 6);
@@ -396,10 +371,10 @@ mod tests {
         let v: Vec<f64> = (0..model.n_params())
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
-        let hvp_at = |threads: usize| {
+        let mut scratch = HvpScratch::new(&model);
+        let mut hvp_at = |threads: usize| {
             ppfr_linalg::parallel::with_forced_threads(threads, || {
-                let mut scratch = super::HvpScratch::new(&model);
-                super::hessian_vector_product_with(
+                hessian_vector_product_with(
                     &mut scratch,
                     &ctx,
                     &ds.labels,
@@ -422,7 +397,7 @@ mod tests {
         let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
         let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 4, ds.n_classes, 4);
         let v = vec![0.0; model.n_params()];
-        let out = hessian_vector_product(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 1.0);
+        let out = fresh_hvp(&model, &ctx, &ds.labels, &ds.splits.train, &v, 1.0);
         assert!(out.iter().all(|&x| x == 0.0));
     }
 }

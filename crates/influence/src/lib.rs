@@ -29,9 +29,7 @@ pub use gradients::{
     bias_grad_wrt_params, node_loss_grad, risk_grad_wrt_params, training_loss_grad,
     training_loss_grad_ws,
 };
-pub use hvp::{
-    conjugate_gradient, hessian_vector_product, hessian_vector_product_with, HvpScratch,
-};
+pub use hvp::{conjugate_gradient, hessian_vector_product_with, HvpScratch};
 pub use lissa::{lissa_influence_on, LissaConfig};
 pub use ppfr_linalg::pearson;
 pub use risk_grad::{sq_risk_gradient_wrt_probs, sq_risk_score};

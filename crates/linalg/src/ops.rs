@@ -3,23 +3,15 @@
 use crate::parallel::par_chunks;
 use crate::Matrix;
 
-/// Rectified linear unit applied element-wise.
-pub fn relu(m: &Matrix) -> Matrix {
-    m.map(|v| if v > 0.0 { v } else { 0.0 })
-}
-
-/// [`relu`] writing into a caller-owned buffer (resized as needed;
-/// allocation-free when the shape already matches).
+/// Rectified linear unit applied element-wise, written into a caller-owned
+/// buffer (resized as needed; allocation-free when the shape already
+/// matches).
 pub fn relu_into(m: &Matrix, out: &mut Matrix) {
     m.map_into(out, |v| if v > 0.0 { v } else { 0.0 });
 }
 
-/// Gradient mask of ReLU evaluated at the pre-activation `pre`.
-pub fn relu_grad(pre: &Matrix, upstream: &Matrix) -> Matrix {
-    pre.zip_with(upstream, |p, u| if p > 0.0 { u } else { 0.0 })
-}
-
-/// [`relu_grad`] writing into a caller-owned buffer.
+/// Back-propagates `upstream` through ReLU: the gradient mask evaluated at
+/// the pre-activation `pre`, written into a caller-owned buffer.
 pub fn relu_grad_into(pre: &Matrix, upstream: &Matrix, out: &mut Matrix) {
     pre.zip_into(upstream, out, |p, u| if p > 0.0 { u } else { 0.0 });
 }
@@ -120,16 +112,10 @@ pub fn row_softmax_into_serial(logits: &Matrix, out: &mut Matrix) {
 }
 
 /// Back-propagates a gradient w.r.t. softmax probabilities `d_probs` to a
-/// gradient w.r.t. the logits, given the probabilities `probs` themselves.
+/// gradient w.r.t. the logits, given the probabilities `probs` themselves,
+/// written into a caller-owned buffer; parallelised over rows.
 ///
 /// For each row: `dZ_c = P_c * (dP_c - sum_k dP_k * P_k)`.
-pub fn row_softmax_backward(probs: &Matrix, d_probs: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    row_softmax_backward_into(probs, d_probs, &mut out);
-    out
-}
-
-/// [`row_softmax_backward`] writing into a caller-owned buffer.
 pub fn row_softmax_backward_into(probs: &Matrix, d_probs: &Matrix, out: &mut Matrix) {
     assert_eq!(probs.shape(), d_probs.shape(), "shape mismatch");
     out.resize_to(probs.rows(), probs.cols());
@@ -155,7 +141,9 @@ mod tests {
     #[test]
     fn relu_zeroes_negative_entries() {
         let m = Matrix::from_rows(&[vec![-1.0, 2.0], vec![0.0, -3.0]]);
-        let r = relu(&m);
+        let mut r = Matrix::filled(3, 3, 7.0);
+        relu_into(&m, &mut r);
+        assert_eq!(r.shape(), (2, 2));
         assert_eq!(r.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
     }
 
@@ -163,7 +151,9 @@ mod tests {
     fn relu_grad_masks_by_preactivation() {
         let pre = Matrix::from_rows(&[vec![-1.0, 2.0]]);
         let up = Matrix::from_rows(&[vec![5.0, 5.0]]);
-        let g = relu_grad(&pre, &up);
+        let mut g = Matrix::filled(2, 2, 7.0);
+        relu_grad_into(&pre, &up, &mut g);
+        assert_eq!(g.shape(), (1, 2));
         assert_eq!(g.as_slice(), &[0.0, 5.0]);
     }
 
@@ -217,15 +207,7 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_versions_bitwise() {
         let m = Matrix::from_rows(&[vec![-1.0, 2.0, 0.0], vec![3.0, -0.5, 1.5]]);
-        let up = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let mut buf = Matrix::zeros(0, 0);
-
-        relu_into(&m, &mut buf);
-        assert_eq!(buf.as_slice(), relu(&m).as_slice());
-
-        relu_grad_into(&m, &up, &mut buf);
-        assert_eq!(buf.as_slice(), relu_grad(&m, &up).as_slice());
-
         let reference = row_softmax_serial(&m);
         for threads in [1, 2, 4] {
             crate::parallel::with_forced_threads(threads, || row_softmax_into(&m, &mut buf));
@@ -237,11 +219,6 @@ mod tests {
         }
         row_softmax_into_serial(&m, &mut buf);
         assert_eq!(buf.as_slice(), reference.as_slice());
-
-        let probs = row_softmax(&m);
-        let want = row_softmax_backward(&probs, &up);
-        row_softmax_backward_into(&probs, &up, &mut buf);
-        assert_eq!(buf.as_slice(), want.as_slice());
     }
 
     #[test]
@@ -264,7 +241,8 @@ mod tests {
             .zip(coeff.iter())
             .map(|(&pi, &ci)| 2.0 * ci * pi)
             .collect::<Vec<_>>()]);
-        let analytic = row_softmax_backward(&probs, &d_probs);
+        let mut analytic = Matrix::zeros(0, 0);
+        row_softmax_backward_into(&probs, &d_probs, &mut analytic);
         let h = 1e-6;
         for c in 0..3 {
             let mut plus = logits.clone();
