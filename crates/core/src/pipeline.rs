@@ -10,8 +10,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Positive-pair cap of the budget-degraded audit sample: large enough to
-/// keep the QCLP risk term informative, small enough that the risk-gradient
-/// pass stays cheap once the cell budget has run out.
+/// keep the risk influence that `fairness_weights` reports
+/// (`ReweightOutcome::influences.risk`, the sample's only consumer — the QCLP
+/// has no risk term) informative, small enough that the risk-gradient pass
+/// stays cheap once the cell budget has run out.
 const DEGRADED_PAIR_CAP: usize = 256;
 
 /// The balanced audit [`PairSample`] of the paper's protocol — or, when the

@@ -39,7 +39,12 @@ pub trait GnnModel {
     /// Contract: must be preceded by [`forward_ws`](GnnModel::forward_ws)
     /// with the same parameters, context and stochastic structure — the
     /// backward pass reuses the cached forward activations instead of
-    /// recomputing them.
+    /// recomputing them.  It reads `d_logits` and the forward caches, leaves
+    /// `logits`, `probs` and every forward cache untouched, and fully
+    /// overwrites its own gradient buffers and `ws.grads`, so one forward
+    /// can serve many backwards: the influence tail runs a single forward,
+    /// then one backward per training node with a different `d_logits` each
+    /// time.
     fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace);
 
     /// Logits of every node, computed by

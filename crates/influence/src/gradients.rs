@@ -53,8 +53,12 @@ pub fn training_loss_grad_ws(
     model.backward_ws(ctx, ws);
 }
 
-/// Gradient of the single-node loss `L(ŷ_v, y_v; θ)` w.r.t. the parameters.
-pub fn node_loss_grad(
+/// Gradient of the single-node loss `L(ŷ_v, y_v; θ)` w.r.t. the parameters,
+/// through a fresh workspace: the test oracle of the shared influence tail
+/// ([`crate::engine::influences_from_adjoints`]), which computes the same
+/// gradient for every training node from one forward pass.
+#[cfg(test)]
+pub(crate) fn node_loss_grad(
     model: &dyn GnnModel,
     ctx: &GraphContext,
     labels: &[usize],

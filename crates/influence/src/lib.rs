@@ -9,8 +9,10 @@
 //!   materialised;
 //! * the influence of a training node on an *interested function* `f`
 //!   (utility, `f_bias`, `f_risk`): `I_f(w_v) = −∇_θ f(θ*)ᵀ H⁻¹ ∇_θ L(v)`,
-//!   computed with the adjoint trick (one CG solve per `f`, then one dot
-//!   product per node);
+//!   computed with the adjoint trick: one CG solve per `f`, then one shared
+//!   tail — a single forward pass and one backward pass per training node,
+//!   whose gradient is dotted with every adjoint — so each per-node gradient
+//!   is computed once for utility, bias and risk together;
 //! * the Pearson correlation between `I_fbias` and `I_frisk` (Table II).
 
 #![forbid(unsafe_code)]
@@ -26,8 +28,7 @@ pub use engine::{
     InfluenceConfig, InfluenceSet,
 };
 pub use gradients::{
-    bias_grad_wrt_params, node_loss_grad, risk_grad_wrt_params, training_loss_grad,
-    training_loss_grad_ws,
+    bias_grad_wrt_params, risk_grad_wrt_params, training_loss_grad, training_loss_grad_ws,
 };
 pub use hvp::{conjugate_gradient, hessian_vector_product_with, HvpScratch};
 pub use lissa::{lissa_influence_on, LissaConfig};

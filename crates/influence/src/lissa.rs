@@ -17,8 +17,9 @@
 //! deterministic power iteration when not given), and the final estimate is
 //! averaged over [`LissaConfig::samples`] independent chains.  Each HVP runs
 //! through the same persistent [`HvpScratch`] the CG path uses, and the
-//! per-node dot-product tail is the shared
-//! [`influence_from_s_f`](crate::influence_from_s_f), so the two estimators
+//! per-node tail is the shared `influences_from_adjoints` — one forward
+//! pass, then one backward pass per training node for every adjoint at once
+//! (three in [`crate::compute_influences_lissa`]) — so the two estimators
 //! differ only in how they solve the linear system.
 //!
 //! Everything is deterministic in `(LissaConfig::seed, chain, iteration)` —
@@ -157,6 +158,21 @@ pub fn lissa_influence_on(
     grad_f: &[f64],
     cfg: &LissaConfig,
 ) -> Vec<f64> {
+    let _span = ppfr_telemetry::span!("influence");
+    let s_f = lissa_adjoint(model, ctx, labels, train_ids, grad_f, cfg);
+    influence_from_s_f(model, ctx, labels, train_ids, &s_f)
+}
+
+/// The LiSSA estimate of the adjoint `s_f ≈ (H + λI)⁻¹ ∇_θ f`: the averaged
+/// truncated Neumann chains, scaled by `1/c`.
+pub(crate) fn lissa_adjoint(
+    model: &AnyModel,
+    ctx: &GraphContext,
+    labels: &[usize],
+    train_ids: &[usize],
+    grad_f: &[f64],
+    cfg: &LissaConfig,
+) -> Vec<f64> {
     let _span = ppfr_telemetry::span!("influence_lissa");
     assert!(cfg.depth > 0, "LiSSA depth must be positive");
     let dim = grad_f.len();
@@ -198,7 +214,7 @@ pub fn lissa_influence_on(
     for a in avg.iter_mut() {
         *a *= inv;
     }
-    influence_from_s_f(model, ctx, labels, train_ids, &avg)
+    avg
 }
 
 #[cfg(test)]

@@ -9,5 +9,8 @@ mod loss;
 mod optim;
 
 pub use gradcheck::{central_difference, max_relative_error};
-pub use loss::{accuracy, weighted_cross_entropy, weighted_cross_entropy_into, CrossEntropy};
+pub use loss::{
+    accuracy, cross_entropy_node_into, weighted_cross_entropy, weighted_cross_entropy_into,
+    CrossEntropy,
+};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -73,15 +73,30 @@ fn ce_core(
     let mut loss = 0.0;
     let norm = node_ids.len().max(1) as f64;
     for (&v, &w) in node_ids.iter().zip(weights.iter()) {
-        let y = labels[v];
-        let p = probs[(v, y)].max(1e-12);
-        loss += -w * p.ln();
-        for c in 0..logits.cols() {
-            let indicator = if c == y { 1.0 } else { 0.0 };
-            d_logits[(v, c)] = w * (probs[(v, c)] - indicator) / norm;
-        }
+        loss += cross_entropy_node_into(probs, v, labels[v], w, norm, d_logits);
     }
     loss / norm
+}
+
+/// The per-node body of [`weighted_cross_entropy_into`]: writes row `v` of
+/// `d_logits` as `w·(p_v − 1[c = y])/norm` from the softmax row `probs[v]`
+/// and returns node `v`'s weighted loss term `−w·ln p_{v,y}` (before the
+/// division by `norm`).  Touches no other row, so a caller holding one
+/// softmax can write a single node's logit gradient into an otherwise-zero
+/// `d_logits` — bit-identical to the full loss over `[v]` with weight `w`.
+pub fn cross_entropy_node_into(
+    probs: &Matrix,
+    v: usize,
+    y: usize,
+    w: f64,
+    norm: f64,
+    d_logits: &mut Matrix,
+) -> f64 {
+    for c in 0..probs.cols() {
+        let indicator = if c == y { 1.0 } else { 0.0 };
+        d_logits[(v, c)] = w * (probs[(v, c)] - indicator) / norm;
+    }
+    -w * probs[(v, y)].max(1e-12).ln()
 }
 
 /// Classification accuracy of `logits` against `labels` restricted to

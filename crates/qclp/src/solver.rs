@@ -26,6 +26,36 @@ pub struct QclpSolution {
     pub iterations: usize,
 }
 
+/// The constraint right-hand sides of one [`QclpProblem`]
+/// (see [`QclpProblem::ball_radius_sq`] and [`QclpProblem::util_budget`]),
+/// computed once per solve instead of once per feasibility check.
+struct Bounds {
+    radius_sq: f64,
+    util_budget: f64,
+}
+
+impl Bounds {
+    /// [`QclpProblem::is_feasible`] against these precomputed bounds.
+    fn is_feasible(&self, problem: &QclpProblem, w: &[f64], tol: f64) -> bool {
+        if w.len() != problem.len() {
+            return false;
+        }
+        let norm_sq: f64 = w.iter().map(|v| v * v).sum();
+        if norm_sq > self.radius_sq + tol {
+            return false;
+        }
+        let util: f64 = w
+            .iter()
+            .zip(&problem.util_influence)
+            .map(|(&x, &b)| x * b)
+            .sum();
+        if util > self.util_budget + tol {
+            return false;
+        }
+        w.iter().all(|&v| (-1.0 - tol..=1.0 + tol).contains(&v))
+    }
+}
+
 /// Solver hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -78,22 +108,16 @@ impl QclpProblem {
 
     /// True when `w` satisfies every constraint within tolerance `tol`.
     pub fn is_feasible(&self, w: &[f64], tol: f64) -> bool {
-        if w.len() != self.len() {
-            return false;
+        self.bounds().is_feasible(self, w, tol)
+    }
+
+    /// The right-hand sides of the ball and utility constraints, which stay
+    /// fixed for a whole solve.
+    fn bounds(&self) -> Bounds {
+        Bounds {
+            radius_sq: self.ball_radius_sq(),
+            util_budget: self.util_budget(),
         }
-        let norm_sq: f64 = w.iter().map(|v| v * v).sum();
-        if norm_sq > self.ball_radius_sq() + tol {
-            return false;
-        }
-        let util: f64 = w
-            .iter()
-            .zip(&self.util_influence)
-            .map(|(&x, &b)| x * b)
-            .sum();
-        if util > self.util_budget() + tol {
-            return false;
-        }
-        w.iter().all(|&v| (-1.0 - tol..=1.0 + tol).contains(&v))
     }
 
     /// Objective value `Σ w_v a_v`.
@@ -104,26 +128,30 @@ impl QclpProblem {
             .sum()
     }
 
-    fn project(&self, w: &mut [f64], sweeps: usize) {
+    fn project(&self, bounds: &Bounds, w: &mut [f64], sweeps: usize) {
         // Cyclic projections converge to a point of the intersection; keep
         // sweeping until the iterate is feasible (tight tolerance) so the
         // returned weights always satisfy every constraint of Eq. (13).
         let max_sweeps = sweeps.max(1) * 50;
-        for sweep in 0.. {
+        let mut sweep = 0;
+        let mut feasible = loop {
             project_box(w, -1.0, 1.0);
-            project_l2_ball(w, self.ball_radius_sq());
-            project_halfspace(w, &self.util_influence, self.util_budget());
-            if self.is_feasible(w, 1e-9) || sweep >= max_sweeps {
-                break;
+            project_l2_ball(w, bounds.radius_sq);
+            project_halfspace(w, &self.util_influence, bounds.util_budget);
+            let feasible = bounds.is_feasible(self, w, 1e-9);
+            if feasible || sweep >= max_sweeps {
+                break feasible;
             }
-        }
+            sweep += 1;
+        };
         // Guaranteed repair: the all-zero point is strictly feasible, so
         // shrinking towards it always restores feasibility if the cyclic
         // projections stopped short.
-        while !self.is_feasible(w, 1e-9) {
+        while !feasible {
             for v in w.iter_mut() {
                 *v *= 0.97;
             }
+            feasible = bounds.is_feasible(self, w, 1e-9);
         }
         // Hard clamp: feasibility above allows a 1e-9 slack, but downstream
         // loss weights require w strictly inside [-1, 1].  Clamping can only
@@ -164,22 +192,24 @@ pub fn solve(problem: &QclpProblem, options: &SolverOptions) -> QclpSolution {
         .max(1e-12);
     let step = options.step * (n as f64).sqrt() / obj_norm;
 
+    let bounds = problem.bounds();
     let mut w = vec![0.0; n];
+    let mut next = vec![0.0; n];
     let mut iterations = 0;
     for it in 0..options.max_iters {
         iterations = it + 1;
-        let mut next = w.clone();
+        next.copy_from_slice(&w);
         for (x, &a) in next.iter_mut().zip(&problem.bias_influence) {
             *x -= step * a;
         }
-        problem.project(&mut next, options.projection_sweeps);
+        problem.project(&bounds, &mut next, options.projection_sweeps);
         let delta: f64 = next
             .iter()
             .zip(&w)
             .map(|(&a, &b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt();
-        w = next;
+        std::mem::swap(&mut w, &mut next);
         if delta < options.tol {
             break;
         }

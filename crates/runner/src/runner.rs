@@ -334,6 +334,16 @@ mod tests {
         let serial_err =
             run_scenario_serial(&empty, &cache).expect_err("serial twin rejects it too");
         assert_eq!(serial_err.to_string(), err.to_string());
+        // A QCLP budget the solver would reject must not reach the cells,
+        // where every DPFR/PPFR cell would panic and be quarantined.
+        for (alpha, beta) in [(-1.0, 0.1), (0.9, f64::NAN)] {
+            let mut bad = tiny_scenario().with_methods(&[Method::Vanilla, Method::Ppfr]);
+            bad.config.qclp_alpha = alpha;
+            bad.config.qclp_beta = beta;
+            let err = run_scenario(&bad, &cache).expect_err("invalid QCLP budget");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(err.to_string().contains("QCLP budget"), "{err}");
+        }
         assert!(cache.is_empty(), "nothing was built for an invalid spec");
     }
 

@@ -155,7 +155,10 @@ impl ScenarioSpec {
 
     /// Rejects empty axes, duplicate seeds and duplicate dataset names —
     /// duplicates would make two runs indistinguishable in the aggregation
-    /// (cells are keyed by the dataset name string), silently doubling `n`.
+    /// (cells are keyed by the dataset name string), silently doubling `n` —
+    /// as well as a zero attempt count and a negative or non-finite QCLP
+    /// budget (`qclp_alpha`, `qclp_beta`), which the solver would reject in
+    /// every re-weighting cell.
     pub fn validate(&self) -> Result<(), String> {
         if self.datasets.is_empty()
             || self.models.is_empty()
@@ -184,6 +187,18 @@ impl ScenarioSpec {
                 "scenario '{}' allows zero cell attempts",
                 self.name
             ));
+        }
+        for (knob, value) in [
+            ("qclp_alpha", self.config.qclp_alpha),
+            ("qclp_beta", self.config.qclp_beta),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "scenario '{}' has QCLP budget {knob} = {value}; it must be finite and \
+                     non-negative",
+                    self.name
+                ));
+            }
         }
         Ok(())
     }
