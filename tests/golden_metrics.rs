@@ -11,7 +11,12 @@
 //! * `golden-models` (the `two-block` dataset × GAT and GraphSAGE × all five
 //!   methods × the same 2 seeds) against `tests/golden/golden_models.json`.
 //!   GraphSAGE runs with the pipeline's neighbour sampling, so its sampled
-//!   path is pinned too.
+//!   path is pinned too;
+//! * `golden-lissa` (the `two-block` dataset × GCN × DPFR and PPFR × the
+//!   same 2 seeds, with `lissa_depth = 8`) against
+//!   `tests/golden/golden_lissa.json`, so the opt-in truncated-LiSSA
+//!   influence estimator is pinned end to end, not only against the exact
+//!   engine's tail.
 //!
 //! Each execution is repeated under forced `PPFR_NUM_THREADS` ∈ {1, 4} and
 //! must be **bit-identical** across thread counts, and a cache-warm re-run
@@ -23,6 +28,7 @@
 //! PPFR_UPDATE_GOLDEN=1 cargo test -q -p ppfr --test golden_metrics
 //! ```
 
+use ppfr_core::Method;
 use ppfr_gnn::ModelKind;
 use ppfr_runner::{run_scenario, ArtifactCache, MatrixReport, ScenarioSpec};
 use std::path::PathBuf;
@@ -161,4 +167,20 @@ fn golden_models_matrix_matches_snapshot_across_thread_counts() {
         "golden-small lists the two-block set"
     );
     check_matrix_against_snapshot(&spec, "golden_models.json");
+}
+
+#[test]
+fn golden_lissa_matrix_matches_snapshot_across_thread_counts() {
+    let mut spec = ScenarioSpec::golden_small()
+        .with_models(&[ModelKind::Gcn])
+        .with_methods(&[Method::DpFr, Method::Ppfr]);
+    spec.name = "golden-lissa".into();
+    spec.datasets.retain(|d| d.name == "two-block");
+    assert_eq!(
+        spec.datasets.len(),
+        1,
+        "golden-small lists the two-block set"
+    );
+    spec.config.lissa_depth = 8;
+    check_matrix_against_snapshot(&spec, "golden_lissa.json");
 }
