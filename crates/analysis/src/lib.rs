@@ -4,9 +4,9 @@
 //!
 //! * **`ppfr_lint`** (see [`rules`]) — a dependency-free token-level linter
 //!   enforcing the determinism invariants the reproduction relies on
-//!   (serial twins for parallel kernels, no hash-order in serialized
-//!   artifacts, no wall-clock outside the bench crate, documented `unsafe`,
-//!   allowlisted float reductions).  Run it from the repo root:
+//!   (a forced-thread-count test for every parallel kernel, no hash-order in
+//!   serialized artifacts, no wall-clock outside the bench crate, documented
+//!   `unsafe`, allowlisted float reductions).  Run it from the repo root:
 //!
 //!   ```text
 //!   cargo run -p ppfr_analysis --bin ppfr_lint -- --root . [--json]

@@ -3,7 +3,7 @@
 //!
 //! | rule | requirement |
 //! |------|-------------|
-//! | `twin-kernel` | every fn calling a `par_*` primitive has a `<name>_serial` twin in its crate, or a test exercising it under `with_forced_threads` |
+//! | `twin-kernel` | every fn calling a `par_*` primitive is exercised by a test under `with_forced_threads` |
 //! | `nondet-iteration` | no `HashMap`/`HashSet` in files that serialize reports (iteration order would leak into artifacts) |
 //! | `wall-clock` | no `std::thread::spawn` / `Instant` / `SystemTime` outside `crates/telemetry`, `vendor/rayon` and `crates/bench` |
 //! | `undocumented-unsafe` | every `unsafe` is preceded by a `SAFETY:` (or `# Safety`) comment |
@@ -19,7 +19,7 @@
 //! The justification text is mandatory; an allow without one is ignored.
 
 use crate::lexer::{tokenize, TokKind, Token};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The rule identifiers, in the order they are documented.
 pub const RULES: [&str; 5] = [
@@ -41,10 +41,10 @@ const PAR_PRIMITIVES: [&str; 5] = [
 ];
 
 /// Kernels blessed to reduce floats inside their parallel closures: each is
-/// pinned bit-identical against its serial twin across thread counts (see
-/// `crates/linalg/tests/kernel_properties.rs` and the in-module tests), so
-/// the reduction order is fixed by construction — per-row/per-block serial
-/// loops, never a cross-chunk accumulator.
+/// pinned bit-identical across forced thread counts, and the GEMM/SpMM ones
+/// against a scalar oracle too (see `crates/linalg/tests/kernel_properties.rs`
+/// and the in-module tests), so the reduction order is fixed by construction
+/// — per-row/per-block serial loops, never a cross-chunk accumulator.
 const BLESSED_KERNELS: [&str; 9] = [
     "matmul",
     "matmul_into",
@@ -159,13 +159,6 @@ impl Workspace {
             .any(|a| a.rule == v.rule && v.line >= a.line && v.line <= a.line + 3)
     }
 
-    /// `crates/<name>` / `vendor/<name>` prefix of a scanned path.
-    fn crate_of(path: &str) -> &str {
-        let mut parts = path.splitn(3, '/');
-        let (a, b) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-        &path[..a.len() + 1 + b.len()]
-    }
-
     fn is_crate_src(path: &str) -> bool {
         path.starts_with("crates/") && path.contains("/src/")
     }
@@ -173,37 +166,28 @@ impl Workspace {
     // ---- rule: twin-kernel -------------------------------------------------
 
     fn check_twin_kernel(&self) -> Vec<Violation> {
-        // Index: fn names per crate (src only), and per-test referenced
-        // identifier sets (a test "references" a kernel if the kernel's name
-        // appears anywhere in its body).
-        let mut crate_fns: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        let mut forced_tests: Vec<BTreeSet<&str>> = Vec::new();
-        for f in &self.fns {
-            let file = &self.files[f.file];
-            if Self::is_crate_src(&file.path) && !f.is_test {
-                crate_fns
-                    .entry(Self::crate_of(&file.path))
-                    .or_default()
-                    .insert(&f.name);
-            }
-            if f.is_test {
-                let idents: BTreeSet<&str> = file.tokens[f.body.clone()]
+        // The identifier sets of the tests that force a thread count (a test
+        // "references" a kernel if the kernel's name appears anywhere in its
+        // body).
+        let forced_tests: Vec<BTreeSet<&str>> = self
+            .fns
+            .iter()
+            .filter(|f| f.is_test)
+            .map(|f| {
+                self.files[f.file].tokens[f.body.clone()]
                     .iter()
                     .filter(|t| t.kind == TokKind::Ident)
                     .map(|t| t.text.as_str())
-                    .collect();
-                if idents.contains("with_forced_threads") {
-                    forced_tests.push(idents);
-                }
-            }
-        }
+                    .collect::<BTreeSet<&str>>()
+            })
+            .filter(|idents| idents.contains("with_forced_threads"))
+            .collect();
         let mut out = Vec::new();
         for f in &self.fns {
             let file = &self.files[f.file];
             if !Self::is_crate_src(&file.path)
                 || f.is_test
                 || f.body.start >= file.cfg_test_at
-                || f.name.ends_with("_serial")
                 || PAR_PRIMITIVES.contains(&f.name.as_str())
             {
                 continue;
@@ -214,19 +198,14 @@ impl Workspace {
             if !calls_par {
                 continue;
             }
-            let twin = format!("{}_serial", f.name);
-            let has_twin = crate_fns
-                .get(Self::crate_of(&file.path))
-                .is_some_and(|names| names.contains(twin.as_str()));
-            let has_forced_test = forced_tests.iter().any(|t| t.contains(f.name.as_str()));
-            if !(has_twin || has_forced_test) {
+            if !forced_tests.iter().any(|t| t.contains(f.name.as_str())) {
                 out.push(Violation {
                     file: file.path.clone(),
                     line: f.line,
                     rule: "twin-kernel".into(),
                     message: format!(
-                        "parallel kernel `{}` has neither a `{twin}` twin in its crate \
-                         nor a `with_forced_threads` test referencing it",
+                        "parallel kernel `{}` has no `with_forced_threads` test \
+                         referencing it",
                         f.name
                     ),
                 });
@@ -424,7 +403,7 @@ impl Workspace {
                     message: format!(
                         "accumulation (`+=`/`.sum`/`.fold`) inside parallel kernel `{}` \
                          which is not in the blessed allowlist; reduction order must be \
-                         pinned by a serial-twin bit-identity test before blessing",
+                         pinned by a forced-thread bit-identity test before blessing",
                         f.name
                     ),
                 });

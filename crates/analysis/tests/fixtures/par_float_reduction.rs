@@ -1,6 +1,6 @@
 //! Fixture: an unblessed float accumulation inside a parallel kernel.  The
-//! `_serial` twin satisfies `twin-kernel`, so only `par-float-reduction`
-//! trips.
+//! `with_forced_threads` test satisfies `twin-kernel`, so only
+//! `par-float-reduction` trips.
 
 pub fn row_total(n: usize) -> f64 {
     let mut acc = 0.0;
@@ -10,6 +10,14 @@ pub fn row_total(n: usize) -> f64 {
     acc
 }
 
-pub fn row_total_serial(n: usize) -> f64 {
-    (0..n).map(|i| i as f64).product()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_total_is_thread_count_invariant() {
+        let one = with_forced_threads(1, || row_total(40));
+        let four = with_forced_threads(4, || row_total(40));
+        assert_eq!(one.to_bits(), four.to_bits());
+    }
 }

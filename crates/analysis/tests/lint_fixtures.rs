@@ -31,9 +31,11 @@ fn assert_only_rule(violations: &[Violation], rule: &str) -> usize {
 
 #[test]
 fn twin_kernel_fixture_trips_exactly_that_rule() {
+    // The fixture's `scale_rows_serial` twin does not satisfy the rule: only
+    // a `with_forced_threads` test does.
     let v = lint_fixture(include_str!("fixtures/twin_kernel.rs"));
     assert_eq!(assert_only_rule(&v, "twin-kernel"), 1);
-    assert!(v[0].message.contains("scale_rows_serial"));
+    assert!(v[0].message.contains("`scale_rows`"), "{}", v[0].message);
 }
 
 #[test]
@@ -72,8 +74,8 @@ fn undocumented_unsafe_fixture_trips_exactly_that_rule() {
 
 #[test]
 fn par_float_reduction_fixture_trips_exactly_that_rule() {
-    // The `_serial` twin in the fixture satisfies twin-kernel, isolating the
-    // reduction finding.
+    // The fixture's `with_forced_threads` test satisfies twin-kernel,
+    // isolating the reduction finding.
     let v = lint_fixture(include_str!("fixtures/par_float_reduction.rs"));
     assert_eq!(assert_only_rule(&v, "par-float-reduction"), 1);
     assert!(v[0].message.contains("row_total"));

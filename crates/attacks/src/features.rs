@@ -16,7 +16,8 @@
 //! All channels are symmetric in the pair order, so `(u, v)` and `(v, u)`
 //! extract bit-identical rows — pinned by the vendored-proptest property
 //! tests.  Batched extraction is parallel over pair chunks via
-//! [`ppfr_linalg::parallel::par_chunks`] with a bit-identical serial twin.
+//! [`ppfr_linalg::parallel::par_chunks`]; its `parallel = false` mode runs
+//! the same per-pair body in a plain loop, bit-identically.
 
 use ppfr_linalg::parallel::{par_chunks, par_rows};
 use ppfr_linalg::Matrix;
@@ -109,8 +110,9 @@ impl PairFeatureTable {
     /// already computed: `table` must be the [`DistanceTable`] of `sample`
     /// under the same posterior matrix `probs`.  Entropy channels read the
     /// precomputed per-node entropies; feature channels (when `features` is
-    /// given) are computed per pair.  Parallel over pair chunks; the
-    /// `parallel = false` twin is bit-identical.
+    /// given) are computed per pair.  Parallel over pair chunks; with
+    /// `parallel = false` the same per-pair body runs in a plain loop,
+    /// bit-identically.
     pub fn from_distances(
         table: &DistanceTable,
         sample: &PairSample,

@@ -16,7 +16,7 @@
 //!   distances reused from the evaluator's
 //!   [`DistanceTable`](ppfr_privacy::DistanceTable), posterior-entropy
 //!   channels, optional input-feature distance channels), parallel over pair
-//!   chunks with a bit-identical serial twin;
+//!   chunks, bit-identical at any thread count;
 //! * [`classifier`] — the logistic-regression / MLP attack trained with
 //!   `ppfr_nn`'s cross-entropy and Adam, z-scored channels, and adversarial
 //!   model selection (the deployed scorer is never weaker on training data

@@ -1,7 +1,7 @@
 //! Determinism of the supervised attack grid: the same seed must produce
 //! identical attack AUCs across repeated runs and across forced worker-thread
-//! counts (the parallel kernels underneath are pinned bit-identical to their
-//! serial twins, so nothing in the grid may depend on scheduling).
+//! counts (the parallel kernels underneath are pinned bit-identical across
+//! forced thread counts, so nothing in the grid may depend on scheduling).
 
 use ppfr_attacks::{AttackTrainConfig, ThreatAuditor};
 use ppfr_datasets::sparse_sbm_dataset;

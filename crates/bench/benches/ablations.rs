@@ -1,6 +1,6 @@
-//! Design-choice ablation benchmarks called out in DESIGN.md §5:
-//! heterophilic PP noise vs edge-DP noise of the same magnitude, and the
-//! QCLP re-weighting vs a naive top-k node-deletion scheme.
+//! Design-choice ablation benchmarks: heterophilic PP noise vs edge-DP noise
+//! of the same magnitude, and the QCLP re-weighting vs a naive top-k
+//! node-deletion scheme.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppfr_core::{attack_sample, fairness_weights, heterophilic_perturbation, predictions};

@@ -1,25 +1,20 @@
-//! Benchmarks of the link-stealing attack evaluation paths.
-//!
-//! Compares the seed's evaluation shape (one pair traversal per distance
-//! metric + the `O(|pos|·|neg|)` quadratic AUC) against the rebuilt
-//! subsystem (single-pass multi-metric kernel + `O(m log m)` rank AUC behind
-//! `AttackEvaluator`).
+//! Benchmarks of the link-stealing attack evaluation path: the single-pass
+//! multi-metric kernel plus `O(m log m)` rank AUC behind `AttackEvaluator`,
+//! and the rank AUC on its own.  The seed's per-metric, quadratic-AUC path
+//! it replaced is timed against it in `BENCH_kernels.json` at commit
+//! `d431821`; the quadratic AUC lives on as the test oracle
+//! `auc_from_distances_quadratic`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppfr_bench::legacy_average_attack_auc;
-use ppfr_core::{attack_evaluator, attack_sample, PpfrConfig};
+use ppfr_core::{attack_evaluator, PpfrConfig};
 use ppfr_datasets::{generate, two_block_synthetic, DatasetSpec};
 use ppfr_linalg::{row_softmax, Matrix};
-use ppfr_privacy::{auc_from_distances, auc_from_distances_quadratic};
+use ppfr_privacy::auc_from_distances;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
-fn setup() -> (
-    Matrix,
-    ppfr_privacy::PairSample,
-    ppfr_privacy::AttackEvaluator,
-) {
+fn setup() -> (Matrix, ppfr_privacy::AttackEvaluator) {
     let spec = DatasetSpec {
         n_nodes: 600,
         ..two_block_synthetic()
@@ -34,20 +29,16 @@ fn setup() -> (
         1.0,
         &mut rng,
     ));
-    let sample = attack_sample(&ds, &cfg);
     let evaluator = attack_evaluator(&ds, &cfg);
-    (probs, sample, evaluator)
+    (probs, evaluator)
 }
 
 fn bench_attack_paths(c: &mut Criterion) {
-    let (probs, sample, mut evaluator) = setup();
+    let (probs, mut evaluator) = setup();
     let mut group = c.benchmark_group("attack_evaluation_path");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
-    group.bench_function("legacy_8_pass_quadratic", |b| {
-        b.iter(|| legacy_average_attack_auc(&probs, &sample))
-    });
     group.bench_function("evaluator_single_pass_rank", |b| {
         b.iter(|| evaluator.evaluate(&probs).average_auc)
     });
@@ -55,7 +46,7 @@ fn bench_attack_paths(c: &mut Criterion) {
 }
 
 fn bench_auc_scaling(c: &mut Criterion) {
-    // Pure AUC comparison on synthetic distance samples.
+    // Rank AUC alone on synthetic distance samples.
     let m = 2000;
     let pos: Vec<f64> = (0..m)
         .map(|i| ((i * 7919) % 104729) as f64 / 104729.0)
@@ -69,9 +60,6 @@ fn bench_auc_scaling(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.bench_function("rank_2000x2000", |b| {
         b.iter(|| auc_from_distances(&pos, &neg))
-    });
-    group.bench_function("quadratic_2000x2000", |b| {
-        b.iter(|| auc_from_distances_quadratic(&pos, &neg))
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! End-to-end benchmarks, one group per figure of the paper, at smoke scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppfr_core::experiments::{fig6_ablation, scaled_spec};
+use ppfr_core::experiments::{fig6_ablation_seeded, scaled_spec};
 use ppfr_core::{attack_sample, predictions, run_method, ExperimentScale, Method, PpfrConfig};
 use ppfr_datasets::{cora, generate};
 use ppfr_gnn::ModelKind;
@@ -52,7 +52,7 @@ fn bench_fig6(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     group.bench_function("three_panel_ablation_smoke", |b| {
-        b.iter(|| fig6_ablation(ExperimentScale::Smoke))
+        b.iter(|| fig6_ablation_seeded(ExperimentScale::Smoke, 7))
     });
     group.finish();
 }

@@ -1,15 +1,16 @@
 //! Criterion benchmarks for the 4-wide GEMM/SpMM microkernels and the
 //! persistent work-stealing pool.
 //!
-//! Each GEMM/SpMM group times the production single-thread kernel against
-//! its pre-microkernel scalar baseline (`ppfr_bench::baseline`), so the
-//! microkernel win is isolated from threading.  The pool group times a
-//! fixed-size trivial dispatch through the persistent pool against the
-//! pre-pool per-call scoped-thread spawn.
+//! Each GEMM/SpMM group times the production kernel at one forced thread, so
+//! the microkernel cost is isolated from threading.  The pool group times a
+//! fixed-size trivial dispatch through the persistent pool.  The scalar
+//! loops the microkernels replaced, and the per-call scoped-thread spawn the
+//! pool replaced, are timed against them in `BENCH_kernels.json` at commit
+//! `d431821`; the scalar loops live on as bit-exact test oracles.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppfr_bench::baseline;
 use ppfr_datasets::{generate, two_block_synthetic};
+use ppfr_linalg::parallel::with_forced_threads;
 use ppfr_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,31 +33,14 @@ fn bench_gemm_microkernels(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
 
-    group.bench_function("a_b_scalar_baseline", |bench| {
-        bench.iter(|| baseline::matmul_serial(&a, &b))
-    });
-    group.bench_function("a_b_micro", |bench| bench.iter(|| a.matmul_serial(&b)));
-
-    group.bench_function("at_b_scalar_baseline", |bench| {
-        bench.iter(|| baseline::matmul_at_b_serial(&a, &at_rhs))
+    group.bench_function("a_b_micro", |bench| {
+        bench.iter(|| with_forced_threads(1, || a.matmul(&b)))
     });
     group.bench_function("at_b_micro", |bench| {
-        bench.iter(|| {
-            let mut out = Matrix::zeros(0, 0);
-            a.matmul_at_b_into_serial(&at_rhs, &mut out);
-            out
-        })
-    });
-
-    group.bench_function("a_bt_scalar_baseline", |bench| {
-        bench.iter(|| baseline::matmul_a_bt_serial(&a, &bt_rhs))
+        bench.iter(|| with_forced_threads(1, || a.matmul_at_b(&at_rhs)))
     });
     group.bench_function("a_bt_micro", |bench| {
-        bench.iter(|| {
-            let mut out = Matrix::zeros(0, 0);
-            a.matmul_a_bt_into_serial(&bt_rhs, &mut out);
-            out
-        })
+        bench.iter(|| with_forced_threads(1, || a.matmul_a_bt(&bt_rhs)))
     });
     group.finish();
 }
@@ -70,11 +54,8 @@ fn bench_spmm_microkernel(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
 
-    group.bench_function("spmm_scalar_baseline", |bench| {
-        bench.iter(|| baseline::spmm_serial(&a_hat, &ds.features))
-    });
     group.bench_function("spmm_micro", |bench| {
-        bench.iter(|| a_hat.matmul_dense_serial(&ds.features))
+        bench.iter(|| with_forced_threads(1, || a_hat.matmul_dense(&ds.features)))
     });
     group.finish();
 }
@@ -89,9 +70,6 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     for threads in [2usize, 8] {
-        group.bench_function(format!("scoped_spawn_t{threads}"), |bench| {
-            bench.iter(|| baseline::scoped_spawn_dispatch(items, threads, touch))
-        });
         group.bench_function(format!("persistent_pool_t{threads}"), |bench| {
             bench.iter(|| rayon::dispatch(items, threads, touch))
         });

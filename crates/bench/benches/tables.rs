@@ -1,6 +1,5 @@
 //! End-to-end benchmarks, one group per table of the paper, at smoke scale
-//! (the full-scale numbers are produced by the `exp_table*` binaries and
-//! recorded in EXPERIMENTS.md).
+//! (the full-scale numbers are produced by the `exp_table*` binaries).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppfr_core::experiments::scaled_spec;

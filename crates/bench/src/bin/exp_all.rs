@@ -1,7 +1,7 @@
-//! Runs every table and figure experiment in one go (used to produce
-//! EXPERIMENTS.md), multi-seed: the high-homophily scenario is executed once
-//! through the runner and every table/figure view is derived from that one
-//! report, with the artifact cache shared across the derived scenarios.
+//! Runs every table and figure experiment in one go, multi-seed: the
+//! high-homophily scenario is executed once through the runner and every
+//! table/figure view is derived from that one report, with the artifact
+//! cache shared across the derived scenarios.
 use ppfr_runner::{
     accuracy_view, fig4_view, fig6_multi, run_scenario, table3_view, ArtifactCache,
     ScenarioRegistry, DEFAULT_SEEDS,

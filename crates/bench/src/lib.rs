@@ -2,25 +2,25 @@
 //!
 //! * `src/bin/exp_table{2,3,4,5}.rs`, `src/bin/exp_fig{4,5,6,7}.rs` —
 //!   regenerate each table / figure of the paper, multi-seed via
-//!   `ppfr_runner`, and print every metric as `mean ± std` (pass `--smoke`
-//!   for the reduced scale);
+//!   `ppfr_runner`, and print every metric as `mean ± std` (Table II, an
+//!   influence correlation, is single-seed; pass `--smoke` for the reduced
+//!   scale);
 //! * `src/bin/exp_runner.rs` — execute one named scenario matrix and print
 //!   the aggregated report (text + stable JSON);
+//! * `src/bin/exp_bench_json.rs` — time the kernels at one forced thread and
+//!   at the ambient thread count and merge the results into
+//!   `BENCH_kernels.json`;
 //! * `benches/kernels.rs` — micro-benchmarks of the hot kernels;
-//! * `benches/microkernels.rs` — the 4-wide GEMM/SpMM microkernels and the
-//!   persistent-pool dispatch against the frozen [`baseline`] replicas;
+//! * `benches/microkernels.rs` — the 4-wide GEMM/SpMM microkernels at one
+//!   forced thread, and the persistent pool's dispatch latency;
 //! * `benches/tables.rs`, `benches/figures.rs` — smoke-scale end-to-end
 //!   benchmarks, one group per table / figure;
-//! * `benches/ablations.rs` — design-choice ablations called out in DESIGN.md
-//!   (PP vs DP noise, QCLP re-weighting vs top-k node deletion).
+//! * `benches/ablations.rs` — design-choice ablations (PP vs DP noise, QCLP
+//!   re-weighting vs top-k node deletion).
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-
 use ppfr_core::ExperimentScale;
-use ppfr_linalg::Matrix;
-use ppfr_privacy::{auc_from_distances_quadratic, pairwise_distance, DistanceKind, PairSample};
 use serde::Value;
 
 /// Parses the experiment scale from command-line arguments: `--smoke` selects
@@ -67,27 +67,6 @@ pub fn merge_bench_sections(existing: Option<&str>, sections: Vec<(&str, Value)>
         }
     }
     serde_json::to_string_pretty(&Value::Obj(entries)).expect("bench report serialises")
-}
-
-/// The seed's attack-evaluation path, kept as the shared benchmark baseline
-/// for the `attack` criterion bench and `exp_bench_json`: one pair traversal
-/// per distance metric plus the `O(|pos|·|neg|)` quadratic AUC oracle.
-pub fn legacy_average_attack_auc(probs: &Matrix, sample: &PairSample) -> f64 {
-    let mut total = 0.0;
-    for kind in DistanceKind::ALL {
-        let pos: Vec<f64> = sample
-            .positives
-            .iter()
-            .map(|&(u, v)| pairwise_distance(kind, probs.row(u), probs.row(v)))
-            .collect();
-        let neg: Vec<f64> = sample
-            .negatives
-            .iter()
-            .map(|&(u, v)| pairwise_distance(kind, probs.row(u), probs.row(v)))
-            .collect();
-        total += auc_from_distances_quadratic(&pos, &neg);
-    }
-    total / DistanceKind::ALL.len() as f64
 }
 
 #[cfg(test)]

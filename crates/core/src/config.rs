@@ -142,7 +142,7 @@ impl PpfrConfig {
 /// full reproduction (paper scale) and the fast benchmark/CI variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExperimentScale {
-    /// Full experiment scale used to produce EXPERIMENTS.md.
+    /// Full paper scale (the `exp_*` binaries without `--smoke`).
     Full,
     /// Reduced scale used by Criterion benches and smoke tests.
     Smoke,

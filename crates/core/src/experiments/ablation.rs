@@ -15,8 +15,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-const DATA_SEED: u64 = 7;
-
 /// One point of an ablation curve.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationPoint {
@@ -139,19 +137,15 @@ fn finetuned_outcome(ab: &AblationContext, gamma: f64, finetune_epochs: usize) -
     }
 }
 
-/// Regenerates the three ablation panels of Fig. 6.
+/// Regenerates the three ablation panels of Fig. 6 for one run seed.
 ///
 /// * Full scale uses Cora + GAT (as in the paper).
 /// * Smoke scale uses the small two-block synthetic graph + GCN so benches
 ///   finish in seconds.
-pub fn fig6_ablation(scale: ExperimentScale) -> Fig6Result {
-    fig6_ablation_seeded(scale, DATA_SEED)
-}
-
-/// [`fig6_ablation`] with an explicit run seed, so the multi-seed scenario
-/// runner can aggregate the ablation curves over repeated runs.  Like the
-/// runner's scenarios, the seed drives both dataset generation and the
-/// pipeline RNG streams, so repetitions differ in graph *and*
+///
+/// Like the runner's scenarios, the seed drives both dataset generation and
+/// the pipeline RNG streams, so the multi-seed view (`ppfr_runner`'s
+/// `fig6_multi`) aggregates repetitions that differ in graph *and*
 /// initialisation.
 pub fn fig6_ablation_seeded(scale: ExperimentScale, data_seed: u64) -> Fig6Result {
     let (spec, kind) = match scale {
@@ -255,7 +249,7 @@ mod tests {
 
     #[test]
     fn smoke_ablation_produces_all_panels_with_monotone_x() {
-        let result = fig6_ablation(ExperimentScale::Smoke);
+        let result = fig6_ablation_seeded(ExperimentScale::Smoke, 7);
         for curve in [&result.fr_only, &result.pp_sweep, &result.pp_fixed_fr_sweep] {
             assert!(
                 curve.points.len() >= 4,

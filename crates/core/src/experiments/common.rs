@@ -4,10 +4,10 @@
 //! `(dataset spec, data seed, config)` holding everything the five methods
 //! share — the generated graph, the [`ThreatAuditor`] (pair sample, distance
 //! buffers, shadow bundle) and the trained vanilla checkpoints per
-//! architecture.  Every experiment driver (and the multi-seed scenario
-//! runner in `ppfr_runner`) funnels its per-cell work through
-//! [`DatasetArtifacts::cell`] instead of hand-rolling the
-//! dataset × model × method loop.
+//! architecture.  The multi-seed scenario runner in `ppfr_runner` funnels
+//! its per-cell work through [`DatasetArtifacts::cell`] instead of
+//! hand-rolling the dataset × model × method loop, and the Fig. 6 ablation
+//! shares one bundle's vanilla checkpoint and auditor across its sweeps.
 
 use crate::{
     deltas, evaluate_with, run_method, run_method_from_vanilla, threat_auditor, Evaluation,
@@ -206,34 +206,6 @@ impl DatasetArtifacts {
     }
 }
 
-/// The shared dataset × model × method loop behind Tables III–V and
-/// Figs. 4–7: one [`DatasetArtifacts`] per spec, every requested cell run
-/// against it, in `specs × models × methods` order.
-pub fn method_matrix_cells(
-    specs: &[DatasetSpec],
-    models: &[ModelKind],
-    methods: &[Method],
-    cfg: &PpfrConfig,
-    data_seed: u64,
-) -> Vec<MethodCell> {
-    let mut cells = Vec::new();
-    for spec in specs {
-        let mut artifacts = DatasetArtifacts::build(spec, data_seed, cfg);
-        for &kind in models {
-            for &method in methods {
-                cells.push(artifacts.cell(kind, method, cfg));
-            }
-        }
-    }
-    cells
-}
-
-/// Formats a fractional change as the percentage string used in the paper's
-/// tables (e.g. `-35.51`).
-pub fn pct(value: f64) -> String {
-    format!("{:+.2}", value * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,12 +234,6 @@ mod tests {
         let spec = scaled_spec(cora(), ExperimentScale::Full);
         assert_eq!(spec.n_nodes, cora().n_nodes);
         assert_eq!(spec.n_test, cora().n_test);
-    }
-
-    #[test]
-    fn pct_formats_with_sign() {
-        assert_eq!(pct(-0.3551), "-35.51");
-        assert_eq!(pct(0.018), "+1.80");
     }
 
     #[test]

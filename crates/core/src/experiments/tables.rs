@@ -1,23 +1,20 @@
-//! Drivers for Tables II, III, IV and V.
+//! Driver for Table II — the correlation between the influence of each
+//! training node on `f_bias` and on `f_risk`.  Tables III–V are multi-seed
+//! views over a scenario run (`ppfr_runner`'s `table3_view` and
+//! `MatrixReport::to_table_string`); Table II reports a correlation, not a
+//! defence metric, and has no runner view, so this single-seed driver
+//! serves it.
 
-use super::common::{
-    high_homophily_specs, method_matrix_cells, pct, weak_homophily_specs, MethodRun,
-};
-use crate::{attack_evaluator, attack_sample, predictions, ExperimentScale, Method, PpfrConfig};
+use super::common::high_homophily_specs;
+use crate::{attack_sample, ExperimentScale, Method};
 use ppfr_datasets::generate;
-use ppfr_fairness::bias;
 use ppfr_gnn::ModelKind;
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_influence::{compute_influences, pearson};
 use serde::{Deserialize, Serialize};
 
-/// Dataset generation seed shared by every experiment so all tables describe
-/// the same graphs.
+/// Dataset generation seed, so every Table II cell describes the same graphs.
 const DATA_SEED: u64 = 7;
-
-// ---------------------------------------------------------------------------
-// Table II — correlation between I_fbias and I_frisk
-// ---------------------------------------------------------------------------
 
 /// One cell of Table II.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,212 +81,6 @@ pub fn table2(scale: ExperimentScale) -> Table2Result {
     Table2Result { rows }
 }
 
-// ---------------------------------------------------------------------------
-// Table III — accuracy and bias of GCN, vanilla vs Reg
-// ---------------------------------------------------------------------------
-
-/// One row of Table III.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table3Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Vanilla test accuracy (%).
-    pub vanilla_acc: f64,
-    /// Vanilla InFoRM bias.
-    pub vanilla_bias: f64,
-    /// Regularised test accuracy (%).
-    pub reg_acc: f64,
-    /// Regularised InFoRM bias.
-    pub reg_bias: f64,
-}
-
-/// Full Table III result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table3Result {
-    /// One row per dataset.
-    pub rows: Vec<Table3Row>,
-}
-
-impl Table3Result {
-    /// Plain-text rendering matching the paper's layout.
-    pub fn to_table_string(&self) -> String {
-        let mut out = String::from("Table III: accuracy and bias of GCN (Vanilla vs Reg)\n");
-        out.push_str("dataset    method   acc(%)   bias\n");
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{:<10} Vanilla  {:6.2}  {:.4}\n{:<10} Reg      {:6.2}  {:.4}\n",
-                row.dataset,
-                row.vanilla_acc,
-                row.vanilla_bias,
-                row.dataset,
-                row.reg_acc,
-                row.reg_bias
-            ));
-        }
-        out
-    }
-}
-
-/// Regenerates Table III.
-pub fn table3(scale: ExperimentScale) -> Table3Result {
-    let cfg = scale.config();
-    let cells = method_matrix_cells(
-        &high_homophily_specs(scale),
-        &[ModelKind::Gcn],
-        &[Method::Reg],
-        &cfg,
-        DATA_SEED,
-    );
-    let rows = cells
-        .iter()
-        .map(|cell| Table3Row {
-            dataset: cell.run.dataset.clone(),
-            vanilla_acc: cell.vanilla.evaluation.accuracy * 100.0,
-            vanilla_bias: cell.vanilla.evaluation.bias,
-            reg_acc: cell.run.evaluation.accuracy * 100.0,
-            reg_bias: cell.run.evaluation.bias,
-        })
-        .collect();
-    Table3Result { rows }
-}
-
-// ---------------------------------------------------------------------------
-// Tables IV & V — method comparison (Δbias, Δrisk, Δ, Δacc)
-// ---------------------------------------------------------------------------
-
-/// One (dataset, model, method) cell of Table IV / Table V.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table4Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Model architecture.
-    pub model: String,
-    /// Method name.
-    pub method: String,
-    /// Relative accuracy change vs vanilla (%).
-    pub d_acc_pct: f64,
-    /// Relative bias change vs vanilla (%).
-    pub d_bias_pct: f64,
-    /// Relative risk change vs vanilla (%).
-    pub d_risk_pct: f64,
-    /// Combined metric Δ of Eq. (22) (fractional form, as in the paper).
-    pub delta: f64,
-    /// Absolute evaluation of this cell (kept for the figures).
-    pub evaluation: MethodRun,
-    /// Absolute evaluation of the vanilla reference for this (dataset, model).
-    pub vanilla: MethodRun,
-}
-
-/// Full Table IV result (also reused for Table V and Figs. 5 & 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table4Result {
-    /// One row per (dataset, model, method).
-    pub rows: Vec<Table4Row>,
-}
-
-/// Table V is structurally identical to Table IV (different datasets, GCN only).
-pub type Table5Result = Table4Result;
-
-impl Table4Result {
-    /// Plain-text rendering matching the paper's layout, extended with the
-    /// absolute mean-distance AUC and the worst-case threat-model AUC so the
-    /// weakest- and strongest-adversary risk are visible side by side.
-    pub fn to_table_string(&self) -> String {
-        let mut out = String::from(
-            "dataset    model      method   Δacc%    Δbias%   Δrisk%   Δ       meanAUC  worstAUC\n",
-        );
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{:<10} {:<10} {:<8} {:>8} {:>8} {:>8} {:+.3}  {:.4}   {:.4}\n",
-                row.dataset,
-                row.model,
-                row.method,
-                pct(row.d_acc_pct / 100.0),
-                pct(row.d_bias_pct / 100.0),
-                pct(row.d_risk_pct / 100.0),
-                row.delta,
-                row.evaluation.evaluation.risk_auc,
-                row.evaluation.evaluation.worst_risk_auc
-            ));
-        }
-        out
-    }
-
-    /// Rows for a particular model architecture (used by Figs. 5 and 7).
-    pub fn rows_for_model(&self, model: &str) -> Vec<&Table4Row> {
-        self.rows.iter().filter(|r| r.model == model).collect()
-    }
-}
-
-fn method_matrix(
-    specs: Vec<ppfr_datasets::DatasetSpec>,
-    models: &[ModelKind],
-    cfg: &PpfrConfig,
-) -> Table4Result {
-    let cells = method_matrix_cells(&specs, models, &Method::COMPARED, cfg, DATA_SEED);
-    let rows = cells
-        .into_iter()
-        .map(|cell| {
-            let d = cell.deltas();
-            Table4Row {
-                dataset: cell.run.dataset.clone(),
-                model: cell.run.model.clone(),
-                method: cell.run.method.clone(),
-                d_acc_pct: d.d_acc * 100.0,
-                d_bias_pct: d.d_bias * 100.0,
-                d_risk_pct: d.d_risk * 100.0,
-                delta: d.delta,
-                evaluation: cell.run,
-                vanilla: cell.vanilla,
-            }
-        })
-        .collect();
-    Table4Result { rows }
-}
-
-/// Regenerates Table IV: the Reg/DPReg/DPFR/PPFR comparison on the three
-/// high-homophily datasets and all three architectures.
-pub fn table4(scale: ExperimentScale) -> Table4Result {
-    method_matrix(
-        high_homophily_specs(scale),
-        &ModelKind::ALL,
-        &scale.config(),
-    )
-}
-
-/// Regenerates Table V: the same comparison on the weak-homophily datasets
-/// (Enzymes, Credit) with the GCN model.
-pub fn table5(scale: ExperimentScale) -> Table5Result {
-    method_matrix(
-        weak_homophily_specs(scale),
-        &[ModelKind::Gcn],
-        &scale.config(),
-    )
-}
-
-/// Convenience used by tests and the supporting §VII-A experiment: evaluates
-/// vanilla vs Reg bias/risk on one dataset so RQ1 can be checked quickly.
-pub fn vanilla_vs_reg_bias_risk(
-    spec: &ppfr_datasets::DatasetSpec,
-    cfg: &PpfrConfig,
-) -> ((f64, f64), (f64, f64)) {
-    let dataset = generate(spec, DATA_SEED);
-    let s = jaccard_similarity(&dataset.graph);
-    let l_s = similarity_laplacian(&s);
-    let vanilla = crate::run_method(&dataset, ModelKind::Gcn, Method::Vanilla, cfg);
-    let reg = crate::run_method(&dataset, ModelKind::Gcn, Method::Reg, cfg);
-    let mut evaluator = attack_evaluator(&dataset, cfg);
-    let p_vanilla = predictions(&vanilla, cfg);
-    let p_reg = predictions(&reg, cfg);
-    (
-        (
-            bias(&p_vanilla, &l_s),
-            evaluator.evaluate(&p_vanilla).average_auc,
-        ),
-        (bias(&p_reg, &l_s), evaluator.evaluate(&p_reg).average_auc),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,51 +104,5 @@ mod tests {
         let text = result.to_table_string();
         assert_eq!(text.lines().count(), 2 + 2, "header + rows");
         assert!(text.contains("-0.50"));
-
-        let t3 = Table3Result {
-            rows: vec![Table3Row {
-                dataset: "cora".into(),
-                vanilla_acc: 86.1,
-                vanilla_bias: 0.076,
-                reg_acc: 85.4,
-                reg_bias: 0.049,
-            }],
-        };
-        assert!(t3.to_table_string().contains("Vanilla"));
-    }
-
-    #[test]
-    fn table4_row_filter_by_model() {
-        let mk_run = |m: &str| MethodRun {
-            dataset: "cora".into(),
-            model: m.into(),
-            method: "Reg".into(),
-            evaluation: crate::Evaluation {
-                accuracy: 0.8,
-                bias: 0.1,
-                risk_auc: 0.9,
-                risk_gap: 0.1,
-                auc_per_distance: vec![],
-                worst_risk_auc: 0.0,
-                auc_per_threat: vec![],
-            },
-        };
-        let row = |m: &str| Table4Row {
-            dataset: "cora".into(),
-            model: m.into(),
-            method: "Reg".into(),
-            d_acc_pct: -1.0,
-            d_bias_pct: -30.0,
-            d_risk_pct: 1.0,
-            delta: -0.3,
-            evaluation: mk_run(m),
-            vanilla: mk_run(m),
-        };
-        let result = Table4Result {
-            rows: vec![row("GCN"), row("GAT"), row("GCN")],
-        };
-        assert_eq!(result.rows_for_model("GCN").len(), 2);
-        assert_eq!(result.rows_for_model("GraphSage").len(), 0);
-        assert!(result.to_table_string().contains("GAT"));
     }
 }

@@ -15,8 +15,9 @@
 //!   bias, link-stealing AUC (both the paper's mean-distance AUC and the
 //!   worst case over `ppfr_attacks`' supervised threat-model grid) and the
 //!   combined Δ metric of Eq. (22);
-//! * the **experiment drivers** ([`experiments`]) that regenerate every table
-//!   and figure of the paper.
+//! * the **experiment building blocks** ([`experiments`]): the shared
+//!   per-dataset artifacts the multi-seed runner in `ppfr_runner` renders
+//!   the tables and figures from, plus the Table II and Fig. 6 drivers.
 //!
 //! ```no_run
 //! use ppfr_core::{ExperimentScale, Method, PpfrConfig, pipeline, evaluate};

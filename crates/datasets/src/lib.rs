@@ -7,8 +7,8 @@
 //! class-conditional sparse binary features.  Each preset matches the paper's
 //! reported class count, homophily level, average degree, feature
 //! dimensionality (scaled) and label rate; node counts are scaled down so
-//! influence-function experiments run in seconds.  See DESIGN.md §2 for the
-//! substitution argument.
+//! influence-function experiments run in seconds.  PAPER.md (*Design summary
+//! of this reproduction*) records the substitution.
 
 #![forbid(unsafe_code)]
 

@@ -4,7 +4,7 @@
 //! paper), its gradient w.r.t. the prediction matrix (used both by the Reg
 //! baseline and by the influence-function machinery), a Lipschitz-style
 //! individual-fairness audit and a REDRESS-style ranking-fairness metric
-//! (listed as an extension in DESIGN.md).
+//! (an extension beyond the paper).
 
 #![forbid(unsafe_code)]
 
@@ -16,4 +16,4 @@ mod streaming;
 pub use bias::{bias, bias_gradient_wrt_probs, pairwise_bias};
 pub use lipschitz::{lipschitz_violations, max_unfairness_gap};
 pub use ranking::ranking_fairness_ndcg;
-pub use streaming::{streamed_bias, streamed_bias_serial};
+pub use streaming::streamed_bias;

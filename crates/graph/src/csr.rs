@@ -225,9 +225,8 @@ impl SparseMatrix {
         (0..self.n_rows).flat_map(move |r| self.row(r).map(move |(c, v)| (r, c, v)))
     }
 
-    /// One output row of the sparse × dense product; shared by the parallel
-    /// and serial SpMM (via [`spmm_row_kernel`]) so both produce bit-identical
-    /// results.
+    /// One output row of the sparse × dense product, through the shared
+    /// [`spmm_row_kernel`].
     #[inline]
     fn spmm_row_into(&self, r: usize, dense: &Matrix, out_row: &mut [f64]) {
         let start = self.row_ptr[r];
@@ -282,29 +281,6 @@ impl SparseMatrix {
         );
     }
 
-    /// Single-threaded reference implementation of
-    /// [`SparseMatrix::matmul_dense`]; kept for equivalence tests and
-    /// benchmark baselines.
-    pub fn matmul_dense_serial(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_dense_into_serial(dense, &mut out);
-        out
-    }
-
-    /// Single-threaded twin of [`SparseMatrix::matmul_dense_into`].
-    pub fn matmul_dense_into_serial(&self, dense: &Matrix, out: &mut Matrix) {
-        self.spmm_check(dense);
-        let cols = dense.cols();
-        out.resize_to(self.n_rows, cols);
-        if cols == 0 || self.n_rows == 0 {
-            return;
-        }
-        out.as_mut_slice().fill(0.0);
-        for r in 0..self.n_rows {
-            self.spmm_row_into(r, dense, out.row_mut(r));
-        }
-    }
-
     /// Transposed sparse × dense product (`selfᵀ * dense`) without building the
     /// transpose explicitly, written into a caller-owned buffer.  Serial by
     /// construction: the scatter over output rows follows the CSR layout of
@@ -346,6 +322,7 @@ impl SparseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppfr_linalg::parallel::with_forced_threads;
 
     fn sample() -> SparseMatrix {
         // [[1, 0, 2],
@@ -397,7 +374,8 @@ mod tests {
 
     #[test]
     fn parallel_spmm_equals_serial_exactly() {
-        // 40x40 ring-with-chords sparse matrix times a 40x5 dense matrix.
+        // 40x40 ring-with-chords sparse matrix times a 40x5 dense matrix:
+        // 40 rows reach the pool at 2 and 4 threads.
         let n = 40;
         let mut triplets = Vec::new();
         for i in 0..n {
@@ -406,14 +384,72 @@ mod tests {
         }
         let m = SparseMatrix::from_triplets(n, n, &triplets);
         let dense = Matrix::from_vec(n, 5, (0..n * 5).map(|v| (v as f64).cos()).collect());
-        let serial = m.matmul_dense_serial(&dense);
-        for threads in [1, 2, 4] {
-            let parallel =
-                ppfr_linalg::parallel::with_forced_threads(threads, || m.matmul_dense(&dense));
+        let serial = with_forced_threads(1, || m.matmul_dense(&dense));
+        let mut buf = Matrix::zeros(0, 0);
+        for threads in [2, 4] {
+            let parallel = with_forced_threads(threads, || m.matmul_dense(&dense));
             assert_eq!(
                 parallel.as_slice(),
                 serial.as_slice(),
-                "differs at {threads} threads"
+                "matmul_dense differs at {threads} threads"
+            );
+            with_forced_threads(threads, || m.matmul_dense_into(&dense, &mut buf));
+            assert_eq!(
+                buf.as_slice(),
+                serial.as_slice(),
+                "matmul_dense_into differs at {threads} threads"
+            );
+        }
+    }
+
+    /// Scalar single-threaded sparse × dense product: one multiply-add per
+    /// stored entry, in CSR order, skipping explicit zeros.  The reference
+    /// the 4-wide [`spmm_row_kernel`] must match bit for bit.
+    fn scalar_spmm(m: &SparseMatrix, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.n_rows(), dense.cols());
+        for r in 0..m.n_rows() {
+            let out_row = out.row_mut(r);
+            for (c, v) in m.row(r) {
+                if v == 0.0 {
+                    continue;
+                }
+                for (o, &d) in out_row.iter_mut().zip(dense.row(c)) {
+                    *o += v * d;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spmm_is_bit_identical_to_the_scalar_oracle() {
+        // Ten nonzero entries per row: two fused 4-wide groups — the second
+        // adds onto a nonzero output, where a reassociated update would
+        // round differently — plus a scalar tail.  37 rows reach the pool at
+        // 4 threads.
+        let n = 37;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for s in 0..10 {
+                triplets.push((i, (i * 5 + s * 7 + 1) % n, 0.25 + (i + s) as f64 / 10.0));
+            }
+        }
+        let m = SparseMatrix::from_triplets(n, n, &triplets);
+        let d = Matrix::from_vec(n, 8, (0..n * 8).map(|v| (v as f64 * 0.7).sin()).collect());
+        let oracle = scalar_spmm(&m, &d);
+        let mut buf = Matrix::zeros(0, 0);
+        for threads in [1, 4] {
+            let got = with_forced_threads(threads, || m.matmul_dense(&d));
+            assert_eq!(
+                got.as_slice(),
+                oracle.as_slice(),
+                "matmul_dense differs at {threads} threads"
+            );
+            with_forced_threads(threads, || m.matmul_dense_into(&d, &mut buf));
+            assert_eq!(
+                buf.as_slice(),
+                oracle.as_slice(),
+                "matmul_dense_into differs at {threads} threads"
             );
         }
     }
@@ -425,9 +461,7 @@ mod tests {
         let mut buf = Matrix::zeros(7, 7);
         let want = m.matmul_dense(&d);
         for threads in [1, 2, 4] {
-            ppfr_linalg::parallel::with_forced_threads(threads, || {
-                m.matmul_dense_into(&d, &mut buf)
-            });
+            with_forced_threads(threads, || m.matmul_dense_into(&d, &mut buf));
             assert_eq!(
                 buf.as_slice(),
                 want.as_slice(),
@@ -435,8 +469,6 @@ mod tests {
             );
             assert_eq!(buf.shape(), want.shape());
         }
-        m.matmul_dense_into_serial(&d, &mut buf);
-        assert_eq!(buf.as_slice(), want.as_slice());
 
         // Buffer reuse across calls must not leak previous contents.
         m.matmul_dense_into(&d, &mut buf);
@@ -468,7 +500,7 @@ mod tests {
     fn spmm_row_kernel_matches_matmul_row() {
         let m = sample();
         let d = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let full = m.matmul_dense_serial(&d);
+        let full = m.matmul_dense(&d);
         for r in 0..3 {
             let start = m.row_ptr[r];
             let end = m.row_ptr[r + 1];

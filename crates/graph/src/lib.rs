@@ -20,7 +20,6 @@ pub use graph::Graph;
 pub use hops::{hop_histogram, k_hop_pairs, shortest_hops_from};
 pub use perturb::{add_edges, EdgePerturbation};
 pub use similarity::{
-    closed_neighbourhoods, jaccard_row, jaccard_similarity, jaccard_similarity_serial,
-    similarity_laplacian,
+    closed_neighbourhoods, jaccard_row, jaccard_similarity, similarity_laplacian,
 };
 pub use stats::{average_degree, edge_density, homophily, intra_inter_probabilities};

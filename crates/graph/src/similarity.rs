@@ -40,22 +40,10 @@ pub fn jaccard_similarity(graph: &Graph) -> SparseMatrix {
     let n = graph.n_nodes();
     let closed = closed_neighbourhoods(graph);
     // Row i only reads the closed neighbourhoods, so rows are independent;
-    // computed in parallel and concatenated in row order — identical to the
-    // serial enumeration.
+    // computed in parallel and concatenated in row order, so the triplets
+    // do not depend on the thread count.
     let per_row = par_rows(n, |i| jaccard_row(i, &closed));
     let triplets: Vec<(usize, usize, f64)> = per_row.into_iter().flatten().collect();
-    SparseMatrix::from_triplets(n, n, &triplets)
-}
-
-/// Single-threaded reference implementation of [`jaccard_similarity`]; kept
-/// for equivalence tests and benchmark baselines.
-pub fn jaccard_similarity_serial(graph: &Graph) -> SparseMatrix {
-    let n = graph.n_nodes();
-    let closed = closed_neighbourhoods(graph);
-    let mut triplets = Vec::new();
-    for i in 0..n {
-        triplets.extend(jaccard_row(i, &closed));
-    }
     SparseMatrix::from_triplets(n, n, &triplets)
 }
 
@@ -77,9 +65,9 @@ pub fn closed_neighbourhoods(graph: &Graph) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// All non-zero `(i, j, S_ij)` entries of row `i`; shared by the parallel and
-/// serial builders (and the streamed-bias path in `ppfr_fairness`) so every
-/// consumer sees identical triplet sequences.  Entries come out sorted by
+/// All non-zero `(i, j, S_ij)` entries of row `i`; shared by
+/// [`jaccard_similarity`] and the streamed-bias path in `ppfr_fairness` so
+/// both see identical triplet sequences.  Entries come out sorted by
 /// `j`, duplicate-free and without the diagonal.
 pub fn jaccard_row(i: usize, closed: &[Vec<usize>]) -> Vec<(usize, usize, f64)> {
     // Candidate js: anything within two hops of i (via closed neighbourhoods).
@@ -229,8 +217,8 @@ mod tests {
             }
         }
         let g = Graph::from_edges(n, &edges);
-        let serial = jaccard_similarity_serial(&g);
-        for threads in [1, 2, 4] {
+        let serial = ppfr_linalg::parallel::with_forced_threads(1, || jaccard_similarity(&g));
+        for threads in [2, 4] {
             let parallel =
                 ppfr_linalg::parallel::with_forced_threads(threads, || jaccard_similarity(&g));
             assert_eq!(parallel, serial, "similarity differs at {threads} threads");

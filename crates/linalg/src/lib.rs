@@ -16,7 +16,7 @@ mod stats;
 pub use matrix::Matrix;
 pub use ops::{
     leaky_relu, leaky_relu_grad, relu_grad_into, relu_into, row_softmax, row_softmax_backward_into,
-    row_softmax_into, row_softmax_into_serial, row_softmax_serial,
+    row_softmax_into,
 };
 pub use parallel::{
     par_chunks, par_fill, par_join, par_row_blocks, par_rows, par_rows_quarantined,

@@ -339,14 +339,6 @@ impl Matrix {
         out
     }
 
-    /// Single-threaded reference implementation of [`Matrix::matmul`]; kept
-    /// for equivalence tests and benchmark baselines.
-    pub fn matmul_serial(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into_serial(other, &mut out);
-        out
-    }
-
     /// [`Matrix::matmul`] writing into a caller-owned output buffer (resized
     /// as needed; allocation-free when the shape already matches).
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
@@ -361,20 +353,6 @@ impl Matrix {
         par_chunks(&mut out.data, oc, |r, out_row| {
             Self::matmul_row_dispatch(self.row(r), other, exact, out_row);
         });
-    }
-
-    /// Single-threaded twin of [`Matrix::matmul_into`].
-    pub fn matmul_into_serial(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_check(other);
-        out.resize_to(self.rows, other.cols);
-        if out.data.is_empty() {
-            return;
-        }
-        out.data.fill(0.0);
-        let exact = other.has_non_finite();
-        for r in 0..self.rows {
-            Self::matmul_row_dispatch(self.row(r), other, exact, out.row_mut(r));
-        }
     }
 
     /// `selfᵀ · other` without materialising the transpose.
@@ -485,21 +463,6 @@ impl Matrix {
         });
     }
 
-    /// Single-threaded twin of [`Matrix::matmul_at_b_into`].
-    pub fn matmul_at_b_into_serial(&self, other: &Matrix, out: &mut Matrix) {
-        self.at_b_check(other);
-        out.resize_to(self.cols, other.cols);
-        if out.data.is_empty() {
-            return;
-        }
-        let exact = other.has_non_finite();
-        let n = other.cols;
-        let block_len = AT_B_BLOCK_ROWS * n;
-        for (b, block) in out.data.chunks_mut(block_len).enumerate() {
-            self.at_b_block(other, exact, b * AT_B_BLOCK_ROWS, block);
-        }
-    }
-
     /// `self · otherᵀ` without materialising the transpose.
     ///
     /// Bit-identical to `self.matmul(&other.transpose())`: each output element
@@ -580,19 +543,6 @@ impl Matrix {
         par_chunks(&mut out.data, n, |r, out_row| {
             Self::a_bt_row(self.row(r), other, exact, out_row);
         });
-    }
-
-    /// Single-threaded twin of [`Matrix::matmul_a_bt_into`].
-    pub fn matmul_a_bt_into_serial(&self, other: &Matrix, out: &mut Matrix) {
-        self.a_bt_check(other);
-        out.resize_to(self.rows, other.rows);
-        if out.data.is_empty() {
-            return;
-        }
-        let exact = other.has_non_finite();
-        for r in 0..self.rows {
-            Self::a_bt_row(self.row(r), other, exact, out.row_mut(r));
-        }
     }
 
     /// Element-wise addition.
@@ -860,8 +810,8 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (5, 3, 7), (17, 9, 4), (64, 32, 16)] {
             let a = Matrix::gaussian(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::gaussian(k, n, 0.0, 1.0, &mut rng);
-            let serial = a.matmul_serial(&b);
-            for threads in [1, 3, 4] {
+            let serial = crate::parallel::with_forced_threads(1, || a.matmul(&b));
+            for threads in [2, 3, 4] {
                 let parallel = crate::parallel::with_forced_threads(threads, || a.matmul(&b));
                 assert_eq!(
                     parallel.as_slice(),
@@ -888,13 +838,12 @@ mod tests {
         let a = Matrix::from_rows(&[vec![0.0, 1.0]]);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let b = Matrix::from_rows(&[vec![bad, bad], vec![2.0, 3.0]]);
-            for product in [a.matmul(&b), a.matmul_serial(&b)] {
-                assert!(
-                    product.as_slice().iter().all(|v| v.is_nan()),
-                    "0 × {bad} must contribute NaN, got {:?}",
-                    product.as_slice()
-                );
-            }
+            let product = a.matmul(&b);
+            assert!(
+                product.as_slice().iter().all(|v| v.is_nan()),
+                "0 × {bad} must contribute NaN, got {:?}",
+                product.as_slice()
+            );
             let at_b = Matrix::from_rows(&[vec![0.0], vec![1.0]]).matmul_at_b(&b);
             assert!(at_b.as_slice().iter().all(|v| v.is_nan()));
             let a_bt = a.matmul_a_bt(&b.transpose());
@@ -904,29 +853,34 @@ mod tests {
 
     #[test]
     fn matmul_finite_inputs_still_use_the_sparse_skip_consistently() {
-        // Dense product with many zero coefficients: parallel, serial and
-        // into-variants must agree bitwise.
+        // Dense product with many zero coefficients: the allocating and
+        // into-variants must agree bitwise at one and at several threads.
         let mut rng = StdRng::seed_from_u64(19);
-        let mut a = Matrix::gaussian(9, 7, 0.0, 1.0, &mut rng);
+        let mut a = Matrix::gaussian(40, 7, 0.0, 1.0, &mut rng);
         a.map_inplace(|v| if v < 0.0 { 0.0 } else { v });
         let b = Matrix::gaussian(7, 5, 0.0, 1.0, &mut rng);
-        let reference = a.matmul_serial(&b);
+        let reference = crate::parallel::with_forced_threads(1, || a.matmul(&b));
         let mut buf = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut buf);
-        assert_eq!(buf.as_slice(), reference.as_slice());
-        a.matmul_into_serial(&b, &mut buf);
-        assert_eq!(buf.as_slice(), reference.as_slice());
+        for threads in [1, 2, 4] {
+            crate::parallel::with_forced_threads(threads, || a.matmul_into(&b, &mut buf));
+            assert_eq!(
+                buf.as_slice(),
+                reference.as_slice(),
+                "differs at {threads} threads"
+            );
+        }
     }
 
     #[test]
     fn matmul_at_b_matches_explicit_transpose_bitwise() {
         let mut rng = StdRng::seed_from_u64(23);
-        for (m, k, n) in [(1, 1, 1), (5, 3, 7), (17, 9, 4), (33, 20, 6)] {
+        // The last shape has 37 output rows, enough to reach the pool.
+        for (m, k, n) in [(1, 1, 1), (5, 3, 7), (17, 9, 4), (33, 20, 6), (45, 37, 6)] {
             let mut a = Matrix::gaussian(m, k, 0.0, 1.0, &mut rng);
             // ReLU-like sparsity so the zero-skip actually fires.
             a.map_inplace(|v| if v < 0.3 { 0.0 } else { v });
             let b = Matrix::gaussian(m, n, 0.0, 1.0, &mut rng);
-            let reference = a.transpose().matmul_serial(&b);
+            let reference = a.transpose().matmul(&b);
             for threads in [1, 3, 4] {
                 let fast = crate::parallel::with_forced_threads(threads, || a.matmul_at_b(&b));
                 assert_eq!(
@@ -935,20 +889,18 @@ mod tests {
                     "({m}x{k})ᵀ*{m}x{n} differs at {threads} threads"
                 );
             }
-            let mut serial = Matrix::zeros(0, 0);
-            a.matmul_at_b_into_serial(&b, &mut serial);
-            assert_eq!(serial.as_slice(), reference.as_slice());
         }
     }
 
     #[test]
     fn matmul_a_bt_matches_explicit_transpose_bitwise() {
         let mut rng = StdRng::seed_from_u64(29);
-        for (m, k, n) in [(1, 1, 1), (5, 3, 7), (17, 9, 4), (12, 20, 33)] {
+        // The last shape has 40 output rows, enough to reach the pool.
+        for (m, k, n) in [(1, 1, 1), (5, 3, 7), (17, 9, 4), (12, 20, 33), (40, 20, 9)] {
             let mut a = Matrix::gaussian(m, k, 0.0, 1.0, &mut rng);
             a.map_inplace(|v| if v < 0.3 { 0.0 } else { v });
             let b = Matrix::gaussian(n, k, 0.0, 1.0, &mut rng);
-            let reference = a.matmul_serial(&b.transpose());
+            let reference = a.matmul(&b.transpose());
             for threads in [1, 3, 4] {
                 let fast = crate::parallel::with_forced_threads(threads, || a.matmul_a_bt(&b));
                 assert_eq!(
@@ -957,9 +909,6 @@ mod tests {
                     "{m}x{k}*({n}x{k})ᵀ differs at {threads} threads"
                 );
             }
-            let mut serial = Matrix::zeros(0, 0);
-            a.matmul_a_bt_into_serial(&b, &mut serial);
-            assert_eq!(serial.as_slice(), reference.as_slice());
         }
     }
 

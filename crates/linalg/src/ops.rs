@@ -82,16 +82,6 @@ pub fn row_softmax(logits: &Matrix) -> Matrix {
     out
 }
 
-/// Single-threaded reference implementation of [`row_softmax`]; kept for
-/// equivalence tests and benchmark baselines.
-pub fn row_softmax_serial(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        softmax_row_inplace(out.row_mut(r));
-    }
-    out
-}
-
 /// [`row_softmax`] writing into a caller-owned buffer (resized as needed;
 /// allocation-free when the shape already matches).
 pub fn row_softmax_into(logits: &Matrix, out: &mut Matrix) {
@@ -101,14 +91,6 @@ pub fn row_softmax_into(logits: &Matrix, out: &mut Matrix) {
         return;
     }
     par_chunks(out.as_mut_slice(), cols, |_, row| softmax_row_inplace(row));
-}
-
-/// Single-threaded twin of [`row_softmax_into`].
-pub fn row_softmax_into_serial(logits: &Matrix, out: &mut Matrix) {
-    out.copy_from(logits);
-    for r in 0..out.rows() {
-        softmax_row_inplace(out.row_mut(r));
-    }
 }
 
 /// Back-propagates a gradient w.r.t. softmax probabilities `d_probs` to a
@@ -193,13 +175,21 @@ mod tests {
                 .map(|r| (0..7).map(|c| ((r * 7 + c) as f64).sin() * 3.0).collect())
                 .collect::<Vec<_>>(),
         );
-        let serial = row_softmax_serial(&logits);
-        for threads in [1, 2, 4] {
+        // 40 rows reach the pool at 2 and 4 threads.
+        let serial = crate::parallel::with_forced_threads(1, || row_softmax(&logits));
+        let mut buf = Matrix::zeros(0, 0);
+        for threads in [2, 4] {
             let parallel = crate::parallel::with_forced_threads(threads, || row_softmax(&logits));
             assert_eq!(
                 parallel.as_slice(),
                 serial.as_slice(),
-                "differs at {threads} threads"
+                "row_softmax differs at {threads} threads"
+            );
+            crate::parallel::with_forced_threads(threads, || row_softmax_into(&logits, &mut buf));
+            assert_eq!(
+                buf.as_slice(),
+                serial.as_slice(),
+                "row_softmax_into differs at {threads} threads"
             );
         }
     }
@@ -208,16 +198,8 @@ mod tests {
     fn into_variants_match_allocating_versions_bitwise() {
         let m = Matrix::from_rows(&[vec![-1.0, 2.0, 0.0], vec![3.0, -0.5, 1.5]]);
         let mut buf = Matrix::zeros(0, 0);
-        let reference = row_softmax_serial(&m);
-        for threads in [1, 2, 4] {
-            crate::parallel::with_forced_threads(threads, || row_softmax_into(&m, &mut buf));
-            assert_eq!(
-                buf.as_slice(),
-                reference.as_slice(),
-                "row_softmax_into differs at {threads} threads"
-            );
-        }
-        row_softmax_into_serial(&m, &mut buf);
+        let reference = row_softmax(&m);
+        row_softmax_into(&m, &mut buf);
         assert_eq!(buf.as_slice(), reference.as_slice());
     }
 

@@ -19,20 +19,24 @@
 //! vendored rayon ([`rayon::dispatch`]): the calling thread and any idle
 //! workers pull chunk ranges from per-participant deques (LIFO locally, FIFO
 //! when stealing), so uneven per-item workloads balance dynamically while
-//! every result still lands at its own index — bit-identical to the serial
-//! twin no matter the thread count or stealing order.  The indexed entry
-//! points hand workers raw disjoint sub-slices, so the parallel path
-//! allocates nothing per item.
+//! every result still lands at its own index — bit-identical no matter the
+//! thread count or stealing order.  The indexed entry points hand workers
+//! raw disjoint sub-slices, so the parallel path allocates nothing per item.
 //!
 //! Dispatch is gated by [`MIN_ITEMS_PER_WORKER`]: inputs too small to
 //! amortise the pool handoff take an allocation-free serial loop instead.
 //! The thread count re-reads `PPFR_NUM_THREADS` on every call (see
-//! [`with_forced_threads`]).
+//! [`with_forced_threads`]); at one thread every entry point runs the
+//! kernel in a plain loop on the calling thread.
 //!
-//! Centralising the idiom keeps the parallel surface auditable (one module
-//! decides how threads are used), makes serial/parallel equivalence testable
-//! per kernel, and gives later PRs a single seam for swapping the execution
-//! backend (thread pools, SIMD blocking, accelerators).
+//! So each kernel has exactly one implementation, and its thread-count
+//! invariance is tested by running that implementation under
+//! `with_forced_threads(1, ..)` and again at two or more threads (the
+//! `twin-kernel` lint rule requires such a test for every kernel that calls
+//! a `par_*` entry point).  Centralising the idiom keeps the parallel
+//! surface auditable (one module decides how threads are used) and gives
+//! later PRs a single seam for swapping the execution backend (thread
+//! pools, SIMD blocking, accelerators).
 
 pub use rayon::current_num_threads;
 
@@ -295,8 +299,10 @@ where
 
 /// Runs `f` with the worker-thread count forced to `n`.
 ///
-/// Exists for the serial-vs-parallel equivalence tests, which must exercise
-/// the real multi-threaded partitioning even on single-core CI machines.
+/// Exists for the thread-count equivalence tests — one forced thread
+/// against two or more — which must exercise the real multi-threaded
+/// partitioning even on single-core CI machines.  Calls must not nest: the
+/// lock below is not re-entrant, so a nested call deadlocks.
 /// Calls are serialised process-wide; concurrent *other* parallel calls may
 /// briefly observe the override, which is harmless because every kernel is
 /// required to produce thread-count-independent results — the very property
@@ -349,7 +355,7 @@ mod tests {
     #[test]
     fn par_chunks_dispatches_above_the_worker_floor() {
         // 64 chunks at 2 threads = 32 per worker >= MIN_ITEMS_PER_WORKER, so
-        // this exercises the pool path; the result must match the serial twin.
+        // this exercises the pool path; the result must match a plain loop.
         let n_chunks = 4 * MIN_ITEMS_PER_WORKER;
         let serial: Vec<f64> = (0..n_chunks * 2).map(|i| (i as f64).sqrt()).collect();
         for threads in [2, 8] {

@@ -1,13 +1,70 @@
-//! Property-based equivalence suite for the in-place / transpose-free GEMM
-//! kernels: every fast path must be **bit-identical** to its allocating
-//! oracle (`transpose()` + `matmul`) across arbitrary shapes — including
-//! empty, `1×N` and `N×1` matrices — and across forced worker-thread counts.
+//! Property-based equivalence suite for the dense GEMM kernels: `matmul`,
+//! `matmul_at_b` and `matmul_a_bt` (allocating and in-place) must be
+//! **bit-identical** to a scalar zero-skip oracle — `matmul` directly, the
+//! transpose-free products through `transpose()` — across arbitrary shapes
+//! (including empty, `1×N` and `N×1` matrices) and at forced worker-thread
+//! counts 1 and 4.  The oracle is the plain scalar loop the 4-wide
+//! microkernels replaced; it is the only reference for them that does not
+//! share their code.
 
 use ppfr_linalg::parallel::with_forced_threads;
 use ppfr_linalg::{
     relu_grad_into, relu_into, row_softmax, row_softmax_backward_into, row_softmax_into, Matrix,
 };
 use proptest::prelude::*;
+
+/// Scalar single-threaded `A·B`: per output row, ascending `k`, skipping
+/// zero coefficients of `A`, one scalar multiply-add per element (finite
+/// operands assumed).
+fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for r in 0..a.rows() {
+        let out_row = out.row_mut(r);
+        for (k, &coeff) in a.row(r).iter().enumerate() {
+            if coeff == 0.0 {
+                continue;
+            }
+            for (o, &v) in out_row.iter_mut().zip(b.row(k)) {
+                *o += coeff * v;
+            }
+        }
+    }
+    out
+}
+
+/// A fixed-shape case with no zero coefficients, so every 4-wide group takes
+/// the fused update (the proptest's ReLU sparsity sends many groups down
+/// the per-term skip loop instead), and enough rows that 4 forced threads
+/// reach the pool.
+#[test]
+fn gemm_kernels_match_the_scalar_oracle_on_dense_inputs() {
+    let dense = |rows: usize, cols: usize, seed: f64| {
+        let data = (0..rows * cols)
+            .map(|i| 0.25 + ((i as f64) * 0.7 + seed).sin().abs())
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    };
+    let (a, b, c, d) = (
+        dense(67, 37, 0.3),
+        dense(37, 13, 1.1),
+        dense(67, 13, 2.2),
+        dense(13, 37, 0.9),
+    );
+    let ab = scalar_matmul(&a, &b);
+    let at_c = scalar_matmul(&a.transpose(), &c);
+    let a_dt = scalar_matmul(&a, &d.transpose());
+    let mut out = Matrix::zeros(0, 0);
+    for threads in [1, 4] {
+        let got = with_forced_threads(threads, || a.matmul(&b));
+        assert_eq!(got.as_slice(), ab.as_slice(), "matmul at {threads} threads");
+        with_forced_threads(threads, || a.matmul_into(&b, &mut out));
+        assert_eq!(out.as_slice(), ab.as_slice(), "matmul_into at {threads}");
+        let got = with_forced_threads(threads, || a.matmul_at_b(&c));
+        assert_eq!(got.as_slice(), at_c.as_slice(), "matmul_at_b at {threads}");
+        let got = with_forced_threads(threads, || a.matmul_a_bt(&d));
+        assert_eq!(got.as_slice(), a_dt.as_slice(), "matmul_a_bt at {threads}");
+    }
+}
 
 /// Strategy: a matrix of the given shape with finite entries and ReLU-like
 /// sparsity (zeros are common, so the sparse fast paths actually fire).
@@ -51,44 +108,41 @@ proptest! {
     #[test]
     fn matmul_into_matches_serial_oracle(pair in arb_mk_kn()) {
         let (a, b) = pair;
-        let oracle = a.matmul_serial(&b);
+        let oracle = scalar_matmul(&a, &b);
         let mut out = Matrix::zeros(3, 3);
         for threads in [1, 4] {
+            let product = with_forced_threads(threads, || a.matmul(&b));
+            prop_assert_eq!(product.as_slice(), oracle.as_slice());
+            prop_assert_eq!(product.shape(), oracle.shape());
             with_forced_threads(threads, || a.matmul_into(&b, &mut out));
             prop_assert_eq!(out.as_slice(), oracle.as_slice());
             prop_assert_eq!(out.shape(), oracle.shape());
         }
-        a.matmul_into_serial(&b, &mut out);
-        prop_assert_eq!(out.as_slice(), oracle.as_slice());
     }
 
     #[test]
     fn matmul_at_b_matches_transpose_oracle(pair in arb_mk_mn()) {
         let (a, b) = pair;
-        let oracle = a.transpose().matmul_serial(&b);
+        let oracle = scalar_matmul(&a.transpose(), &b);
         let mut out = Matrix::zeros(1, 1);
         for threads in [1, 4] {
             with_forced_threads(threads, || a.matmul_at_b_into(&b, &mut out));
             prop_assert_eq!(out.as_slice(), oracle.as_slice());
             prop_assert_eq!(out.shape(), oracle.shape());
         }
-        a.matmul_at_b_into_serial(&b, &mut out);
-        prop_assert_eq!(out.as_slice(), oracle.as_slice());
         prop_assert_eq!(a.matmul_at_b(&b).as_slice(), oracle.as_slice());
     }
 
     #[test]
     fn matmul_a_bt_matches_transpose_oracle(pair in arb_mk_nk()) {
         let (a, b) = pair;
-        let oracle = a.matmul_serial(&b.transpose());
+        let oracle = scalar_matmul(&a, &b.transpose());
         let mut out = Matrix::zeros(1, 1);
         for threads in [1, 4] {
             with_forced_threads(threads, || a.matmul_a_bt_into(&b, &mut out));
             prop_assert_eq!(out.as_slice(), oracle.as_slice());
             prop_assert_eq!(out.shape(), oracle.shape());
         }
-        a.matmul_a_bt_into_serial(&b, &mut out);
-        prop_assert_eq!(out.as_slice(), oracle.as_slice());
         prop_assert_eq!(a.matmul_a_bt(&b).as_slice(), oracle.as_slice());
     }
 

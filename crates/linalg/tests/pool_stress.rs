@@ -3,8 +3,8 @@
 //! The pool balances *work* dynamically (LIFO local pop, FIFO steal), so the
 //! set of chunks each worker executes is racy by design — but every result
 //! lands at its own index, so the *outputs* must be bit-identical to the
-//! serial twin for every `parallel::*` entry point, at every thread count,
-//! for arbitrarily uneven per-item workloads.  This suite hammers exactly
+//! one-thread run for every `parallel::*` entry point, at every thread
+//! count, for arbitrarily uneven per-item workloads.  This suite hammers exactly
 //! that contract: deterministic-but-skewed workloads under
 //! `PPFR_NUM_THREADS ∈ {1, 2, 8}`, panic propagation out of worker-executed
 //! chunks (with the pool still serviceable afterwards), and a proptest that

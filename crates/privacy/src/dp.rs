@@ -28,7 +28,10 @@ fn laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
 pub fn edge_rand<R: Rng + ?Sized>(graph: &Graph, epsilon: f64, rng: &mut R) -> Graph {
     assert!(epsilon > 0.0, "epsilon must be positive");
     let n = graph.n_nodes();
-    let keep_prob = epsilon.exp() / (1.0 + epsilon.exp());
+    // `e^ε` overflows to infinity above ε ≈ 709.78, where the quotient
+    // would be NaN; its limit there is 1 (keep every edge).
+    let e = epsilon.exp();
+    let keep_prob = if e.is_infinite() { 1.0 } else { e / (1.0 + e) };
     let flip_prob = 1.0 - keep_prob;
 
     // Kept original edges.
@@ -126,6 +129,19 @@ mod tests {
             kept as f64 > 0.9 * g.n_edges() as f64,
             "kept only {kept}/{}",
             g.n_edges()
+        );
+    }
+
+    #[test]
+    fn huge_epsilon_edge_rand_returns_the_graph_unchanged() {
+        // e^1000 overflows; the keep probability must saturate at 1, not NaN.
+        let g = ring(60);
+        let mut rng = StdRng::seed_from_u64(1);
+        let noisy = edge_rand(&g, 1000.0, &mut rng);
+        assert_eq!(noisy.n_nodes(), g.n_nodes());
+        assert_eq!(
+            noisy.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
         );
     }
 

@@ -12,9 +12,9 @@
 //!    eight [`DistanceKind`] values per node pair in one traversal of the two
 //!    posterior rows, instead of re-walking every pair once per metric.  The
 //!    pair loop is parallelised over pair chunks via
-//!    [`ppfr_linalg::parallel::par_chunks`], with a serial twin
-//!    ([`AttackEvaluator::distances_serial`]) pinned bit-identical by tests
-//!    across forced `PPFR_NUM_THREADS` counts.
+//!    [`ppfr_linalg::parallel::par_chunks`]; each pair writes only its own
+//!    row of the table, so the result is bit-identical at any thread count
+//!    (pinned by tests across forced `PPFR_NUM_THREADS` counts).
 //! 2. **Rank-based AUC** — [`auc_from_distances`] is the `O(m log m)`
 //!    Mann–Whitney statistic with exact midrank tie handling, replacing the
 //!    seed's `O(|pos|·|neg|)` pairwise loop.
@@ -145,45 +145,28 @@ impl AttackEvaluator {
         &self.sample
     }
 
-    /// The distance table of the most recent `distances*` / `evaluate` call.
+    /// The distance table of the most recent `distances` / `evaluate` call.
     pub fn table(&self) -> &DistanceTable {
-        &self.table
-    }
-
-    fn fill(&mut self, probs: &Matrix, parallel: bool) -> &DistanceTable {
-        let n_pairs = self.table.n_pairs();
-        self.table.values.clear();
-        self.table.values.resize(n_pairs * N_DISTANCE_KINDS, 0.0);
-        let sample = &self.sample;
-        let n_pos = self.table.n_pos;
-        let pair_metrics = |i: usize, out: &mut [f64]| {
-            let (u, v) = if i < n_pos {
-                sample.positives[i]
-            } else {
-                sample.negatives[i - n_pos]
-            };
-            multi_distance(probs.row(u), probs.row(v), out);
-        };
-        if parallel {
-            par_chunks(&mut self.table.values, N_DISTANCE_KINDS, pair_metrics);
-        } else {
-            for (i, out) in self.table.values.chunks_mut(N_DISTANCE_KINDS).enumerate() {
-                pair_metrics(i, out);
-            }
-        }
         &self.table
     }
 
     /// Computes all eight distances for every sampled pair in one pass over
     /// the posterior rows, parallelised over pair chunks.
     pub fn distances(&mut self, probs: &Matrix) -> &DistanceTable {
-        self.fill(probs, true)
-    }
-
-    /// Serial twin of [`AttackEvaluator::distances`]; bit-identical results
-    /// regardless of worker-thread count.
-    pub fn distances_serial(&mut self, probs: &Matrix) -> &DistanceTable {
-        self.fill(probs, false)
+        let n_pairs = self.table.n_pairs();
+        self.table.values.clear();
+        self.table.values.resize(n_pairs * N_DISTANCE_KINDS, 0.0);
+        let sample = &self.sample;
+        let n_pos = self.table.n_pos;
+        par_chunks(&mut self.table.values, N_DISTANCE_KINDS, |i, out| {
+            let (u, v) = if i < n_pos {
+                sample.positives[i]
+            } else {
+                sample.negatives[i - n_pos]
+            };
+            multi_distance(probs.row(u), probs.row(v), out);
+        });
+        &self.table
     }
 
     /// Scores the attack on one posterior matrix: per-metric AUC, mean AUC
@@ -269,8 +252,8 @@ mod tests {
     #[test]
     fn parallel_and_serial_tables_are_bit_identical_across_thread_counts() {
         let (_, probs, mut ev) = setup(8);
-        let serial = ev.distances_serial(&probs).as_slice().to_vec();
-        for threads in [1, 2, 4, 7] {
+        let serial = with_forced_threads(1, || ev.distances(&probs).as_slice().to_vec());
+        for threads in [2, 4, 7] {
             let parallel =
                 with_forced_threads(threads, || ev.distances(&probs).as_slice().to_vec());
             assert_eq!(parallel, serial, "results differ at {threads} threads");

@@ -1,17 +1,18 @@
 //! # `ppfr_runner` — multi-seed scenario runner with artifact caching
 //!
 //! The paper reports every number of Tables III–V and Figs. 4–7 as an
-//! average over repeated runs.  This crate turns the single-seed experiment
-//! drivers of `ppfr_core` into that protocol:
+//! average over repeated runs.  This crate runs `ppfr_core`'s per-cell
+//! pipeline ([`ppfr_core::experiments::DatasetArtifacts`]) under that
+//! protocol:
 //!
 //! * a [`ScenarioSpec`] declares the run matrix — datasets × models ×
 //!   methods × seeds — plus the perturbation knobs and an optional
 //!   threat-model subset, and the [`ScenarioRegistry`] names the stock
 //!   scenarios shared by the `exp_*` binaries and the golden suite;
-//! * the executor ([`run_scenario`], serial twin [`run_scenario_serial`])
-//!   runs `(dataset, seed)` groups in parallel through
-//!   `ppfr_linalg::parallel` — thread count never changes the report, which
-//!   is pinned by forced-`PPFR_NUM_THREADS` tests like the kernel layer;
+//! * the executor ([`run_scenario`]) runs `(dataset, seed)` groups in
+//!   parallel through `ppfr_linalg::parallel` — thread count never changes
+//!   the report, which is pinned by forced-`PPFR_NUM_THREADS` tests like the
+//!   kernel layer;
 //!   a panicking cell is quarantined into the report's `failed_cells`
 //!   section (after deterministic retries) instead of aborting the matrix,
 //!   and per-cell budgets degrade the estimators gracefully, recorded in
@@ -49,6 +50,6 @@ pub use cache::{ArtifactCache, CacheStats};
 pub use multi::{
     accuracy_view, fig4_view, fig6_multi, table3_view, CurvePointStats, CurveStats, Fig6MultiResult,
 };
-pub use runner::{run_scenario, run_scenario_serial};
+pub use runner::run_scenario;
 pub use scale::{run_scale_scenario, ScaleReport, ScaleSpec};
 pub use spec::{two_block_weak, RunGroup, ScenarioRegistry, ScenarioSpec, DEFAULT_SEEDS};

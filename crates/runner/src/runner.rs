@@ -1,6 +1,6 @@
 //! The scenario executor: expands a [`ScenarioSpec`] into run groups,
-//! executes them in parallel through `ppfr_linalg::parallel` (with a
-//! bit-identical serial twin) and aggregates the per-seed runs.
+//! executes them in parallel through `ppfr_linalg::parallel` and aggregates
+//! the per-seed runs.
 //!
 //! Parallelism is over `(dataset, seed)` groups: runs inside one group share
 //! mutable artifacts (the auditor's distance buffers, the vanilla
@@ -248,27 +248,6 @@ pub fn run_scenario(spec: &ScenarioSpec, cache: &ArtifactCache) -> Result<Matrix
     Ok(report)
 }
 
-/// The serial twin of [`run_scenario`]: identical results (including the
-/// quarantine semantics), one group at a time.  Kept for the equivalence
-/// tests and for callers that must not spawn worker threads.
-pub fn run_scenario_serial(
-    spec: &ScenarioSpec,
-    cache: &ArtifactCache,
-) -> Result<MatrixReport, RunError> {
-    spec.validate().map_err(RunError::InvalidSpec)?;
-    let groups = spec.groups();
-    let outcomes = groups
-        .iter()
-        .map(|g| {
-            catch_unwind(AssertUnwindSafe(|| run_group(spec, g, cache)))
-                .map_err(|payload| panic_message(payload.as_ref()))
-        })
-        .collect();
-    let report = finish(spec, &groups, outcomes);
-    publish_cache_gauges(cache);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,9 +310,6 @@ mod tests {
         let err = run_scenario(&empty, &cache).expect_err("empty axis must be rejected");
         assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
         assert!(err.to_string().contains("empty axis"));
-        let serial_err =
-            run_scenario_serial(&empty, &cache).expect_err("serial twin rejects it too");
-        assert_eq!(serial_err.to_string(), err.to_string());
         // A QCLP budget the solver would reject must not reach the cells,
         // where every DPFR/PPFR cell would panic and be quarantined.
         for (alpha, beta) in [(-1.0, 0.1), (0.9, f64::NAN)] {
@@ -344,16 +320,27 @@ mod tests {
             assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
             assert!(err.to_string().contains("QCLP budget"), "{err}");
         }
+        // Likewise a DP budget edge-DP would reject: every DPReg/DPFR cell
+        // would panic in the mechanism and be quarantined.
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = tiny_scenario()
+                .with_methods(&[Method::Vanilla, Method::DpReg, Method::DpFr])
+                .with_dp_epsilon(epsilon);
+            let err = run_scenario(&bad, &cache).expect_err("invalid DP budget");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(err.to_string().contains("dp_epsilon"), "{err}");
+        }
         assert!(cache.is_empty(), "nothing was built for an invalid spec");
     }
 
     #[test]
     fn parallel_serial_and_forced_thread_counts_agree_bitwise() {
         let spec = tiny_scenario();
-        let serial = run_scenario_serial(&spec, &ArtifactCache::new())
-            .expect("serial run")
-            .to_json();
-        for threads in [1, 4] {
+        let serial = with_forced_threads(1, || {
+            run_scenario(&spec, &ArtifactCache::new()).expect("serial run")
+        })
+        .to_json();
+        for threads in [2, 4] {
             let parallel = with_forced_threads(threads, || {
                 run_scenario(&spec, &ArtifactCache::new()).expect("parallel run")
             });

@@ -112,7 +112,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the edge-DP budget ε knob.
+    /// Sets the edge-DP budget ε knob; [`ScenarioSpec::validate`] rejects a
+    /// value that is not finite and positive.
     pub fn with_dp_epsilon(mut self, epsilon: f64) -> Self {
         self.config.dp_epsilon = epsilon;
         self
@@ -156,9 +157,10 @@ impl ScenarioSpec {
     /// Rejects empty axes, duplicate seeds and duplicate dataset names —
     /// duplicates would make two runs indistinguishable in the aggregation
     /// (cells are keyed by the dataset name string), silently doubling `n` —
-    /// as well as a zero attempt count and a negative or non-finite QCLP
-    /// budget (`qclp_alpha`, `qclp_beta`), which the solver would reject in
-    /// every re-weighting cell.
+    /// as well as a zero attempt count, a negative or non-finite QCLP budget
+    /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
+    /// re-weighting cell, and a DP budget `dp_epsilon` that is not finite and
+    /// positive, which would fail every DPReg and DPFR cell.
     pub fn validate(&self) -> Result<(), String> {
         if self.datasets.is_empty()
             || self.models.is_empty()
@@ -199,6 +201,14 @@ impl ScenarioSpec {
                     self.name
                 ));
             }
+        }
+        let epsilon = self.config.dp_epsilon;
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(format!(
+                "scenario '{}' has DP budget dp_epsilon = {epsilon}; it must be finite and \
+                 positive",
+                self.name
+            ));
         }
         Ok(())
     }

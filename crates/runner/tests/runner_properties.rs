@@ -6,9 +6,8 @@
 
 use ppfr_core::{Evaluation, Method, MethodDeltas, PpfrConfig};
 use ppfr_datasets::two_block_synthetic;
-use ppfr_runner::{
-    aggregate, run_scenario, run_scenario_serial, ArtifactCache, ScenarioSpec, SeedRun,
-};
+use ppfr_linalg::parallel::with_forced_threads;
+use ppfr_runner::{aggregate, run_scenario, ArtifactCache, ScenarioSpec, SeedRun};
 use proptest::prelude::*;
 
 fn synthetic_run(dataset: usize, method: usize, seed: u64, value: f64) -> SeedRun {
@@ -102,8 +101,7 @@ proptest! {
 }
 
 /// A cache-warm re-run reuses every artifact and still reproduces the cold
-/// report bit for bit; and the serial twin agrees with the parallel
-/// executor on the same cache.
+/// report bit for bit, and so does a warm re-run at one forced thread.
 #[test]
 fn warm_cache_runs_are_bit_identical_to_cold() {
     let spec = ScenarioSpec::new(
@@ -128,6 +126,7 @@ fn warm_cache_runs_are_bit_identical_to_cold() {
     assert_eq!(cache.hits(), 2);
     assert_eq!(cold.to_json(), warm.to_json(), "warm != cold");
 
-    let serial_warm = run_scenario_serial(&spec, &cache).expect("cache-prop spec is valid");
+    let serial_warm =
+        with_forced_threads(1, || run_scenario(&spec, &cache)).expect("cache-prop spec is valid");
     assert_eq!(cold.to_json(), serial_warm.to_json(), "serial warm != cold");
 }

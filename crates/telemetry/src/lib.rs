@@ -27,8 +27,9 @@
 //!   [`set_enabled`].
 //!
 //! Recording never influences computation: telemetry only reads clocks and
-//! bumps counters, so the golden-metric suite and every bit-identity twin
-//! test pass unchanged with telemetry on or off (pinned in CI's `obs-layer`).
+//! bumps counters, so the golden-metric suite and every forced-thread
+//! bit-identity test pass unchanged with telemetry on or off (pinned in
+//! CI's `obs-layer`).
 //!
 //! Trace-event capture (per-span timestamps, for the chrome exporter) is a
 //! second, off-by-default gate ([`set_trace_enabled`] /

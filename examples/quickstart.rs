@@ -2,7 +2,7 @@
 //! accuracy, individual fairness (InFoRM bias) and edge-privacy risk
 //! (link-stealing AUC).
 //!
-//! Run with: `cargo run --release -p ppfr-core --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use ppfr_core::{evaluate, run_method, Method, PpfrConfig};
 use ppfr_datasets::{cora, generate};
@@ -10,7 +10,8 @@ use ppfr_gnn::ModelKind;
 use ppfr_graph::{average_degree, homophily};
 
 fn main() {
-    // 1. Generate the seeded synthetic Cora analogue (see DESIGN.md §2).
+    // 1. Generate the seeded synthetic Cora analogue (see PAPER.md, *Design
+    //    summary of this reproduction*).
     let dataset = generate(&cora(), 7);
     println!(
         "dataset: {} — {} nodes, {} edges, homophily {:.2}, avg degree {:.2}",

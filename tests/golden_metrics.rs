@@ -107,8 +107,8 @@ fn compare_against_golden(report: &MatrixReport, golden: &MatrixReport, file: &s
 /// `PPFR_UPDATE_GOLDEN=1`, rewrites) the snapshot `tests/golden/<file>`.
 fn check_matrix_against_snapshot(spec: &ScenarioSpec, file: &str) {
     // Cold run at 1 forced worker thread, then a cold run at 4: the report
-    // must be bit-identical (same guarantee as the kernel layer's
-    // serial/parallel twins).
+    // must be bit-identical (the guarantee the kernel layer pins per kernel
+    // with forced-thread tests).
     let cache = ArtifactCache::new();
     let report_t1 = ppfr_linalg::parallel::with_forced_threads(1, || run_scenario(spec, &cache))
         .expect("golden scenario is valid");
