@@ -105,4 +105,32 @@ mod tests {
         assert_eq!(text.lines().count(), 2 + 2, "header + rows");
         assert!(text.contains("-0.50"));
     }
+
+    #[test]
+    fn smoke_table2_matches_the_pinned_correlations() {
+        // `exp_table2 --smoke`'s values, identical in debug and release and
+        // at any thread count; the 1e-3 tolerance allows for libm
+        // differences between machines.
+        let pinned = [
+            ("cora", "GCN", -0.8630383290265082),
+            ("cora", "GAT", -0.7864741885624136),
+            ("cora", "GraphSage", -0.7846096911414513),
+            ("citeseer", "GCN", -0.7464831828120091),
+            ("citeseer", "GAT", -0.8550496951190624),
+            ("citeseer", "GraphSage", -0.7850726378820853),
+            ("pubmed", "GCN", -0.9335870453373467),
+            ("pubmed", "GAT", -0.6079650905545694),
+            ("pubmed", "GraphSage", -0.9381048630603012),
+        ];
+        let result = table2(ExperimentScale::Smoke);
+        assert_eq!(result.rows.len(), pinned.len());
+        for (row, (dataset, model, r)) in result.rows.iter().zip(pinned) {
+            assert_eq!((row.dataset.as_str(), row.model.as_str()), (dataset, model));
+            assert!(
+                (row.r - r).abs() <= 1e-3,
+                "{dataset} {model}: r = {} vs pinned {r}",
+                row.r
+            );
+        }
+    }
 }
