@@ -8,7 +8,7 @@ use ppfr_core::{run_method, Method, PpfrConfig};
 use ppfr_datasets::{generate, two_block_synthetic};
 use ppfr_gnn::{train, GraphContext, ModelKind};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
-use ppfr_privacy::{average_attack_auc, edge_rand, PairSample};
+use ppfr_privacy::{average_attack_auc, edge_rand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -72,8 +72,6 @@ fn bench_qclp_vs_topk(c: &mut Criterion) {
     let vanilla = run_method(&dataset, ModelKind::Gcn, Method::Vanilla, &cfg);
     let base_ctx = GraphContext::new(dataset.graph.clone(), dataset.features.clone());
     let l_s = similarity_laplacian(&jaccard_similarity(&dataset.graph));
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sample = PairSample::balanced(&dataset.graph, &mut rng);
 
     let mut group = c.benchmark_group("qclp_vs_topk_reweighting");
     group.sample_size(10);
@@ -87,7 +85,6 @@ fn bench_qclp_vs_topk(c: &mut Criterion) {
                 &dataset.labels,
                 &dataset.splits.train,
                 &l_s,
-                &sample,
                 &cfg,
             )
         })
@@ -102,13 +99,12 @@ fn bench_qclp_vs_topk(c: &mut Criterion) {
                 &dataset.labels,
                 &dataset.splits.train,
                 &l_s,
-                &sample,
                 &cfg,
             );
-            let mut order: Vec<usize> = (0..fr.influences.bias.len()).collect();
+            let mut order: Vec<usize> = (0..fr.bias_influence.len()).collect();
             order.sort_by(|&a, &b| {
-                fr.influences.bias[a]
-                    .partial_cmp(&fr.influences.bias[b])
+                fr.bias_influence[a]
+                    .partial_cmp(&fr.bias_influence[b])
                     .unwrap()
             });
             let k = order.len() / 5;

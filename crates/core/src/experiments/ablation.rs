@@ -11,8 +11,6 @@ use ppfr_fairness::bias;
 use ppfr_gnn::{train, GraphContext, ModelKind};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_nn::accuracy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// One point of an ablation curve.
@@ -175,15 +173,12 @@ pub fn fig6_ablation_seeded(scale: ExperimentScale, data_seed: u64) -> Fig6Resul
     // Fairness-aware re-weighting computed once from the vanilla model.
     let s = jaccard_similarity(&dataset.graph);
     let l_s = similarity_laplacian(&s);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xb492_b66f);
-    let sample = ppfr_privacy::PairSample::balanced(&dataset.graph, &mut rng);
     let fr = fairness_weights(
         &vanilla.model,
         &base_ctx,
         &dataset.labels,
         &dataset.splits.train,
         &l_s,
-        &sample,
         &cfg,
     );
 

@@ -10,7 +10,7 @@ use crate::{attack_sample, ExperimentScale, Method};
 use ppfr_datasets::generate;
 use ppfr_gnn::ModelKind;
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
-use ppfr_influence::{compute_influences, pearson};
+use ppfr_influence::{bias_grad_wrt_params, compute_influences, pearson, risk_grad_wrt_params};
 use serde::{Deserialize, Serialize};
 
 /// Dataset generation seed, so every Table II cell describes the same graphs.
@@ -61,20 +61,23 @@ pub fn table2(scale: ExperimentScale) -> Table2Result {
         let l_s = similarity_laplacian(&s);
         for kind in ModelKind::ALL {
             let outcome = crate::run_method(&dataset, kind, Method::Vanilla, &cfg);
+            let (model, ctx) = (&outcome.model, &outcome.deploy_ctx);
             let sample = attack_sample(&dataset, &cfg);
-            let influences = compute_influences(
-                &outcome.model,
-                &outcome.deploy_ctx,
+            let [bias, risk] = compute_influences(
+                model,
+                ctx,
                 &dataset.labels,
                 &dataset.splits.train,
-                &l_s,
-                &sample,
+                [
+                    &bias_grad_wrt_params(model, ctx, &l_s),
+                    &risk_grad_wrt_params(model, ctx, &sample),
+                ],
                 &cfg.influence_config(),
             );
             rows.push(Table2Row {
                 dataset: spec.name.to_string(),
                 model: kind.name().to_string(),
-                r: pearson(&influences.bias, &influences.risk),
+                r: pearson(&bias, &risk),
             });
         }
     }

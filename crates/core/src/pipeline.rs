@@ -4,31 +4,10 @@ use crate::{fairness_weights, heterophilic_perturbation, PpfrConfig};
 use ppfr_datasets::Dataset;
 use ppfr_gnn::{train, AnyModel, FairnessReg, GraphContext, ModelKind};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph, SparseMatrix};
-use ppfr_privacy::{edge_rand, lap_graph, PairSample};
+use ppfr_privacy::{edge_rand, lap_graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Positive-pair cap of the budget-degraded audit sample: large enough to
-/// keep the risk influence that `fairness_weights` reports
-/// (`ReweightOutcome::influences.risk`, the sample's only consumer — the QCLP
-/// has no risk term) informative, small enough that the risk-gradient pass
-/// stays cheap once the cell budget has run out.
-const DEGRADED_PAIR_CAP: usize = 256;
-
-/// The balanced audit [`PairSample`] of the paper's protocol — or, when the
-/// ambient cell budget is already exhausted, a capped sample over at most
-/// [`DEGRADED_PAIR_CAP`] positive pairs.  The downgrade is recorded as a
-/// `pair_sample: balanced → capped` [`ppfr_resilience::DegradationEvent`], so
-/// reports always flag the deviation from the exact protocol.
-fn audit_pair_sample(graph: &Graph, rng: &mut StdRng) -> PairSample {
-    if ppfr_resilience::budget_exhausted() {
-        ppfr_resilience::note_degradation("pair_sample", "balanced", "capped");
-        PairSample::capped(graph, DEGRADED_PAIR_CAP, rng)
-    } else {
-        PairSample::balanced(graph, rng)
-    }
-}
 
 /// The training strategies compared in Tables IV and V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -235,9 +214,7 @@ pub fn run_method_from_vanilla(
         }
         Method::DpFr => {
             let mut model = vanilla_model();
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xb492_b66f);
-            let sample = audit_pair_sample(&dataset.graph, &mut rng);
-            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, &sample, cfg);
+            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, cfg);
             let dp_graph = dp_perturb(dataset, cfg.dp_epsilon, cfg.seed);
             let dp_ctx = base_ctx.with_graph(dp_graph);
             train(
@@ -253,9 +230,7 @@ pub fn run_method_from_vanilla(
         }
         Method::Ppfr => {
             let mut model = vanilla_model();
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xb492_b66f);
-            let sample = audit_pair_sample(&dataset.graph, &mut rng);
-            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, &sample, cfg);
+            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, cfg);
             let delta = heterophilic_perturbation(
                 &model,
                 &base_ctx,

@@ -3,8 +3,10 @@
 use crate::PpfrConfig;
 use ppfr_gnn::{AnyModel, GraphContext};
 use ppfr_graph::SparseMatrix;
-use ppfr_influence::{compute_influences, compute_influences_lissa, InfluenceSet, LissaConfig};
-use ppfr_privacy::PairSample;
+use ppfr_influence::{
+    bias_grad_wrt_params, compute_influences, compute_influences_lissa, training_loss_grad,
+    LissaConfig,
+};
 use ppfr_qclp::{solve, QclpProblem, SolverOptions};
 
 /// LiSSA truncation depth of the budget-degraded influence estimator: deep
@@ -20,9 +22,9 @@ pub struct ReweightOutcome {
     pub weights: Vec<f64>,
     /// Fine-tuning loss weights `1 + w_v` ready for [`ppfr_gnn::train`].
     pub loss_weights: Vec<f64>,
-    /// The per-node influences the QCLP was built from (kept for reporting,
-    /// e.g. the Table II correlation analysis).
-    pub influences: InfluenceSet,
+    /// `I_fbias(w_v)`, the QCLP's objective coefficients, aligned with the
+    /// training nodes.
+    pub bias_influence: Vec<f64>,
     /// QCLP objective value (predicted first-order bias change).
     pub predicted_bias_change: f64,
 }
@@ -30,7 +32,8 @@ pub struct ReweightOutcome {
 /// Computes the fairness-aware loss weights for fine-tuning a vanilla-trained
 /// model (§VI-B1):
 ///
-/// 1. influence of every labelled node on utility and bias (Eqs. 11–12);
+/// 1. influence of every labelled node on utility and bias (Eqs. 11–12),
+///    the only two influences the QCLP reads;
 /// 2. QCLP of Eq. (13) solved by projected gradient descent;
 /// 3. weights returned both raw (`w_v`) and as loss multipliers (`1 + w_v`).
 pub fn fairness_weights(
@@ -39,25 +42,25 @@ pub fn fairness_weights(
     labels: &[usize],
     train_ids: &[usize],
     l_s: &SparseMatrix,
-    sample: &PairSample,
     cfg: &PpfrConfig,
 ) -> ReweightOutcome {
+    let _span = ppfr_telemetry::span!("reweight");
+    let grads = {
+        let _span = ppfr_telemetry::span!("influence_grads");
+        [
+            training_loss_grad(model, ctx, labels, train_ids),
+            bias_grad_wrt_params(model, ctx, l_s),
+        ]
+    };
+    let grads = grads.each_ref().map(Vec::as_slice);
     // Estimator ladder: configured LiSSA (opt-in fast path) > budget-degraded
     // shallow LiSSA > exact dense CG (the paper's protocol).  The degraded
     // rung only engages when the ambient cell budget is already exhausted —
     // an exact solve would be truncated mid-CG anyway, so a shallow LiSSA
     // estimate is the better use of the remaining work; the downgrade is
     // recorded as a DegradationEvent so reports always flag approximation.
-    let influences = if cfg.lissa_depth > 0 {
-        compute_influences_lissa(
-            model,
-            ctx,
-            labels,
-            train_ids,
-            l_s,
-            sample,
-            &cfg.lissa_config(),
-        )
+    let [util, bias] = if cfg.lissa_depth > 0 {
+        compute_influences_lissa(model, ctx, labels, train_ids, grads, &cfg.lissa_config())
     } else if ppfr_resilience::budget_exhausted() {
         ppfr_resilience::note_degradation("influence", "cg", "lissa");
         let degraded = LissaConfig::from_influence(&cfg.influence_config(), DEGRADED_LISSA_DEPTH);
@@ -66,7 +69,7 @@ pub fn fairness_weights(
         // depth 0 via its own checkpoints.  Its cost is a small fixed
         // constant, which is the point of degrading in the first place.
         ppfr_resilience::with_budget(&ppfr_resilience::Budget::unlimited(), || {
-            compute_influences_lissa(model, ctx, labels, train_ids, l_s, sample, &degraded)
+            compute_influences_lissa(model, ctx, labels, train_ids, grads, &degraded)
         })
     } else {
         compute_influences(
@@ -74,23 +77,25 @@ pub fn fairness_weights(
             ctx,
             labels,
             train_ids,
-            l_s,
-            sample,
+            grads,
             &cfg.influence_config(),
         )
     };
     let problem = QclpProblem {
-        bias_influence: influences.bias.clone(),
-        util_influence: influences.util.clone(),
+        bias_influence: bias,
+        util_influence: util,
         alpha: cfg.qclp_alpha,
         beta: cfg.qclp_beta,
     };
-    let solution = solve(&problem, &SolverOptions::default());
+    let solution = {
+        let _span = ppfr_telemetry::span!("qclp");
+        solve(&problem, &SolverOptions::default())
+    };
     let loss_weights: Vec<f64> = solution.weights.iter().map(|w| 1.0 + w).collect();
     ReweightOutcome {
         weights: solution.weights,
         loss_weights,
-        influences,
+        bias_influence: problem.bias_influence,
         predicted_bias_change: solution.objective,
     }
 }
@@ -101,8 +106,6 @@ mod tests {
     use ppfr_datasets::{generate, two_block_synthetic};
     use ppfr_gnn::{train, ModelKind};
     use ppfr_graph::{jaccard_similarity, similarity_laplacian};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn weights_are_bounded_feasible_and_predict_bias_reduction() {
@@ -122,18 +125,8 @@ mod tests {
         );
         let s = jaccard_similarity(&ds.graph);
         let l_s = similarity_laplacian(&s);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let sample = PairSample::balanced(&ds.graph, &mut rng);
 
-        let outcome = fairness_weights(
-            &model,
-            &ctx,
-            &ds.labels,
-            &ds.splits.train,
-            &l_s,
-            &sample,
-            &cfg,
-        );
+        let outcome = fairness_weights(&model, &ctx, &ds.labels, &ds.splits.train, &l_s, &cfg);
         assert_eq!(outcome.weights.len(), ds.splits.train.len());
         assert!(outcome
             .weights

@@ -1,23 +1,19 @@
-//! The influence engine: per-node influences on utility, bias and risk.
+//! The influence engine: the influence of every training node on the
+//! interested functions a caller asks for.
 //!
 //! Every estimator ends in one adjoint-trick tail,
 //! [`influences_from_adjoints`]: a single forward pass at `θ*`, then one
 //! backward pass per training node whose parameter gradient is dotted with
 //! every solved adjoint.  [`compute_influences`] and
-//! [`compute_influences_lissa`] run their three solves first and the tail
-//! once; [`influence_on`], [`crate::lissa_influence_on`] and
-//! [`influence_from_s_f`] are its one-adjoint case.
+//! [`compute_influences_lissa`] take the interested functions' parameter
+//! gradients, run one solve per gradient and then the tail once;
+//! [`influence_from_s_f`] is the tail's one-adjoint case.
 
 use crate::lissa::lissa_adjoint;
-use crate::{
-    bias_grad_wrt_params, conjugate_gradient, hessian_vector_product_with, risk_grad_wrt_params,
-    training_loss_grad, HvpScratch, LissaConfig,
-};
+use crate::{conjugate_gradient, hessian_vector_product_with, HvpScratch, LissaConfig};
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext, TrainWorkspace};
-use ppfr_graph::SparseMatrix;
 use ppfr_linalg::{par_rows, row_softmax_into, Matrix};
 use ppfr_nn::cross_entropy_node_into;
-use ppfr_privacy::PairSample;
 
 /// Training nodes per task of [`influences_from_adjoints`]: each block clones
 /// the forward-filled workspace once, then runs one backward pass per node.
@@ -49,18 +45,6 @@ impl Default for InfluenceConfig {
     }
 }
 
-/// Influence of every labelled training node on the three interested
-/// functions, aligned with `train_ids`.
-#[derive(Debug, Clone)]
-pub struct InfluenceSet {
-    /// `I_futil(w_v)` — effect of leaving node `v` out on the training loss.
-    pub util: Vec<f64>,
-    /// `I_fbias(w_v)` — effect on the InFoRM bias.
-    pub bias: Vec<f64>,
-    /// `I_frisk(w_v)` — effect on the edge-privacy risk.
-    pub risk: Vec<f64>,
-}
-
 /// The adjoint `s_f = (H + λI)⁻¹ ∇_θ f` by damped conjugate gradient.
 ///
 /// The Hessian-vector products run through one persistent [`HvpScratch`], so
@@ -87,26 +71,6 @@ fn cg_adjoint(
         )
     };
     conjugate_gradient(apply, grad_f, cfg.cg_iters, cfg.cg_tol)
-}
-
-/// Influence of each training node on an arbitrary interested function whose
-/// parameter gradient is `grad_f`:
-/// `I_f(w_v) = −∇_θ f(θ*)ᵀ (H + λI)⁻¹ ∇_θ L(v)`.
-///
-/// Uses the adjoint trick: one CG solve for `s_f = (H+λI)⁻¹ ∇_θ f`, then the
-/// shared tail ([`influence_from_s_f`]) dots it with every per-node loss
-/// gradient.
-pub fn influence_on(
-    model: &AnyModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    grad_f: &[f64],
-    cfg: &InfluenceConfig,
-) -> Vec<f64> {
-    let _span = ppfr_telemetry::span!("influence");
-    let s_f = cg_adjoint(model, ctx, labels, train_ids, grad_f, cfg);
-    influence_from_s_f(model, ctx, labels, train_ids, &s_f)
 }
 
 /// The one-adjoint case of the shared tail (`influences_from_adjoints`):
@@ -184,81 +148,72 @@ pub(crate) fn influences_from_adjoints<const K: usize>(
     out
 }
 
-/// The parameter gradients of the three interested functions at the model's
-/// current parameters: utility (the unit-weight training loss), bias, risk.
-fn interested_grads(
-    model: &AnyModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    l_s: &SparseMatrix,
-    sample: &PairSample,
-) -> [Vec<f64>; 3] {
-    let _span = ppfr_telemetry::span!("influence_grads");
-    [
-        training_loss_grad(model, ctx, labels, train_ids),
-        bias_grad_wrt_params(model, ctx, l_s),
-        risk_grad_wrt_params(model, ctx, sample),
-    ]
-}
-
-/// Computes [`InfluenceSet`] for the model at its current (vanilla-trained)
-/// parameters: influences on utility (Eq. 11), bias and risk (Eq. 12).
+/// The influence of every training node on each interested function whose
+/// parameter gradient is in `grads`:
+/// `I_f(w_v) = −∇_θ f(θ*)ᵀ (H + λI)⁻¹ ∇_θ L(v)` (Eqs. 11–12), one vector per
+/// gradient, each in `train_ids` order.
 ///
-/// Three CG solves, one per interested function, then one shared tail for
-/// all three adjoints, so each per-node gradient is computed once.
-pub fn compute_influences(
+/// One CG solve per gradient, then one shared tail for all the adjoints, so
+/// each per-node gradient is computed once.  Every solve has its own
+/// [`HvpScratch`] and the tail dots each adjoint separately, so an influence
+/// is bit-identical whichever other gradients are passed with it.
+pub fn compute_influences<const K: usize>(
     model: &AnyModel,
     ctx: &GraphContext,
     labels: &[usize],
     train_ids: &[usize],
-    l_s: &SparseMatrix,
-    sample: &PairSample,
+    grads: [&[f64]; K],
     cfg: &InfluenceConfig,
-) -> InfluenceSet {
+) -> [Vec<f64>; K] {
     let _span = ppfr_telemetry::span!("influence");
-    let grads = interested_grads(model, ctx, labels, train_ids, l_s, sample);
-    let [s_util, s_bias, s_risk] =
-        grads.map(|grad_f| cg_adjoint(model, ctx, labels, train_ids, &grad_f, cfg));
-    let [util, bias, risk] =
-        influences_from_adjoints(model, ctx, labels, train_ids, [&s_util, &s_bias, &s_risk]);
-    InfluenceSet { util, bias, risk }
+    let adjoints = grads.map(|grad_f| cg_adjoint(model, ctx, labels, train_ids, grad_f, cfg));
+    influences_from_adjoints(
+        model,
+        ctx,
+        labels,
+        train_ids,
+        adjoints.each_ref().map(Vec::as_slice),
+    )
 }
 
 /// [`compute_influences`] with the stochastic LiSSA estimator in place of the
 /// exact CG solve — the degraded rung of the resilience ladder (and the
-/// opt-in fast path when `lissa_depth` is configured).  Shares the gradient
-/// and adjoint-tail code with the exact path, so only the inverse-Hessian
-/// solve differs; callers must flag results as approximate (the runner
-/// records a [`ppfr_resilience::DegradationEvent`] per downgrade).
-pub fn compute_influences_lissa(
+/// opt-in fast path when `lissa_depth` is configured).  Only the
+/// inverse-Hessian solve differs, and each chain's batches depend only on
+/// the seed, the chain and the iteration; callers must flag results as
+/// approximate (the runner records a [`ppfr_resilience::DegradationEvent`]
+/// per downgrade).
+pub fn compute_influences_lissa<const K: usize>(
     model: &AnyModel,
     ctx: &GraphContext,
     labels: &[usize],
     train_ids: &[usize],
-    l_s: &SparseMatrix,
-    sample: &PairSample,
+    grads: [&[f64]; K],
     cfg: &LissaConfig,
-) -> InfluenceSet {
+) -> [Vec<f64>; K] {
     let _span = ppfr_telemetry::span!("influence");
-    let grads = interested_grads(model, ctx, labels, train_ids, l_s, sample);
-    let [s_util, s_bias, s_risk] =
-        grads.map(|grad_f| lissa_adjoint(model, ctx, labels, train_ids, &grad_f, cfg));
-    let [util, bias, risk] =
-        influences_from_adjoints(model, ctx, labels, train_ids, [&s_util, &s_bias, &s_risk]);
-    InfluenceSet { util, bias, risk }
+    let adjoints = grads.map(|grad_f| lissa_adjoint(model, ctx, labels, train_ids, grad_f, cfg));
+    influences_from_adjoints(
+        model,
+        ctx,
+        labels,
+        train_ids,
+        adjoints.each_ref().map(Vec::as_slice),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradients::node_loss_grad;
+    use crate::{bias_grad_wrt_params, risk_grad_wrt_params, training_loss_grad};
     use ppfr_datasets::{generate, two_block_synthetic};
     use ppfr_fairness::bias;
     use ppfr_gnn::{train, ModelKind, TrainConfig};
-    use ppfr_graph::{jaccard_similarity, similarity_laplacian};
+    use ppfr_graph::{jaccard_similarity, similarity_laplacian, SparseMatrix};
     use ppfr_linalg::parallel::with_forced_threads;
     use ppfr_linalg::{pearson, row_softmax};
+    use ppfr_privacy::PairSample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -305,6 +260,16 @@ mod tests {
         }
     }
 
+    /// The parameter gradients of utility, bias and risk at `model`'s
+    /// parameters.
+    fn utility_bias_risk_grads(model: &AnyModel, s: &Setup) -> [Vec<f64>; 3] {
+        [
+            training_loss_grad(model, &s.ctx, &s.labels, &s.train_ids),
+            bias_grad_wrt_params(model, &s.ctx, &s.l_s),
+            risk_grad_wrt_params(model, &s.ctx, &s.sample),
+        ]
+    }
+
     #[test]
     fn influences_are_finite_and_aligned_with_training_nodes() {
         let s = trained_setup();
@@ -312,20 +277,16 @@ mod tests {
             cg_iters: 15,
             ..Default::default()
         };
-        let inf = compute_influences(
+        let grads = utility_bias_risk_grads(&s.model, &s);
+        let [util, bias, risk] = compute_influences(
             &s.model,
             &s.ctx,
             &s.labels,
             &s.train_ids,
-            &s.l_s,
-            &s.sample,
+            grads.each_ref().map(Vec::as_slice),
             &cfg,
         );
-        for (name, values) in [
-            ("util", &inf.util),
-            ("bias", &inf.bias),
-            ("risk", &inf.risk),
-        ] {
+        for (name, values) in [("util", &util), ("bias", &bias), ("risk", &risk)] {
             assert_eq!(values.len(), s.train_ids.len(), "{name} length");
             assert!(
                 values.iter().all(|v| v.is_finite()),
@@ -337,28 +298,34 @@ mod tests {
             );
         }
         // Pearson correlation of bias/risk influences must be a valid value in [-1, 1].
-        let r = pearson(&inf.bias, &inf.risk);
+        let r = pearson(&bias, &risk);
         assert!((-1.0..=1.0).contains(&r), "correlation out of range: {r}");
     }
 
     #[test]
-    fn influence_on_is_bit_identical_across_thread_counts() {
+    fn compute_influences_is_bit_identical_across_thread_counts() {
         let s = trained_setup();
         let cfg = InfluenceConfig {
             cg_iters: 6,
             ..Default::default()
         };
         let grad_bias = bias_grad_wrt_params(&s.model, &s.ctx, &s.l_s);
-        let baseline = ppfr_linalg::parallel::with_forced_threads(1, || {
-            influence_on(&s.model, &s.ctx, &s.labels, &s.train_ids, &grad_bias, &cfg)
-        });
+        let run = || {
+            compute_influences(
+                &s.model,
+                &s.ctx,
+                &s.labels,
+                &s.train_ids,
+                [&grad_bias],
+                &cfg,
+            )
+        };
+        let baseline = with_forced_threads(1, run);
         for threads in [2, 8] {
-            let parallel = ppfr_linalg::parallel::with_forced_threads(threads, || {
-                influence_on(&s.model, &s.ctx, &s.labels, &s.train_ids, &grad_bias, &cfg)
-            });
             assert_eq!(
-                parallel, baseline,
-                "influence_on differs at {threads} threads"
+                with_forced_threads(threads, run),
+                baseline,
+                "compute_influences differs at {threads} threads"
             );
         }
     }
@@ -395,7 +362,14 @@ mod tests {
             ..Default::default()
         };
         let grad_bias = bias_grad_wrt_params(&s.model, &s.ctx, &s.l_s);
-        let inf_bias = influence_on(&s.model, &s.ctx, &s.labels, &s.train_ids, &grad_bias, &cfg);
+        let [inf_bias] = compute_influences(
+            &s.model,
+            &s.ctx,
+            &s.labels,
+            &s.train_ids,
+            [&grad_bias],
+            &cfg,
+        );
 
         // Most harmful node: leaving it out should *reduce* bias the most,
         // i.e. its influence value is the minimum (most negative).
@@ -520,30 +494,16 @@ mod tests {
     }
 
     #[test]
-    fn compute_influences_equals_three_single_adjoint_calls() {
+    fn k_gradient_calls_equal_k_single_gradient_calls_for_both_estimators() {
+        // Each solve has its own scratch, LiSSA's batches depend only on
+        // (seed, chain, iteration) and the tail dots each adjoint on its own,
+        // so an influence does not depend on which others are asked with it.
         let s = trained_setup();
-        let cfg = InfluenceConfig {
+        let cg = InfluenceConfig {
             cg_iters: 4,
             ..Default::default()
         };
-        for model in every_kind(&s.ctx, s.model.n_classes()) {
-            let (ctx, labels, ids) = (&s.ctx, &s.labels, &s.train_ids);
-            let shared = compute_influences(&model, ctx, labels, ids, &s.l_s, &s.sample, &cfg);
-            let single = interested_grads(&model, ctx, labels, ids, &s.l_s, &s.sample)
-                .map(|grad_f| influence_on(&model, ctx, labels, ids, &grad_f, &cfg));
-            assert_eq!(
-                bits(&[shared.util, shared.bias, shared.risk]),
-                bits(&single),
-                "{:?}",
-                model.kind()
-            );
-        }
-    }
-
-    #[test]
-    fn compute_influences_lissa_equals_three_single_adjoint_calls() {
-        let s = trained_setup();
-        let cfg = LissaConfig {
+        let lissa = LissaConfig {
             depth: 3,
             batch: 8,
             samples: 2,
@@ -552,14 +512,23 @@ mod tests {
         };
         for model in every_kind(&s.ctx, s.model.n_classes()) {
             let (ctx, labels, ids) = (&s.ctx, &s.labels, &s.train_ids);
-            let shared =
-                compute_influences_lissa(&model, ctx, labels, ids, &s.l_s, &s.sample, &cfg);
-            let single = interested_grads(&model, ctx, labels, ids, &s.l_s, &s.sample)
-                .map(|grad_f| crate::lissa_influence_on(&model, ctx, labels, ids, &grad_f, &cfg));
+            let grads = utility_bias_risk_grads(&model, &s);
+            let grads = grads.each_ref().map(Vec::as_slice);
+            let single = grads.map(|g| compute_influences(&model, ctx, labels, ids, [g], &cg));
+            let shared = compute_influences(&model, ctx, labels, ids, grads, &cg);
             assert_eq!(
-                bits(&[shared.util, shared.bias, shared.risk]),
-                bits(&single),
-                "{:?}",
+                bits(&shared),
+                bits(single.as_flattened()),
+                "CG, {:?}",
+                model.kind()
+            );
+            let single =
+                grads.map(|g| compute_influences_lissa(&model, ctx, labels, ids, [g], &lissa));
+            let shared = compute_influences_lissa(&model, ctx, labels, ids, grads, &lissa);
+            assert_eq!(
+                bits(&shared),
+                bits(single.as_flattened()),
+                "LiSSA, {:?}",
                 model.kind()
             );
         }

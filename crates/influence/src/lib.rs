@@ -9,10 +9,12 @@
 //!   materialised;
 //! * the influence of a training node on an *interested function* `f`
 //!   (utility, `f_bias`, `f_risk`): `I_f(w_v) = −∇_θ f(θ*)ᵀ H⁻¹ ∇_θ L(v)`,
-//!   computed with the adjoint trick: one CG solve per `f`, then one shared
-//!   tail — a single forward pass and one backward pass per training node,
-//!   whose gradient is dotted with every adjoint — so each per-node gradient
-//!   is computed once for utility, bias and risk together;
+//!   computed with the adjoint trick: the caller passes the gradients of the
+//!   functions it reads (the re-weighting utility and bias, Table II bias
+//!   and risk), and the engine runs one CG solve per gradient, then one
+//!   shared tail — a single forward pass and one backward pass per training
+//!   node, whose gradient is dotted with every adjoint — so each per-node
+//!   gradient is computed once for all of them;
 //! * the Pearson correlation between `I_fbias` and `I_frisk` (Table II).
 
 #![forbid(unsafe_code)]
@@ -24,13 +26,12 @@ mod lissa;
 mod risk_grad;
 
 pub use engine::{
-    compute_influences, compute_influences_lissa, influence_from_s_f, influence_on,
-    InfluenceConfig, InfluenceSet,
+    compute_influences, compute_influences_lissa, influence_from_s_f, InfluenceConfig,
 };
 pub use gradients::{
     bias_grad_wrt_params, risk_grad_wrt_params, training_loss_grad, training_loss_grad_ws,
 };
 pub use hvp::{conjugate_gradient, hessian_vector_product_with, HvpScratch};
-pub use lissa::{lissa_influence_on, LissaConfig};
+pub use lissa::LissaConfig;
 pub use ppfr_linalg::pearson;
 pub use risk_grad::{sq_risk_gradient_wrt_probs, sq_risk_score};

@@ -1,6 +1,6 @@
 //! LiSSA — stochastic inverse-Hessian-vector products (Agarwal et al., 2017).
 //!
-//! The exact engine ([`crate::influence_on`]) solves
+//! The exact engine ([`crate::compute_influences`]) solves
 //! `s_f = (H + λI)⁻¹ ∇_θ f` with conjugate gradient over *full-batch*
 //! Hessian-vector products: every CG iteration touches all labelled nodes.
 //! At large `n` that is the dominant influence cost, so this module provides
@@ -16,11 +16,11 @@
 //! chosen so every eigenvalue of `A/c` lies in `(0, 2)` (estimated by
 //! deterministic power iteration when not given), and the final estimate is
 //! averaged over [`LissaConfig::samples`] independent chains.  Each HVP runs
-//! through the same persistent [`HvpScratch`] the CG path uses, and the
-//! per-node tail is the shared `influences_from_adjoints` — one forward
-//! pass, then one backward pass per training node for every adjoint at once
-//! (three in [`crate::compute_influences_lissa`]) — so the two estimators
-//! differ only in how they solve the linear system.
+//! through the same persistent [`HvpScratch`] the CG path uses, and
+//! [`crate::compute_influences_lissa`] ends in the shared tail
+//! `influences_from_adjoints` — one forward pass, then one backward pass per
+//! training node for every adjoint the caller asked for — so the two
+//! estimators differ only in how they solve the linear system.
 //!
 //! Everything is deterministic in `(LissaConfig::seed, chain, iteration)` —
 //! the batch draws use seeded `StdRng` streams, never ambient randomness.
@@ -37,7 +37,7 @@
 //! but are *not* within the pinned tolerance — the deviation from the
 //! paper's exact protocol is documented in PAPER.md.
 
-use crate::{hessian_vector_product_with, influence_from_s_f, HvpScratch, InfluenceConfig};
+use crate::{hessian_vector_product_with, HvpScratch, InfluenceConfig};
 use ppfr_gnn::{AnyModel, GraphContext};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -143,24 +143,6 @@ fn auto_scale(
         }
     }
     (1.3 * lambda).max(cfg.damping.max(1e-6))
-}
-
-/// Stochastic LiSSA estimate of the influence of every training node on the
-/// interested function with parameter gradient `grad_f`:
-/// `I_f(w_v) ≈ −s_f · ∇_θ L(v)` with `s_f` from the truncated mini-batch
-/// Neumann series.  Drop-in alternative to [`crate::influence_on`]; see the
-/// module docs for the accuracy contract.
-pub fn lissa_influence_on(
-    model: &AnyModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    grad_f: &[f64],
-    cfg: &LissaConfig,
-) -> Vec<f64> {
-    let _span = ppfr_telemetry::span!("influence");
-    let s_f = lissa_adjoint(model, ctx, labels, train_ids, grad_f, cfg);
-    influence_from_s_f(model, ctx, labels, train_ids, &s_f)
 }
 
 /// The LiSSA estimate of the adjoint `s_f ≈ (H + λI)⁻¹ ∇_θ f`: the averaged

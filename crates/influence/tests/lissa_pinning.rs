@@ -9,7 +9,8 @@ use ppfr_datasets::{generate, two_block_synthetic};
 use ppfr_gnn::{train, AnyModel, GraphContext, ModelKind, TrainConfig};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_influence::{
-    bias_grad_wrt_params, influence_on, lissa_influence_on, pearson, InfluenceConfig, LissaConfig,
+    bias_grad_wrt_params, compute_influences, compute_influences_lissa, pearson, InfluenceConfig,
+    LissaConfig,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -65,14 +66,27 @@ fn exact_influences(s: &Setup, damping: f64) -> Vec<f64> {
         cg_tol: 1e-10,
         fd_step: 1e-4,
     };
-    influence_on(
+    let [exact] = compute_influences(
         &s.model,
         &s.ctx,
         &s.labels,
         &s.train_ids,
-        &s.grad_bias,
+        [&s.grad_bias],
         &cfg,
-    )
+    );
+    exact
+}
+
+fn lissa_influences(s: &Setup, cfg: &LissaConfig) -> Vec<f64> {
+    let [approx] = compute_influences_lissa(
+        &s.model,
+        &s.ctx,
+        &s.labels,
+        &s.train_ids,
+        [&s.grad_bias],
+        cfg,
+    );
+    approx
 }
 
 fn relative_l2_error(got: &[f64], want: &[f64]) -> f64 {
@@ -114,9 +128,7 @@ proptest! {
             samples: 1,
             seed,
         };
-        let approx = lissa_influence_on(
-            &s.model, &s.ctx, &s.labels, &s.train_ids, &s.grad_bias, &lissa_cfg,
-        );
+        let approx = lissa_influences(s, &lissa_cfg);
         prop_assert!(approx.iter().all(|v| v.is_finite()), "non-finite LiSSA scores");
         let err = relative_l2_error(&approx, &exact);
         prop_assert!(
@@ -151,14 +163,7 @@ fn mini_batch_lissa_stays_rank_correlated_with_the_exact_engine() {
         samples: 4,
         seed: 17,
     };
-    let approx = lissa_influence_on(
-        &s.model,
-        &s.ctx,
-        &s.labels,
-        &s.train_ids,
-        &s.grad_bias,
-        &lissa_cfg,
-    );
+    let approx = lissa_influences(s, &lissa_cfg);
     assert!(approx.iter().all(|v| v.is_finite()));
     let r = pearson(&approx, &exact);
     assert!(
@@ -179,16 +184,7 @@ fn lissa_is_deterministic_and_bit_identical_across_thread_counts() {
         samples: 2,
         seed: 23,
     };
-    let run = || {
-        lissa_influence_on(
-            &s.model,
-            &s.ctx,
-            &s.labels,
-            &s.train_ids,
-            &s.grad_bias,
-            &lissa_cfg,
-        )
-    };
+    let run = || lissa_influences(s, &lissa_cfg);
     let baseline = ppfr_linalg::parallel::with_forced_threads(1, run);
     assert_eq!(baseline, run(), "LiSSA must be deterministic run-to-run");
     let parallel = ppfr_linalg::parallel::with_forced_threads(4, run);

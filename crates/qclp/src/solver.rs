@@ -173,6 +173,16 @@ pub fn solve(problem: &QclpProblem, options: &SolverOptions) -> QclpSolution {
         problem.alpha >= 0.0 && problem.beta >= 0.0,
         "alpha and beta must be non-negative"
     );
+    // A NaN coefficient survives every projection, so no iterate would ever
+    // pass the feasibility check and the repair loop would never return.
+    assert!(
+        problem
+            .bias_influence
+            .iter()
+            .chain(&problem.util_influence)
+            .all(|v| v.is_finite()),
+        "bias and utility influences must be finite"
+    );
     let n = problem.len();
     if n == 0 {
         return QclpSolution {
@@ -319,6 +329,18 @@ mod tests {
         let sol = default_solve(&problem);
         assert!(sol.weights.is_empty());
         assert_eq!(sol.iterations, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias and utility influences must be finite")]
+    fn non_finite_influence_is_rejected_instead_of_looping_forever() {
+        let problem = QclpProblem {
+            bias_influence: vec![0.5, f64::NAN, -0.2],
+            util_influence: vec![0.1, 0.3, 0.2],
+            alpha: 0.9,
+            beta: 0.1,
+        };
+        default_solve(&problem);
     }
 
     #[test]

@@ -159,8 +159,8 @@ pub fn checkpoint(units: u64) -> bool {
 }
 
 /// `true` when an ambient budget is installed and already exhausted — the
-/// trigger for the graceful-degradation ladder (dense CG → LiSSA, full pair
-/// sample → capped).  `false` when no budget is installed.
+/// trigger for the graceful-degradation ladder (dense CG → LiSSA).  `false`
+/// when no budget is installed.
 pub fn budget_exhausted() -> bool {
     AMBIENT.with(|slot| {
         slot.borrow()
@@ -173,7 +173,7 @@ pub fn budget_exhausted() -> bool {
 /// replaced by the cheaper `to` path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationEvent {
-    /// Where the ladder stepped down (e.g. `influence`, `pair_sample`).
+    /// Where the ladder stepped down (e.g. `influence`).
     pub site: String,
     /// The exact estimator that was skipped.
     pub from: String,
@@ -294,10 +294,10 @@ mod tests {
         let ((), outer) = collect_degradations(|| {
             note_degradation("influence", "cg", "lissa");
             let ((), inner) = collect_degradations(|| {
-                note_degradation("pair_sample", "balanced", "capped");
+                note_degradation("inner", "exact", "approx");
             });
             assert_eq!(inner.len(), 1);
-            assert_eq!(inner[0].site, "pair_sample");
+            assert_eq!(inner[0].site, "inner");
         });
         assert_eq!(
             outer.len(),

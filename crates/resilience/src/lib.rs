@@ -23,8 +23,8 @@
 //!   zero-overhead gate: when no plan is installed, every query is a single
 //!   relaxed atomic load ([`armed`]), mirroring `PPFR_TELEMETRY`'s gating.
 //! * [`note_degradation`] / [`collect_degradations`] — the ambient event log
-//!   that carries graceful-degradation decisions (dense CG → LiSSA, full
-//!   pair sample → capped) from deep library code into the runner's report.
+//!   that carries graceful-degradation decisions (dense CG → LiSSA) from
+//!   deep library code into the runner's report.
 //!
 //! Everything is deterministic: budgets count units, retries count attempts,
 //! fault probability draws hash `(plan seed, site, key, occurrence)`.  No

@@ -154,7 +154,7 @@ pub struct DegradedCell {
     pub method: String,
     /// The run seed.
     pub seed: u64,
-    /// Where the downgrade happened (e.g. `influence`, `pair_sample`).
+    /// Where the downgrade happened (e.g. `influence`).
     pub site: String,
     /// The exact estimator that was abandoned.
     pub from: String,

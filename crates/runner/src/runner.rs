@@ -330,6 +330,22 @@ mod tests {
             assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
             assert!(err.to_string().contains("dp_epsilon"), "{err}");
         }
+        // A negative perturbation ratio would panic every PPFR cell, and a
+        // NaN damping would make every influence NaN, which the QCLP of
+        // every DPFR cell rejects: both must stop at validation instead.
+        let bad = tiny_scenario()
+            .with_methods(&[Method::Vanilla, Method::Ppfr])
+            .with_perturb_ratio(-0.5);
+        let err = run_scenario(&bad, &cache).expect_err("invalid perturbation ratio");
+        assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+        assert!(err.to_string().contains("perturb_ratio"), "{err}");
+        let mut bad = tiny_scenario()
+            .with_methods(&[Method::Vanilla, Method::DpFr])
+            .with_seeds(&[7]);
+        bad.config.influence_damping = f64::NAN;
+        let err = run_scenario(&bad, &cache).expect_err("invalid Hessian damping");
+        assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+        assert!(err.to_string().contains("influence_damping"), "{err}");
         assert!(cache.is_empty(), "nothing was built for an invalid spec");
     }
 
@@ -393,8 +409,11 @@ mod tests {
             "an exhausted budget must be flagged as degradation"
         );
         let sites: Vec<&str> = report.degraded.iter().map(|d| d.site.as_str()).collect();
-        assert!(sites.contains(&"pair_sample"), "sites: {sites:?}");
         assert!(sites.contains(&"influence"), "sites: {sites:?}");
+        assert!(
+            !sites.contains(&"pair_sample"),
+            "the FR path draws no pair sample, so it has none to degrade: {sites:?}"
+        );
         for d in &report.degraded {
             assert_eq!(d.method, "PPFR", "only the FR method walks the ladder");
         }

@@ -40,8 +40,8 @@ pub struct ScenarioSpec {
     /// (training epochs, CG/LiSSA iterations).  `None` runs the exact
     /// protocol unbounded; `Some(n)` makes every cell deadline-aware — on
     /// exhaustion the pipelines degrade gracefully (truncated training,
-    /// shallow LiSSA, capped pair sample) and every downgrade is recorded in
-    /// the report's `degraded` section.
+    /// shallow LiSSA) and every downgrade is recorded in the report's
+    /// `degraded` section.
     pub cell_budget: Option<u64>,
     /// Total attempts per cell (first try included, ≥ 1): a transient cell
     /// failure is retried deterministically before the cell is quarantined
@@ -106,7 +106,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the heterophilic-perturbation ratio γ knob.
+    /// Sets the heterophilic-perturbation ratio γ knob; [`ScenarioSpec::validate`]
+    /// rejects a value that is not finite and non-negative.
     pub fn with_perturb_ratio(mut self, gamma: f64) -> Self {
         self.config.perturb_ratio = gamma;
         self
@@ -159,8 +160,11 @@ impl ScenarioSpec {
     /// (cells are keyed by the dataset name string), silently doubling `n` —
     /// as well as a zero attempt count, a negative or non-finite QCLP budget
     /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
-    /// re-weighting cell, and a DP budget `dp_epsilon` that is not finite and
-    /// positive, which would fail every DPReg and DPFR cell.
+    /// re-weighting cell, a negative or non-finite `perturb_ratio`, which
+    /// would panic every PPFR cell, or `influence_damping`, which can leave
+    /// that QCLP with non-finite influences, and a DP budget `dp_epsilon`
+    /// that is not finite and positive, which would fail every DPReg and DPFR
+    /// cell.
     pub fn validate(&self) -> Result<(), String> {
         if self.datasets.is_empty()
             || self.models.is_empty()
@@ -190,13 +194,16 @@ impl ScenarioSpec {
                 self.name
             ));
         }
-        for (knob, value) in [
-            ("qclp_alpha", self.config.qclp_alpha),
-            ("qclp_beta", self.config.qclp_beta),
+        let c = &self.config;
+        for (what, knob, value) in [
+            ("QCLP budget", "qclp_alpha", c.qclp_alpha),
+            ("QCLP budget", "qclp_beta", c.qclp_beta),
+            ("perturbation ratio", "perturb_ratio", c.perturb_ratio),
+            ("Hessian damping", "influence_damping", c.influence_damping),
         ] {
             if !(value.is_finite() && value >= 0.0) {
                 return Err(format!(
-                    "scenario '{}' has QCLP budget {knob} = {value}; it must be finite and \
+                    "scenario '{}' has {what} {knob} = {value}; it must be finite and \
                      non-negative",
                     self.name
                 ));

@@ -256,8 +256,8 @@ fn budget_exhaustion_fault_walks_the_degradation_ladder() {
             "dense CG must fall back to LiSSA: {sites:?}"
         );
         assert!(
-            sites.contains(&("pair_sample", "capped")),
-            "the pair sample must fall back to the cap: {sites:?}"
+            !sites.iter().any(|&(site, _)| site == "pair_sample"),
+            "the FR path draws no pair sample, so it has none to degrade: {sites:?}"
         );
         for d in &report.degraded {
             assert_eq!(
