@@ -493,17 +493,37 @@ mod tests {
         }
     }
 
+    // Each solve has its own scratch, LiSSA's batches depend only on
+    // (seed, chain, iteration) and the tail dots each adjoint on its own, so
+    // an influence does not depend on which others are asked with it: a
+    // K-gradient call equals K separate K = 1 calls, bit for bit.
+
     #[test]
-    fn k_gradient_calls_equal_k_single_gradient_calls_for_both_estimators() {
-        // Each solve has its own scratch, LiSSA's batches depend only on
-        // (seed, chain, iteration) and the tail dots each adjoint on its own,
-        // so an influence does not depend on which others are asked with it.
+    fn compute_influences_equals_three_single_adjoint_calls() {
         let s = trained_setup();
-        let cg = InfluenceConfig {
+        let cfg = InfluenceConfig {
             cg_iters: 4,
             ..Default::default()
         };
-        let lissa = LissaConfig {
+        for model in every_kind(&s.ctx, s.model.n_classes()) {
+            let (ctx, labels, ids) = (&s.ctx, &s.labels, &s.train_ids);
+            let grads = utility_bias_risk_grads(&model, &s);
+            let grads = grads.each_ref().map(Vec::as_slice);
+            let shared = compute_influences(&model, ctx, labels, ids, grads, &cfg);
+            let single = grads.map(|g| compute_influences(&model, ctx, labels, ids, [g], &cfg));
+            assert_eq!(
+                bits(&shared),
+                bits(single.as_flattened()),
+                "{:?}",
+                model.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn compute_influences_lissa_equals_three_single_adjoint_calls() {
+        let s = trained_setup();
+        let cfg = LissaConfig {
             depth: 3,
             batch: 8,
             samples: 2,
@@ -514,21 +534,13 @@ mod tests {
             let (ctx, labels, ids) = (&s.ctx, &s.labels, &s.train_ids);
             let grads = utility_bias_risk_grads(&model, &s);
             let grads = grads.each_ref().map(Vec::as_slice);
-            let single = grads.map(|g| compute_influences(&model, ctx, labels, ids, [g], &cg));
-            let shared = compute_influences(&model, ctx, labels, ids, grads, &cg);
-            assert_eq!(
-                bits(&shared),
-                bits(single.as_flattened()),
-                "CG, {:?}",
-                model.kind()
-            );
+            let shared = compute_influences_lissa(&model, ctx, labels, ids, grads, &cfg);
             let single =
-                grads.map(|g| compute_influences_lissa(&model, ctx, labels, ids, [g], &lissa));
-            let shared = compute_influences_lissa(&model, ctx, labels, ids, grads, &lissa);
+                grads.map(|g| compute_influences_lissa(&model, ctx, labels, ids, [g], &cfg));
             assert_eq!(
                 bits(&shared),
                 bits(single.as_flattened()),
-                "LiSSA, {:?}",
+                "{:?}",
                 model.kind()
             );
         }
