@@ -496,9 +496,8 @@ fn main() {
     // Large-graph scaling scenario: sparse generation, streamed bias, capped
     // attack and neighbour-sampled training, with per-stage wall-clock
     // recovered from the telemetry spans (the scenario itself never reads a
-    // clock).  Spans are compile-time gated: build with `--features telemetry`
-    // or the `stages` list comes out empty (the report and total are always
-    // recorded).
+    // clock).  Recording is switched on for this section only and restored
+    // afterwards.
     let scaling = {
         use ppfr_runner::{run_scale_scenario, ScaleSpec};
         let spec = match scale {
@@ -513,22 +512,8 @@ fn main() {
         let tree = ppfr_telemetry::span_tree();
         ppfr_telemetry::set_enabled(was_enabled);
 
-        fn find<'a>(
-            nodes: &'a [ppfr_telemetry::SpanTree],
-            name: &str,
-        ) -> Option<&'a ppfr_telemetry::SpanTree> {
-            for node in nodes {
-                if node.name == name {
-                    return Some(node);
-                }
-                if let Some(found) = find(&node.children, name) {
-                    return Some(found);
-                }
-            }
-            None
-        }
         let mut stages = Vec::new();
-        if let Some(root) = find(&tree, "scale_scenario") {
+        if let Some(root) = ppfr_telemetry::find_span(&tree, "scale_scenario") {
             for child in &root.children {
                 let ms = child.total_ns as f64 / 1e6;
                 println!("{:<32} {:>9.1} ms", child.name, ms);

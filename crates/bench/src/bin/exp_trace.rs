@@ -4,14 +4,14 @@
 //! `BENCH_kernels.json`.
 //!
 //! Usage:
-//! `cargo run --release -p ppfr_bench --features telemetry --bin exp_trace -- \
+//! `cargo run --release -p ppfr_bench --bin exp_trace -- \
 //!     [--smoke] [--scenario NAME] [--out FILE]`
 //!
 //! `NAME` defaults to `bench-small`; `FILE` defaults to `TRACE_events.json`
-//! (load it in `chrome://tracing` or <https://ui.perfetto.dev>).  Without the
-//! `telemetry` cargo feature every instrumentation site is compiled out, so
-//! the binary still runs but reports nothing — it says so and exits non-zero
-//! to keep CI honest.
+//! (load it in `chrome://tracing` or <https://ui.perfetto.dev>).  The binary
+//! switches the telemetry and trace gates on itself, and asserts that the
+//! recorded tree holds one `runner_cell` span per run, so an empty trace
+//! fails the run.
 
 use ppfr_core::ExperimentScale;
 use ppfr_runner::{run_scenario, ArtifactCache, ScenarioRegistry};
@@ -96,13 +96,6 @@ fn main() {
     let name = arg_after("--scenario").unwrap_or("bench-small");
     let out_path = arg_after("--out").unwrap_or("TRACE_events.json");
 
-    if !ppfr_telemetry::compiled() {
-        eprintln!(
-            "exp_trace: built without the `telemetry` feature — every span and \
-             metric site is compiled out.  Re-run with `--features telemetry`."
-        );
-        std::process::exit(2);
-    }
     ppfr_telemetry::set_enabled(true);
     ppfr_telemetry::set_trace_enabled(true);
     ppfr_telemetry::reset();
@@ -160,11 +153,19 @@ fn main() {
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!("merged telemetry section into BENCH_kernels.json");
 
-    // Keep the run honest: the report must still aggregate the full matrix.
+    // Keep the run honest: the report must still aggregate the full matrix,
+    // and the trace must hold one cell span per run.
     assert_eq!(
         report.runs.len(),
         spec.n_runs(),
         "scenario must aggregate every run"
+    );
+    let cells = ppfr_telemetry::find_span(&ppfr_telemetry::span_tree(), "runner_cell")
+        .map_or(0, |node| node.count);
+    assert_eq!(
+        cells,
+        spec.n_runs() as u64,
+        "the trace must record one `runner_cell` span per run"
     );
     let scale_label = match scale {
         ExperimentScale::Full => "full",

@@ -63,16 +63,14 @@ static DISPATCH_SERIAL: ppfr_telemetry::Counter =
     ppfr_telemetry::Counter::new("linalg.dispatch.serial");
 
 /// Records one dispatch decision (pool vs serial fast path) in the telemetry
-/// metrics, and — on the first recorded decision — switches the vendored
-/// pool's own statistics counters on, so steal/park counts accompany the
-/// dispatch counts in every export.  A single static branch when telemetry
-/// is disabled; recording never influences the decision itself.
+/// metrics.  A single static branch when telemetry is disabled; recording
+/// never influences the decision itself.  The vendored pool's own
+/// statistics have their own switch (`rayon::set_pool_stats_enabled`),
+/// which each reader of those counters turns on itself.
 fn note_dispatch(pool: bool) {
     if !ppfr_telemetry::enabled() {
         return;
     }
-    static ENABLE_POOL_STATS: std::sync::Once = std::sync::Once::new();
-    ENABLE_POOL_STATS.call_once(|| rayon::set_pool_stats_enabled(true));
     if pool {
         DISPATCH_POOL.incr();
     } else {

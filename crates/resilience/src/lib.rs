@@ -50,9 +50,9 @@ pub use retry::{run_with_retry, RetryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Always-on relaxed tallies of resilience events, independent of the
-/// telemetry feature gate so benches and chaos tests can read them in every
-/// build.  All increments sit on failure/degradation paths, never on the
-/// fault-free hot path.
+/// telemetry gate so benches and chaos tests can read them whether or not
+/// telemetry is recording.  All increments sit on failure/degradation paths,
+/// never on the fault-free hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceCounters {
     /// Cell attempts re-run after a transient failure.

@@ -1,4 +1,4 @@
-//! Zero-overhead observability for the PPFR stack.
+//! Opt-in observability for the PPFR stack.
 //!
 //! Three facilities, all std-only and dependency-free:
 //!
@@ -16,29 +16,24 @@
 //!
 //! # Gating — why instrumentation can live on hot paths
 //!
-//! Everything funnels through [`enabled`]:
-//!
-//! * Without the `telemetry` **cargo feature** (the default), `enabled()` is
-//!   `cfg!(feature = "telemetry") && …` — a compile-time `false`, so every
-//!   instrumentation site in the workspace folds to a dead branch.
-//! * With the feature, `enabled()` is a single branch on a static atomic,
-//!   initialised once from the `PPFR_TELEMETRY` env var (`0`/`false`/`off`
-//!   disable; anything else, or unset, enables) and overridable via
-//!   [`set_enabled`].
+//! Everything funnels through [`enabled`], a single relaxed load of a static
+//! atomic.  Recording is opt-in: the gate starts off and switches on only
+//! when the `PPFR_TELEMETRY` env var is `1`, `true` or `on` (read once, on
+//! the first call) or a program calls [`set_enabled`]`(true)`.  While it is
+//! off every span and metric site returns after that one load: no clock
+//! read, no lock, no allocation.
 //!
 //! Recording never influences computation: telemetry only reads clocks and
 //! bumps counters, so the golden-metric suite and every forced-thread
 //! bit-identity test pass unchanged with telemetry on or off (pinned in
-//! CI's `obs-layer`).
+//! CI's `obs-layer` and by `crates/runner/tests/span_tree.rs`).
 //!
 //! Trace-event capture (per-span timestamps, for the chrome exporter) is a
-//! second, off-by-default gate ([`set_trace_enabled`] /
-//! `PPFR_TELEMETRY_TRACE=1`) because it allocates per span exit.
+//! second, off-by-default switch ([`set_trace_enabled`]) because it
+//! allocates per span exit.
 //!
-//! [`Stopwatch`] and [`time_ms`] are always available (no feature needed):
-//! they are the one wall-clock primitive the bench binaries time with, so
-//! bench timings and trace spans come from the same code path
-//! ([`time_span_ms`]).
+//! [`Stopwatch`] and [`time_ms`] do not depend on the gate: they are the one
+//! wall-clock primitive the bench binaries time with.
 
 #![forbid(unsafe_code)]
 
@@ -48,78 +43,60 @@ mod spans;
 
 pub use export::{chrome_trace_json, report};
 pub use metrics::{snapshot, Counter, Gauge, Histogram, HistogramValue, MetricValue};
-pub use spans::{span_tree, SpanGuard, SpanTree};
+pub use spans::{find_span, span_tree, SpanGuard, SpanTree};
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::Instant;
 
-/// Whether the `telemetry` cargo feature was compiled in.
-pub const fn compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
 /// Tri-state runtime gate: 0 = not yet read from the env, 1 = off, 2 = on.
-static RUNTIME_GATE: AtomicU8 = AtomicU8::new(0);
+static GATE: AtomicU8 = AtomicU8::new(0);
 
-fn runtime_enabled() -> bool {
-    // Relaxed everywhere: the gate value never orders access to other data;
-    // shards and registry entries are published by their own locks.
-    match RUNTIME_GATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = match std::env::var("PPFR_TELEMETRY") {
-                Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-                Err(_) => true,
-            };
-            RUNTIME_GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
+/// Whether a `PPFR_TELEMETRY` value switches recording on: `1`, `true` and
+/// `on` do; anything else, or an unset variable, leaves it off.
+fn env_enables(value: Option<&str>) -> bool {
+    matches!(value.map(str::trim), Some("1" | "true" | "on"))
 }
 
-/// True when telemetry is recording: the `telemetry` feature is compiled in
-/// **and** the runtime gate (env `PPFR_TELEMETRY`, [`set_enabled`]) is on.
+/// First-call path of [`enabled`]: reads `PPFR_TELEMETRY` into the gate.
+#[cold]
+fn init_gate_from_env() -> bool {
+    let on = env_enables(std::env::var("PPFR_TELEMETRY").ok().as_deref());
+    set_enabled(on);
+    on
+}
+
+/// True when telemetry is recording: `PPFR_TELEMETRY` is `1|true|on` or the
+/// gate was switched on by [`set_enabled`].  Off by default.
 ///
-/// With the feature off this is a compile-time `false`; with it on, a single
-/// branch on a static after the first call.
+/// A single relaxed load after the first call.  Relaxed is enough: the gate
+/// value never orders access to other data; shards and registry entries are
+/// published by their own locks.
 #[inline]
 pub fn enabled() -> bool {
-    compiled() && runtime_enabled()
-}
-
-/// Forces the runtime gate, overriding the `PPFR_TELEMETRY` env var.  A
-/// no-op effect-wise when the `telemetry` feature is not compiled in
-/// ([`enabled`] stays `false`).
-pub fn set_enabled(on: bool) {
-    RUNTIME_GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Tri-state trace gate, same encoding as [`RUNTIME_GATE`].
-static TRACE_GATE: AtomicU8 = AtomicU8::new(0);
-
-pub(crate) fn trace_enabled() -> bool {
-    if !enabled() {
-        return false;
-    }
-    match TRACE_GATE.load(Ordering::Relaxed) {
+    match GATE.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
-        _ => {
-            let on = std::env::var("PPFR_TELEMETRY_TRACE")
-                .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-                .unwrap_or(false);
-            TRACE_GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
+        _ => init_gate_from_env(),
     }
 }
 
-/// Turns per-span trace-event capture (for [`chrome_trace_json`]) on or off;
-/// overrides the `PPFR_TELEMETRY_TRACE` env var.  Off by default — events
-/// allocate per span exit, which general metric collection must not.
+/// Switches recording on or off, overriding the `PPFR_TELEMETRY` env var.
+pub fn set_enabled(on: bool) {
+    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+}
+
+/// Per-span trace-event capture, off until [`set_trace_enabled`].
+static TRACE: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn trace_enabled() -> bool {
+    enabled() && TRACE.load(Ordering::Relaxed)
+}
+
+/// Turns per-span trace-event capture (for [`chrome_trace_json`]) on or off.
+/// Off by default — events allocate per span exit, which general metric
+/// collection must not.  Captures only while [`enabled`] is also on.
 pub fn set_trace_enabled(on: bool) {
-    TRACE_GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    TRACE.store(on, Ordering::Relaxed);
 }
 
 /// Clears every recorded metric, span and trace event (the metric registry's
@@ -177,16 +154,17 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, sw.elapsed_ms())
 }
 
-/// Times `f` and, when telemetry is enabled, also records the measurement as
-/// a closed span named `name` under the current span (one clock pair feeds
-/// both the returned milliseconds and the span tree — bench timings and
-/// trace spans share this code path).
-pub fn time_span_ms<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    let end = Instant::now();
-    if enabled() {
-        spans::record_closed_span(name, start, end);
+#[cfg(test)]
+mod tests {
+    use super::env_enables;
+
+    #[test]
+    fn env_var_is_opt_in() {
+        for off in [None, Some("0"), Some("off"), Some("false"), Some("")] {
+            assert!(!env_enables(off), "{off:?} must leave telemetry off");
+        }
+        for on in [Some("1"), Some("true"), Some("on"), Some(" on ")] {
+            assert!(env_enables(on), "{on:?} must switch telemetry on");
+        }
     }
-    (out, end.duration_since(start).as_secs_f64() * 1e3)
 }

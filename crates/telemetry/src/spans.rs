@@ -184,28 +184,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Records an already-measured `[start, end]` interval as a closed span named
-/// `name` under the calling thread's innermost open span — the span-side half
-/// of [`crate::time_span_ms`].  Caller must have checked [`crate::enabled`].
-pub(crate) fn record_closed_span(name: &'static str, start: Instant, end: Instant) {
-    let dur_ns = u64::try_from(end.duration_since(start).as_nanos()).unwrap_or(u64::MAX);
-    let trace = crate::trace_enabled();
-    with_local(|spans, tid| {
-        let idx = spans.child_named(name);
-        spans.close(idx, dur_ns);
-        if trace {
-            let ts_ns = u64::try_from(start.saturating_duration_since(epoch()).as_nanos())
-                .unwrap_or(u64::MAX);
-            spans.trace.push(TraceEvent {
-                name,
-                ts_ns,
-                dur_ns,
-                tid,
-            });
-        }
-    });
-}
-
 /// One aggregated node of the merged span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanTree {
@@ -259,6 +237,16 @@ pub fn span_tree() -> Vec<SpanTree> {
         merge_into(&mut merged, &spans, &spans.roots.clone());
     }
     to_tree(merged)
+}
+
+/// The first node named `name` in a depth-first, pre-order walk of `nodes`
+/// (a merged tree holds each name at most once per parent).
+pub fn find_span<'a>(nodes: &'a [SpanTree], name: &str) -> Option<&'a SpanTree> {
+    nodes.iter().find_map(|node| {
+        (node.name == name)
+            .then_some(node)
+            .or_else(|| find_span(&node.children, name))
+    })
 }
 
 /// Drains and returns every thread's trace events (chrome exporter input),

@@ -1,16 +1,25 @@
-//! The zero-overhead contract: without the `telemetry` cargo feature the
-//! gate is a compile-time `false` and every recording site is a dead branch.
-//! This suite runs in both configurations (CI's `obs-layer` builds it with
-//! and without the feature) and asserts the behaviour of whichever gate is
-//! active; the always-available stopwatch API is covered here too.
+//! The opt-in contract: the gate is off unless `PPFR_TELEMETRY` or
+//! `set_enabled(true)` turns it on, and while it is off every recording site
+//! is a no-op.  The gate-independent stopwatch API is covered here too.
 
 use ppfr_telemetry as tel;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The gate's value before any test switched it, read with `PPFR_TELEMETRY`
+/// unset.  Every gate test calls this first, so whichever runs first takes
+/// the reading.
+fn default_gate() -> bool {
+    static DEFAULT: OnceLock<bool> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::remove_var("PPFR_TELEMETRY");
+        tel::enabled()
+    })
 }
 
 #[test]
@@ -28,36 +37,26 @@ fn stopwatch_and_time_ms_are_always_available() {
     let (out, ms) = tel::time_ms(|| 21 * 2);
     assert_eq!(out, 42);
     assert!(ms >= 0.0);
-    let (out, ms) = tel::time_span_ms("gate_timed", || "x");
-    assert_eq!(out, "x");
-    assert!(ms >= 0.0);
 }
 
 #[test]
-fn gate_reflects_feature_and_runtime_switch() {
+fn gate_is_off_by_default_and_follows_set_enabled() {
     let _l = lock();
-    if tel::compiled() {
-        tel::set_enabled(false);
-        assert!(!tel::enabled(), "runtime off must win");
-        tel::set_enabled(true);
-        assert!(tel::enabled(), "feature + runtime on must enable");
-    } else {
-        tel::set_enabled(true);
-        assert!(
-            !tel::enabled(),
-            "without the feature the gate must stay hard-off"
-        );
-    }
+    assert!(!default_gate(), "telemetry must be opt-in");
+    tel::set_enabled(true);
+    assert!(tel::enabled(), "set_enabled(true) must switch recording on");
+    tel::set_enabled(false);
+    assert!(
+        !tel::enabled(),
+        "set_enabled(false) must switch it off again"
+    );
 }
 
 #[test]
 fn disabled_recording_is_a_no_op() {
     let _l = lock();
-    if tel::compiled() {
-        // The enabled semantics are covered by the feature-gated suites.
-        return;
-    }
-    tel::set_enabled(true); // must have no effect without the feature
+    default_gate();
+    tel::set_enabled(false);
     static COUNTER: tel::Counter = tel::Counter::new("gate.counter");
     static GAUGE: tel::Gauge = tel::Gauge::new("gate.gauge");
     static HIST: tel::Histogram = tel::Histogram::new("gate.hist");

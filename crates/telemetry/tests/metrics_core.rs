@@ -1,8 +1,7 @@
-//! Feature-gated metrics-core suite: recording semantics, histogram bucket
+//! Metrics-core suite: recording semantics, histogram bucket
 //! boundaries, and the canonical-merge determinism contract — the snapshot
 //! of a deterministic workload must be identical no matter how many pool
 //! threads recorded into the per-thread shards.
-#![cfg(feature = "telemetry")]
 
 use ppfr_telemetry as tel;
 use ppfr_telemetry::MetricValue;
