@@ -3,15 +3,19 @@
 //! [`bias`](crate::bias) materialises the Jaccard similarity `S` and its
 //! Laplacian `L_S` (both `O(n · 2-hop-degree)` sparse matrices) before the
 //! trace.  At the million-node scale that is the dominant allocation, so this
-//! module recomputes one Laplacian row at a time from the closed
-//! neighbourhoods and streams the trace
+//! module recomputes one Laplacian row at a time from the wedge-counting
+//! row kernel [`jaccard_wedge_row`], which reads the graph's neighbour lists
+//! directly, and streams the trace
 //! `Tr(Pᵀ L_S P) = Σ_r P_r · (L_S P)_r` over row blocks: no `S`, no `L_S`,
-//! and certainly no `n×n` dense object ever exists.
+//! and certainly no `n×n` dense object ever exists.  Each block owns one set
+//! of row buffers, so no row allocates.
 //!
 //! Bit-identity with the dense oracle is load-bearing (the scale-layer tests
 //! pin it across block sizes and thread counts): every step replays the exact
 //! floating-point chain of the materialised path —
 //!
+//! * the similarity row comes from the same kernel `jaccard_similarity`
+//!   calls;
 //! * the Laplacian row is assembled in the same sorted column order
 //!   `from_triplets` would produce, with the degree accumulated over the
 //!   similarity entries in column order exactly like `similarity_laplacian`;
@@ -22,27 +26,55 @@
 //!   serial in-order sum, matching the oracle's row loop regardless of block
 //!   size or thread count.
 
-use ppfr_graph::{closed_neighbourhoods, jaccard_row, spmm_row_kernel, Graph};
+use ppfr_graph::{jaccard_wedge_row, spmm_row_kernel, Graph};
 use ppfr_linalg::{par_row_blocks, Matrix};
 
+/// Per-block buffers of [`bias_row_term`]: every row of a block reuses them.
+struct RowScratch {
+    wedges: Vec<usize>,
+    similarity: Vec<(usize, f64)>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    /// Row `r` of `L_S P`, `probs.cols()` long.
+    lp_row: Vec<f64>,
+}
+
+impl RowScratch {
+    fn new(n_classes: usize) -> Self {
+        Self {
+            wedges: Vec::new(),
+            similarity: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            lp_row: vec![0.0; n_classes],
+        }
+    }
+}
+
 /// One trace term `P_r · (L_S P)_r`, with the Laplacian row rebuilt on the
-/// fly from the closed neighbourhoods.  `lp_row` is caller-provided scratch
-/// of length `probs.cols()`.
-fn bias_row_term(r: usize, closed: &[Vec<usize>], probs: &Matrix, lp_row: &mut [f64]) -> f64 {
-    let srow = jaccard_row(r, closed);
+/// fly from the similarity row of `r`.
+fn bias_row_term(graph: &Graph, r: usize, probs: &Matrix, scratch: &mut RowScratch) -> f64 {
+    let RowScratch {
+        wedges,
+        similarity,
+        cols,
+        vals,
+        lp_row,
+    } = scratch;
+    jaccard_wedge_row(graph, r, wedges, similarity);
     // Degree in similarity-column order — the accumulation order of
     // `similarity_laplacian`.
     let mut degree = 0.0;
-    for &(_, _, s) in &srow {
+    for &(_, s) in similarity.iter() {
         degree += s;
     }
     // Laplacian row in sorted column order: off-diagonals `-s` with the
     // diagonal `degree` merged at its sorted position, exactly as
     // `from_triplets` lays the row out.
-    let mut cols = Vec::with_capacity(srow.len() + 1);
-    let mut vals = Vec::with_capacity(srow.len() + 1);
+    cols.clear();
+    vals.clear();
     let mut diag_placed = false;
-    for &(_, j, s) in &srow {
+    for &(j, s) in similarity.iter() {
         if !diag_placed && j > r {
             cols.push(r);
             vals.push(degree);
@@ -56,7 +88,7 @@ fn bias_row_term(r: usize, closed: &[Vec<usize>], probs: &Matrix, lp_row: &mut [
         vals.push(degree);
     }
     lp_row.fill(0.0);
-    spmm_row_kernel(&cols, &vals, probs, lp_row);
+    spmm_row_kernel(cols, vals, probs, lp_row);
     // Same left-fold as `Matrix::row_dot` (zip–map–sum from 0.0).
     let mut term = 0.0;
     for (&p, &lp) in probs.row(r).iter().zip(lp_row.iter()) {
@@ -83,12 +115,11 @@ pub fn streamed_bias(graph: &Graph, probs: &Matrix, block_rows: usize) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let closed = closed_neighbourhoods(graph);
     let mut rowterms = vec![0.0; n];
     par_row_blocks(&mut rowterms, 1, block_rows, |first_row, block| {
-        let mut lp_row = vec![0.0; probs.cols()];
+        let mut scratch = RowScratch::new(probs.cols());
         for (dr, term) in block.iter_mut().enumerate() {
-            *term = bias_row_term(first_row + dr, &closed, probs, &mut lp_row);
+            *term = bias_row_term(graph, first_row + dr, probs, &mut scratch);
         }
     });
     finish_trace(&rowterms)
@@ -121,6 +152,19 @@ mod tests {
         Graph::from_edges(n, &edges)
     }
 
+    /// A hub with 30 leaves, then three isolated nodes: one row with a
+    /// 30-entry similarity row, rows whose only wedges run through the hub,
+    /// and rows with no wedge at all.
+    fn star_with_isolated_nodes() -> Graph {
+        let edges: Vec<(usize, usize)> = (1..=30).map(|leaf| (0, leaf)).collect();
+        Graph::from_edges(34, &edges)
+    }
+
+    /// The graphs both bit-identity pins loop over.
+    fn pinned_graphs() -> [Graph; 2] {
+        [ring_with_chords(41), star_with_isolated_nodes()]
+    }
+
     fn smooth_probs(n: usize, c: usize) -> Matrix {
         Matrix::from_vec(
             n,
@@ -133,36 +177,44 @@ mod tests {
 
     #[test]
     fn streamed_bias_is_bit_identical_to_dense_oracle_across_block_sizes() {
-        let n = 41;
-        let g = ring_with_chords(n);
-        let probs = smooth_probs(n, 3);
-        let oracle = bias(&probs, &similarity_laplacian(&jaccard_similarity(&g)));
-        for block_rows in [1, 7, 64, n] {
-            let streamed = streamed_bias(&g, &probs, block_rows);
-            assert_eq!(
-                streamed.to_bits(),
-                oracle.to_bits(),
-                "streamed bias differs from oracle at block_rows={block_rows}"
-            );
+        for g in pinned_graphs() {
+            let n = g.n_nodes();
+            let probs = smooth_probs(n, 3);
+            let oracle = bias(&probs, &similarity_laplacian(&jaccard_similarity(&g)));
+            for block_rows in [1, 7, 64, n] {
+                let streamed = streamed_bias(&g, &probs, block_rows);
+                assert_eq!(
+                    streamed.to_bits(),
+                    oracle.to_bits(),
+                    "streamed bias differs from oracle at n={n}, block_rows={block_rows}"
+                );
+            }
         }
     }
 
     #[test]
     fn streamed_bias_is_bit_identical_across_thread_counts() {
-        // 37 rows in blocks of 7 reach the pool at 2 and 4 threads.
-        let n = 37;
-        let g = ring_with_chords(n);
-        let probs = smooth_probs(n, 4);
-        let serial = ppfr_linalg::parallel::with_forced_threads(1, || streamed_bias(&g, &probs, 7));
-        for threads in [2, 4] {
-            let parallel = ppfr_linalg::parallel::with_forced_threads(threads, || {
-                streamed_bias(&g, &probs, 7)
-            });
-            assert_eq!(
-                parallel.to_bits(),
-                serial.to_bits(),
-                "streamed bias differs at {threads} threads"
-            );
+        // 41 and 34 rows reach the pool at 2 and 4 threads whenever the
+        // block size leaves more than one block.
+        for g in pinned_graphs() {
+            let n = g.n_nodes();
+            let probs = smooth_probs(n, 4);
+            for block_rows in [1, 7, 64, n] {
+                let serial = ppfr_linalg::parallel::with_forced_threads(1, || {
+                    streamed_bias(&g, &probs, block_rows)
+                });
+                for threads in [2, 4] {
+                    let parallel = ppfr_linalg::parallel::with_forced_threads(threads, || {
+                        streamed_bias(&g, &probs, block_rows)
+                    });
+                    assert_eq!(
+                        parallel.to_bits(),
+                        serial.to_bits(),
+                        "streamed bias differs at n={n}, block_rows={block_rows}, \
+                         {threads} threads"
+                    );
+                }
+            }
         }
     }
 

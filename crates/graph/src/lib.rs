@@ -3,8 +3,10 @@
 //! Provides the undirected [`Graph`] type (edge set + CSR adjacency), the
 //! normalised propagation operators used by GCN/GAT/GraphSAGE, the Jaccard
 //! similarity matrix and its Laplacian (the individual-fairness similarity of
-//! InFoRM), k-hop analysis used by Lemma V.1, homophily/sparsity statistics
-//! and edge-perturbation utilities (`A' = A + ΔA`).
+//! InFoRM; every row of it, dense or streamed, comes from the one
+//! wedge-counting kernel [`jaccard_wedge_row`]), k-hop analysis used by
+//! Lemma V.1, homophily/sparsity statistics and edge-perturbation utilities
+//! (`A' = A + ΔA`).
 
 #![forbid(unsafe_code)]
 
@@ -19,7 +21,5 @@ pub use csr::{spmm_row_kernel, SparseMatrix};
 pub use graph::Graph;
 pub use hops::{hop_histogram, k_hop_pairs, shortest_hops_from};
 pub use perturb::{add_edges, EdgePerturbation};
-pub use similarity::{
-    closed_neighbourhoods, jaccard_row, jaccard_similarity, similarity_laplacian,
-};
+pub use similarity::{jaccard_similarity, jaccard_wedge_row, similarity_laplacian};
 pub use stats::{average_degree, edge_density, homophily, intra_inter_probabilities};

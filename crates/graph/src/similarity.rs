@@ -6,89 +6,95 @@
 
 use crate::{Graph, SparseMatrix};
 use ppfr_linalg::par_rows;
-use std::collections::BTreeSet;
 
-/// Size of the intersection of two sorted slices.
-fn intersection_size(a: &[usize], b: &[usize]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+/// Rows of `S` per parallel work item of [`jaccard_similarity`]: a fixed
+/// constant, never derived from the thread count.
+const JACCARD_BLOCK_ROWS: usize = 64;
+
+/// The non-zero entries `(j, S_ij)` of row `i` of the Jaccard similarity,
+/// written into `row` sorted by `j`, duplicate-free and without the
+/// diagonal.  The one Jaccard kernel: [`jaccard_similarity`] and the
+/// streamed-bias path in `ppfr_fairness` both build their rows here.
+///
+/// By Lemma V.1 only pairs within two hops share a closed neighbour, so a
+/// row is a wedge count: `|N(i) ∩ N(j)|` is the number of paths
+/// `i – u – j` with `u ∈ N(i)` and `j ∈ N(u)`.  The kernel pushes every such
+/// `j ≠ i` into `wedges` and sorts it; a run of `c` equal values `j` is
+/// `|N(i) ∩ N(j)| = c`, and `|N(i) ∪ N(j)| = |N(i)| + |N(j)| − c`.  The graph
+/// stores no self-loops, so `|N(v)| = deg v + 1`.
+///
+/// `wedges` and `row` are caller-owned scratch: both are cleared first, so
+/// a caller walking many rows allocates nothing per row once they have
+/// grown.
+pub fn jaccard_wedge_row(
+    graph: &Graph,
+    i: usize,
+    wedges: &mut Vec<usize>,
+    row: &mut Vec<(usize, f64)>,
+) {
+    wedges.clear();
+    row.clear();
+    let neighbours = graph.neighbors(i);
+    // u = i contributes N(i) \ {i}; every other u ∈ N(i) contributes itself
+    // and its neighbours except i.
+    wedges.extend_from_slice(neighbours);
+    for &u in neighbours {
+        wedges.push(u);
+        wedges.extend(graph.neighbors(u).iter().copied().filter(|&w| w != i));
     }
-    count
+    wedges.sort_unstable();
+    let closed_i = neighbours.len() + 1;
+    for run in wedges.chunk_by(|a, b| a == b) {
+        let j = run[0];
+        let inter = run.len();
+        let union = closed_i + graph.degree(j) + 1 - inter;
+        row.push((j, inter as f64 / union as f64));
+    }
 }
 
 /// Jaccard similarity matrix `S` derived from the adjacency structure.
 ///
 /// `S_{i,j} = |N(i) ∩ N(j)| / |N(i) ∪ N(j)|` where `N(i)` is the closed
 /// neighbourhood `{i} ∪ neighbours(i)`.  Only pairs within two hops can be
-/// non-zero (Lemma V.1), so the matrix is built by enumerating, for every
-/// node `i`, the union of its neighbours' neighbourhoods.
+/// non-zero (Lemma V.1), so each row is one [`jaccard_wedge_row`] wedge
+/// count.
 ///
 /// The diagonal is excluded (a node's similarity with itself carries no
 /// fairness signal and would only add a constant to the bias).
 pub fn jaccard_similarity(graph: &Graph) -> SparseMatrix {
     let n = graph.n_nodes();
-    let closed = closed_neighbourhoods(graph);
-    // Row i only reads the closed neighbourhoods, so rows are independent;
-    // computed in parallel and concatenated in row order, so the triplets
-    // do not depend on the thread count.
-    let per_row = par_rows(n, |i| jaccard_row(i, &closed));
-    let triplets: Vec<(usize, usize, f64)> = per_row.into_iter().flatten().collect();
-    SparseMatrix::from_triplets(n, n, &triplets)
+    // Blocks of rows are independent and concatenated in row order, so the
+    // CSR arrays do not depend on the thread count.
+    let blocks = par_rows(n.div_ceil(JACCARD_BLOCK_ROWS), |b| {
+        let first = b * JACCARD_BLOCK_ROWS;
+        jaccard_block(graph, first..n.min(first + JACCARD_BLOCK_ROWS))
+    });
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    for (row_ends, entries) in blocks {
+        let offset = col_idx.len();
+        row_ptr.extend(row_ends.iter().map(|&end| offset + end));
+        col_idx.extend(entries.iter().map(|&(j, _)| j));
+        values.extend(entries.iter().map(|&(_, s)| s));
+    }
+    SparseMatrix::from_csr_parts(n, n, row_ptr, col_idx, values)
 }
 
-/// Sorted closed neighbourhoods `{v} ∪ neighbours(v)` for every node.
-///
-/// Public because the streamed-bias path in `ppfr_fairness` rebuilds one
-/// similarity-Laplacian row at a time from these neighbourhoods instead of
-/// materialising `S` or `L_S`.
-pub fn closed_neighbourhoods(graph: &Graph) -> Vec<Vec<usize>> {
-    (0..graph.n_nodes())
-        .map(|v| {
-            let mut set: Vec<usize> = graph.neighbors(v).to_vec();
-            match set.binary_search(&v) {
-                Ok(_) => {}
-                Err(pos) => set.insert(pos, v),
-            }
-            set
-        })
-        .collect()
-}
-
-/// All non-zero `(i, j, S_ij)` entries of row `i`; shared by
-/// [`jaccard_similarity`] and the streamed-bias path in `ppfr_fairness` so
-/// both see identical triplet sequences.  Entries come out sorted by
-/// `j`, duplicate-free and without the diagonal.
-pub fn jaccard_row(i: usize, closed: &[Vec<usize>]) -> Vec<(usize, usize, f64)> {
-    // Candidate js: anything within two hops of i (via closed neighbourhoods).
-    let mut candidates: BTreeSet<usize> = BTreeSet::new();
-    for &u in &closed[i] {
-        for &w in &closed[u] {
-            if w != i {
-                candidates.insert(w);
-            }
-        }
+/// Rows `rows` of `S`: the block's entries in row order, and the entry
+/// count after each row.
+fn jaccard_block(graph: &Graph, rows: std::ops::Range<usize>) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let mut wedges = Vec::new();
+    let mut row = Vec::new();
+    let mut row_ends = Vec::with_capacity(rows.len());
+    let mut entries = Vec::new();
+    for i in rows {
+        jaccard_wedge_row(graph, i, &mut wedges, &mut row);
+        entries.extend_from_slice(&row);
+        row_ends.push(entries.len());
     }
-    let mut row = Vec::with_capacity(candidates.len());
-    for &j in &candidates {
-        let inter = intersection_size(&closed[i], &closed[j]);
-        if inter == 0 {
-            continue;
-        }
-        let union = closed[i].len() + closed[j].len() - inter;
-        row.push((i, j, inter as f64 / union as f64));
-    }
-    row
+    (row_ends, entries)
 }
 
 /// Laplacian `L_S = D_S − S` of a (symmetric) similarity matrix, where `D_S`
@@ -207,8 +213,9 @@ mod tests {
 
     #[test]
     fn parallel_jaccard_equals_serial_exactly() {
-        // Ring with chords: rich 2-hop structure across many rows.
-        let n = 30;
+        // Ring with chords: rich 2-hop structure across enough rows for
+        // several row blocks to reach the pool.
+        let n = 300;
         let mut edges = Vec::new();
         for i in 0..n {
             edges.push((i, (i + 1) % n));

@@ -156,6 +156,40 @@ pub fn run_scale_scenario(spec: &ScaleSpec) -> Result<ScaleReport, RunError> {
             spec.n_blocks
         )));
     }
+    // Both SBM graphs are drawn from these, so the smaller one bounds them.
+    let min_nodes = spec.n_nodes.min(spec.train_nodes);
+    if spec.n_blocks > min_nodes {
+        return Err(RunError::InvalidSpec(format!(
+            "{} blocks do not fit the smaller graph of {min_nodes} nodes",
+            spec.n_blocks
+        )));
+    }
+    for (name, degree) in [
+        ("intra_degree", spec.intra_degree),
+        ("inter_degree", spec.inter_degree),
+    ] {
+        if !(degree.is_finite() && degree >= 0.0) {
+            return Err(RunError::InvalidSpec(format!(
+                "{name} must be finite and non-negative, got {degree}"
+            )));
+        }
+    }
+    let degree = spec.intra_degree + spec.inter_degree;
+    if degree > (min_nodes - 1) as f64 {
+        return Err(RunError::InvalidSpec(format!(
+            "expected degree {degree} exceeds the {} other nodes of the smaller graph",
+            min_nodes - 1
+        )));
+    }
+    for (name, value) in [
+        ("bias_block_rows", spec.bias_block_rows),
+        ("fanout", spec.fanout),
+        ("max_attack_pos", spec.max_attack_pos),
+    ] {
+        if value == 0 {
+            return Err(RunError::InvalidSpec(format!("{name} must be at least 1")));
+        }
+    }
 
     let (graph, blocks) = {
         let _s = ppfr_telemetry::span!("scale_graph_gen");
@@ -292,6 +326,47 @@ mod tests {
         };
         let err = run_scale_scenario(&one_block).expect_err("one block must be rejected");
         assert!(err.to_string().contains("two blocks"), "got {err}");
+        // One case per check. All but the degree-sum case used to panic;
+        // that one asks for an expected degree no simple graph can reach.
+        type Edit = fn(&mut ScaleSpec);
+        let cases: [(Edit, &str); 9] = [
+            (
+                |s| (s.n_nodes, s.n_blocks) = (10, 11),
+                "do not fit the smaller graph of 10 nodes",
+            ),
+            (
+                |s| s.n_blocks = 301,
+                "do not fit the smaller graph of 300 nodes",
+            ),
+            (|s| s.intra_degree = -1.0, "intra_degree must be finite"),
+            (|s| s.intra_degree = f64::NAN, "intra_degree must be finite"),
+            (
+                |s| s.inter_degree = f64::INFINITY,
+                "inter_degree must be finite",
+            ),
+            (
+                |s| (s.intra_degree, s.inter_degree) = (200.0, 100.0),
+                "exceeds the 299 other nodes",
+            ),
+            (
+                |s| s.bias_block_rows = 0,
+                "bias_block_rows must be at least 1",
+            ),
+            (|s| s.fanout = 0, "fanout must be at least 1"),
+            (
+                |s| s.max_attack_pos = 0,
+                "max_attack_pos must be at least 1",
+            ),
+        ];
+        for (edit, message) in cases {
+            let mut spec = tiny();
+            edit(&mut spec);
+            let err = run_scale_scenario(&spec).expect_err(message);
+            assert!(
+                matches!(&err, RunError::InvalidSpec(m) if m.contains(message)),
+                "expected `{message}`, got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use ppfr_qclp::{solve, QclpProblem, SolverOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// Strategy: a random undirected graph with `n ∈ [3, 24]` nodes.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -31,6 +32,30 @@ proptest! {
         for (i, j, v) in s.iter() {
             prop_assert!(v > 0.0 && v <= 1.0 + 1e-12, "S[{},{}] = {}", i, j, v);
             prop_assert!((s.get(j, i) - v).abs() < 1e-12);
+        }
+        // Every off-diagonal entry equals the definition over closed
+        // neighbourhoods, computed here independently of the row kernel.
+        let closed: Vec<BTreeSet<usize>> = (0..graph.n_nodes())
+            .map(|v| graph.neighbors(v).iter().copied().chain([v]).collect())
+            .collect();
+        for i in 0..graph.n_nodes() {
+            for j in (0..graph.n_nodes()).filter(|&j| j != i) {
+                let inter = closed[i].intersection(&closed[j]).count();
+                let want = if inter == 0 {
+                    0.0
+                } else {
+                    inter as f64 / closed[i].union(&closed[j]).count() as f64
+                };
+                prop_assert_eq!(
+                    s.get(i, j).to_bits(),
+                    want.to_bits(),
+                    "S[{},{}] = {} but the definition gives {}",
+                    i,
+                    j,
+                    s.get(i, j),
+                    want
+                );
+            }
         }
         let l = similarity_laplacian(&s);
         // Quadratic form with an arbitrary deterministic vector is non-negative.
