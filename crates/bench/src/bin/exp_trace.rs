@@ -11,9 +11,11 @@
 //! (load it in `chrome://tracing` or <https://ui.perfetto.dev>).  The binary
 //! switches the telemetry and trace gates on itself, and asserts that the
 //! recorded tree holds one `runner_cell` span per run, so an empty trace
-//! fails the run.
+//! fails the run.  Without a cell budget it also asserts one `reweight`
+//! span per `(dataset, model, seed)` that runs DPFR or PPFR: the two FR
+//! cells share one re-weighting.
 
-use ppfr_core::ExperimentScale;
+use ppfr_core::{ExperimentScale, Method};
 use ppfr_runner::{run_scenario, ArtifactCache, ScenarioRegistry};
 use serde::{Serialize, Value};
 
@@ -109,11 +111,11 @@ fn main() {
         );
         std::process::exit(2);
     };
+    let threads = ppfr_linalg::parallel::current_num_threads();
     println!(
-        "tracing scenario '{}' ({} runs) at {} thread(s)\n",
+        "tracing scenario '{}' ({} runs) at {threads} thread(s)\n",
         spec.name,
         spec.n_runs(),
-        ppfr_linalg::parallel::current_num_threads()
     );
     let cache = ArtifactCache::new();
     let report = ppfr_bench::report_or_exit(run_scenario(&spec, &cache));
@@ -135,6 +137,7 @@ fn main() {
     // Merge the canonical aggregates into the shared bench artifact.
     let telemetry_section = Value::Obj(vec![
         ("scenario".to_string(), spec.name.to_value()),
+        ("threads".to_string(), threads.to_value()),
         (
             "spans".to_string(),
             Value::Arr(ppfr_telemetry::span_tree().iter().map(span_value).collect()),
@@ -160,13 +163,26 @@ fn main() {
         spec.n_runs(),
         "scenario must aggregate every run"
     );
-    let cells = ppfr_telemetry::find_span(&ppfr_telemetry::span_tree(), "runner_cell")
-        .map_or(0, |node| node.count);
+    let tree = ppfr_telemetry::span_tree();
+    let count = |name: &str| ppfr_telemetry::find_span(&tree, name).map_or(0, |node| node.count);
     assert_eq!(
-        cells,
+        count("runner_cell"),
         spec.n_runs() as u64,
         "the trace must record one `runner_cell` span per run"
     );
+    // A bounded budget makes every FR cell solve its own re-weighting.
+    if spec.cell_budget.is_none() {
+        let runs_fr = spec
+            .methods
+            .iter()
+            .any(|&m| matches!(m, Method::DpFr | Method::Ppfr));
+        let triples = spec.datasets.len() * spec.models.len() * spec.seeds.len();
+        assert_eq!(
+            count("reweight"),
+            if runs_fr { triples as u64 } else { 0 },
+            "the trace must record one `reweight` span per (dataset, model, seed) running FR"
+        );
+    }
     let scale_label = match scale {
         ExperimentScale::Full => "full",
         ExperimentScale::Smoke => "smoke",

@@ -9,7 +9,6 @@ use ppfr_attacks::ThreatAuditor;
 use ppfr_datasets::{cora, two_block_synthetic, Dataset};
 use ppfr_fairness::bias;
 use ppfr_gnn::{train, GraphContext, ModelKind};
-use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_nn::accuracy;
 use serde::{Deserialize, Serialize};
 
@@ -170,15 +169,14 @@ pub fn fig6_ablation_seeded(scale: ExperimentScale, data_seed: u64) -> Fig6Resul
     let dataset = artifacts.dataset.clone();
     let base_ctx = GraphContext::new(dataset.graph.clone(), dataset.features.clone());
 
-    // Fairness-aware re-weighting computed once from the vanilla model.
-    let s = jaccard_similarity(&dataset.graph);
-    let l_s = similarity_laplacian(&s);
+    // Fairness-aware re-weighting computed once from the vanilla model,
+    // against the similarity Laplacian its checkpoint already carries.
     let fr = fairness_weights(
         &vanilla.model,
         &base_ctx,
         &dataset.labels,
         &dataset.splits.train,
-        &l_s,
+        &vanilla.similarity_laplacian,
         &cfg,
     );
 

@@ -3,15 +3,16 @@
 //! The heart of this module is [`DatasetArtifacts`]: one bundle per
 //! `(dataset spec, data seed, config)` holding everything the five methods
 //! share — the generated graph, the [`ThreatAuditor`] (pair sample, distance
-//! buffers, shadow bundle) and the trained vanilla checkpoints per
-//! architecture.  The multi-seed scenario runner in `ppfr_runner` funnels
+//! buffers, shadow bundle) and, per architecture, the trained vanilla
+//! checkpoint and the fairness-aware re-weighting DPFR and PPFR derive
+//! from it.  The multi-seed scenario runner in `ppfr_runner` funnels
 //! its per-cell work through [`DatasetArtifacts::cell`] instead of
 //! hand-rolling the dataset × model × method loop, and the Fig. 6 ablation
 //! shares one bundle's vanilla checkpoint and auditor across its sweeps.
 
 use crate::{
     deltas, evaluate_with, run_method, run_method_from_vanilla, threat_auditor, Evaluation,
-    ExperimentScale, Method, MethodDeltas, PpfrConfig, TrainedOutcome,
+    ExperimentScale, Method, MethodDeltas, PpfrConfig, ReweightOutcome, TrainedOutcome,
 };
 use ppfr_attacks::ThreatAuditor;
 use ppfr_datasets::{citeseer, cora, credit, enzymes, generate, pubmed, Dataset, DatasetSpec};
@@ -79,12 +80,24 @@ impl MethodCell {
     }
 }
 
+/// One architecture's share of a [`DatasetArtifacts`] bundle.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    /// The trained vanilla model.
+    outcome: TrainedOutcome,
+    /// Its evaluated run, every cell's reference.
+    run: MethodRun,
+    /// The FR re-weighting of `outcome`, filled by the first DPFR or PPFR
+    /// cell that runs under an unbounded budget.
+    reweight: Option<ReweightOutcome>,
+}
+
 /// Shared per-`(dataset spec, data seed, config)` artifacts: the generated
 /// dataset, the threat auditor (pair sample + distance buffers + shadow
-/// bundle + lazily fitted shadow attacks) and the trained vanilla
-/// checkpoints per architecture.  Build once, then run as many
-/// `(model, method)` cells as needed — only the method-specific training is
-/// re-paid per cell.
+/// bundle + lazily fitted shadow attacks) and, per architecture, the trained
+/// vanilla checkpoint and the FR re-weighting derived from it.  Build once,
+/// then run as many `(model, method)` cells as needed — only the
+/// method-specific training is re-paid per cell.
 #[derive(Debug, Clone)]
 pub struct DatasetArtifacts {
     /// The generated dataset every run in this group shares.
@@ -92,7 +105,7 @@ pub struct DatasetArtifacts {
     auditor: ThreatAuditor,
     // Keyed lookups only today, but BTreeMap keeps any future iteration
     // deterministic — this cache sits on the path to serialized reports.
-    vanilla: BTreeMap<ModelKind, (TrainedOutcome, MethodRun)>,
+    vanilla: BTreeMap<ModelKind, Checkpoint>,
 }
 
 impl DatasetArtifacts {
@@ -114,12 +127,12 @@ impl DatasetArtifacts {
     }
 
     /// FNV-1a digest of the *immutable* part of the bundle — the generated
-    /// dataset (features, labels, edges, split sizes).  The auditor and the
-    /// vanilla checkpoint cache legitimately mutate as cells run, but the
-    /// dataset must never change once built; the runner's artifact cache
-    /// stores this digest at build time and revalidates on every hit so a
-    /// corrupted bundle is detected and rebuilt instead of silently skewing
-    /// every downstream metric.
+    /// dataset (features, labels, edges, split sizes).  The auditor, the
+    /// vanilla checkpoints and their re-weightings legitimately mutate as
+    /// cells run, but the dataset must never change once built; the
+    /// runner's artifact cache stores this digest at build time and
+    /// revalidates on every hit so a corrupted bundle is detected and
+    /// rebuilt instead of silently skewing every downstream metric.
     pub fn content_checksum(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -167,32 +180,53 @@ impl DatasetArtifacts {
             method: Method::Vanilla.name().to_string(),
             evaluation,
         };
-        self.vanilla.insert(kind, (outcome, run));
+        self.vanilla.insert(
+            kind,
+            Checkpoint {
+                outcome,
+                run,
+                reweight: None,
+            },
+        );
     }
 
     /// The trained vanilla checkpoint and its evaluated run for `kind`,
     /// training and auditing it on first use.
     pub fn vanilla(&mut self, kind: ModelKind, cfg: &PpfrConfig) -> (&TrainedOutcome, &MethodRun) {
         self.ensure_vanilla(kind, cfg);
-        let (outcome, run) = self.vanilla.get(&kind).expect("just ensured");
-        (outcome, run)
+        let checkpoint = &self.vanilla[&kind];
+        (&checkpoint.outcome, &checkpoint.run)
+    }
+
+    /// Trains one `(model, method)` cell from the cached vanilla checkpoint
+    /// and the architecture's shared re-weighting slot (see
+    /// [`run_method_from_vanilla`]).
+    fn train_cell(&mut self, kind: ModelKind, method: Method, cfg: &PpfrConfig) -> TrainedOutcome {
+        self.ensure_vanilla(kind, cfg);
+        let checkpoint = self.vanilla.get_mut(&kind).expect("just ensured");
+        run_method_from_vanilla(
+            &self.dataset,
+            kind,
+            method,
+            cfg,
+            Some(&checkpoint.outcome),
+            &mut checkpoint.reweight,
+        )
     }
 
     /// Runs one `(model, method)` cell against the cached artifacts: the
-    /// vanilla checkpoint seeds the fine-tuning methods (see
-    /// [`run_method_from_vanilla`]) and the shared auditor scores every
-    /// method on the same pairs.
+    /// vanilla checkpoint seeds the fine-tuning methods, which share one
+    /// re-weighting (see [`run_method_from_vanilla`]), and the shared
+    /// auditor scores every method on the same pairs.
     pub fn cell(&mut self, kind: ModelKind, method: Method, cfg: &PpfrConfig) -> MethodCell {
-        self.ensure_vanilla(kind, cfg);
-        let (vanilla_outcome, vanilla_run) = self.vanilla.get(&kind).expect("just ensured");
+        let vanilla_run = self.vanilla(kind, cfg).1.clone();
         if method == Method::Vanilla {
             return MethodCell {
                 run: vanilla_run.clone(),
-                vanilla: vanilla_run.clone(),
+                vanilla: vanilla_run,
             };
         }
-        let outcome =
-            run_method_from_vanilla(&self.dataset, kind, method, cfg, Some(vanilla_outcome));
+        let outcome = self.train_cell(kind, method, cfg);
         let evaluation = evaluate_with(&outcome, &self.dataset, cfg, &mut self.auditor);
         MethodCell {
             run: MethodRun {
@@ -201,7 +235,7 @@ impl DatasetArtifacts {
                 method: method.name().to_string(),
                 evaluation,
             },
-            vanilla: vanilla_run.clone(),
+            vanilla: vanilla_run,
         }
     }
 }
@@ -267,5 +301,58 @@ mod tests {
         assert_eq!(d.d_acc, 0.0);
         assert_eq!(d.d_bias, 0.0);
         assert_eq!(d.d_risk, 0.0);
+    }
+
+    #[test]
+    fn fr_cells_share_one_reweighting_bit_identical_to_from_scratch() {
+        let spec = ppfr_datasets::two_block_synthetic();
+        let cfg = PpfrConfig {
+            vanilla_epochs: 20,
+            influence_cg_iters: 4,
+            ..PpfrConfig::smoke()
+        };
+        let kind = ModelKind::Gcn;
+        let dataset = DatasetArtifacts::build(&spec, 7, &cfg).dataset;
+        let scratch = |method| run_method(&dataset, kind, method, &cfg);
+        let assert_matches_scratch = |outcome: &TrainedOutcome| {
+            let reference = scratch(outcome.method);
+            assert!(outcome.fairness_loss_weights.is_some());
+            assert_eq!(
+                outcome.fairness_loss_weights,
+                reference.fairness_loss_weights,
+                "{} loss weights",
+                outcome.method.name()
+            );
+            let logits = ppfr_gnn::GnnModel::forward(&outcome.model, &outcome.deploy_ctx);
+            let want = ppfr_gnn::GnnModel::forward(&reference.model, &reference.deploy_ctx);
+            assert_eq!(
+                logits.as_slice(),
+                want.as_slice(),
+                "{} logits",
+                outcome.method.name()
+            );
+        };
+        for order in [[Method::DpFr, Method::Ppfr], [Method::Ppfr, Method::DpFr]] {
+            let mut artifacts = DatasetArtifacts::build(&spec, 7, &cfg);
+            for method in order {
+                let outcome = artifacts.train_cell(kind, method, &cfg);
+                let stored = artifacts.vanilla[&kind].reweight.as_ref();
+                assert_eq!(
+                    stored.map(|fr| &fr.loss_weights),
+                    outcome.fairness_loss_weights.as_ref(),
+                    "the first FR cell fills the slot, the second reads it"
+                );
+                assert_matches_scratch(&outcome);
+            }
+        }
+        // A bounded budget neither fills nor reads the slot, even one too
+        // large to stop any loop.
+        let mut artifacts = DatasetArtifacts::build(&spec, 7, &cfg);
+        let bounded = ppfr_resilience::Budget::units(1 << 40);
+        let outcome = ppfr_resilience::with_budget(&bounded, || {
+            artifacts.train_cell(kind, Method::DpFr, &cfg)
+        });
+        assert!(artifacts.vanilla[&kind].reweight.is_none());
+        assert_matches_scratch(&outcome);
     }
 }

@@ -51,4 +51,4 @@ pub use evaluate::{
 pub use perturb::heterophilic_perturbation;
 pub use pipeline::{run_method, run_method_from_vanilla, Method, TrainedOutcome};
 pub use ppfr_attacks::{ThreatAuditor, ThreatGridReport, ThreatModel, ThreatOutcome};
-pub use reweight::fairness_weights;
+pub use reweight::{fairness_weights, ReweightOutcome};

@@ -1,6 +1,6 @@
 //! The training pipelines: vanilla training, the paper's baselines and PPFR.
 
-use crate::{fairness_weights, heterophilic_perturbation, PpfrConfig};
+use crate::{fairness_weights, heterophilic_perturbation, PpfrConfig, ReweightOutcome};
 use ppfr_datasets::Dataset;
 use ppfr_gnn::{train, AnyModel, FairnessReg, GraphContext, ModelKind};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph, SparseMatrix};
@@ -115,10 +115,27 @@ pub fn run_method(
     method: Method,
     cfg: &PpfrConfig,
 ) -> TrainedOutcome {
-    run_method_from_vanilla(dataset, kind, method, cfg, None)
+    run_method_from_vanilla(dataset, kind, method, cfg, None, &mut None)
 }
 
-/// [`run_method`] with an optional pre-trained vanilla checkpoint.
+/// The fairness-aware re-weighting of the vanilla model, shared through
+/// `slot` between the FR cells of one `(dataset, model, seed)`: the first
+/// cell computes and stores it, a later one clones it.  The slot is read or
+/// filled only under [`ppfr_resilience::budget_unbounded`]; a bounded or
+/// cancelled budget makes the solve spend or degrade this cell's allowance,
+/// so such a cell computes its own and leaves the slot alone.
+fn reweight_once(
+    slot: &mut Option<ReweightOutcome>,
+    compute: impl FnOnce() -> ReweightOutcome,
+) -> ReweightOutcome {
+    if !ppfr_resilience::budget_unbounded() {
+        return compute();
+    }
+    slot.get_or_insert_with(compute).clone()
+}
+
+/// [`run_method`] with an optional pre-trained vanilla checkpoint and a
+/// re-weighting slot shared by the FR methods.
 ///
 /// The strategies that begin with plain vanilla training (`Vanilla`, `DPFR`,
 /// `PPFR`) reuse the checkpoint's model instead of re-running the vanilla
@@ -127,6 +144,12 @@ pub fn run_method(
 /// draws from its own freshly seeded RNG stream, so the result is
 /// bit-identical to [`run_method`] — the scenario runner's artifact cache
 /// relies on this to stop the five methods from re-paying setup.
+///
+/// `DPFR` and `PPFR` re-weight the same vanilla model on the same graph
+/// (influence functions + the QCLP of Eq. 13), so the first of them to run
+/// stores its [`ReweightOutcome`] in `reweight` and the other reuses it,
+/// bit-identically.  Pass a fresh `&mut None` to compute it in place; the
+/// slot must only ever see one `(dataset, kind, cfg)` and its checkpoint.
 ///
 /// # Panics
 /// Panics when the checkpoint is not a `Vanilla` outcome of the same
@@ -137,6 +160,7 @@ pub fn run_method_from_vanilla(
     method: Method,
     cfg: &PpfrConfig,
     vanilla: Option<&TrainedOutcome>,
+    reweight: &mut Option<ReweightOutcome>,
 ) -> TrainedOutcome {
     let _span = ppfr_telemetry::span!("run_method");
     if let Some(checkpoint) = vanilla {
@@ -158,7 +182,7 @@ pub fn run_method_from_vanilla(
     let labels = &dataset.labels;
     let train_ids = &dataset.splits.train;
     let uniform = vec![1.0; train_ids.len()];
-    let reg = FairnessReg {
+    let reg = || FairnessReg {
         laplacian: l_s.clone(),
         lambda: cfg.fairness_lambda,
     };
@@ -192,7 +216,7 @@ pub fn run_method_from_vanilla(
                 labels,
                 train_ids,
                 &uniform,
-                Some(&reg),
+                Some(&reg()),
                 &cfg.vanilla_train_config(),
             );
             (model, base_ctx.clone(), None)
@@ -207,47 +231,41 @@ pub fn run_method_from_vanilla(
                 labels,
                 train_ids,
                 &uniform,
-                Some(&reg),
+                Some(&reg()),
                 &cfg.vanilla_train_config(),
             );
             (model, dp_ctx, None)
         }
-        Method::DpFr => {
+        // DPFR and PPFR differ only in the graph they fine-tune and deploy
+        // on: ε-edge-DP noise, or the heterophilic perturbation of the
+        // vanilla model.
+        Method::DpFr | Method::Ppfr => {
             let mut model = vanilla_model();
-            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, cfg);
-            let dp_graph = dp_perturb(dataset, cfg.dp_epsilon, cfg.seed);
-            let dp_ctx = base_ctx.with_graph(dp_graph);
+            let fr = reweight_once(reweight, || {
+                fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, cfg)
+            });
+            let graph = if method == Method::DpFr {
+                dp_perturb(dataset, cfg.dp_epsilon, cfg.seed)
+            } else {
+                let delta = heterophilic_perturbation(
+                    &model,
+                    &base_ctx,
+                    cfg.perturb_ratio,
+                    cfg.seed ^ 0x7f4a_7c15,
+                );
+                delta.apply(&base_ctx.graph)
+            };
+            let ctx = base_ctx.with_graph(graph);
             train(
                 &mut model,
-                &dp_ctx,
+                &ctx,
                 labels,
                 train_ids,
                 &fr.loss_weights,
                 None,
                 &cfg.finetune_train_config(),
             );
-            (model, dp_ctx, Some(fr.loss_weights))
-        }
-        Method::Ppfr => {
-            let mut model = vanilla_model();
-            let fr = fairness_weights(&model, &base_ctx, labels, train_ids, &l_s, cfg);
-            let delta = heterophilic_perturbation(
-                &model,
-                &base_ctx,
-                cfg.perturb_ratio,
-                cfg.seed ^ 0x7f4a_7c15,
-            );
-            let pp_ctx = base_ctx.with_graph(delta.apply(&base_ctx.graph));
-            train(
-                &mut model,
-                &pp_ctx,
-                labels,
-                train_ids,
-                &fr.loss_weights,
-                None,
-                &cfg.finetune_train_config(),
-            );
-            (model, pp_ctx, Some(fr.loss_weights))
+            (model, ctx, Some(fr.loss_weights))
         }
     };
 
@@ -343,7 +361,14 @@ mod tests {
         let vanilla = run_method(&ds, ModelKind::Gcn, Method::Vanilla, &cfg);
         for method in [Method::Vanilla, Method::Reg, Method::DpFr, Method::Ppfr] {
             let scratch = run_method(&ds, ModelKind::Gcn, method, &cfg);
-            let reused = run_method_from_vanilla(&ds, ModelKind::Gcn, method, &cfg, Some(&vanilla));
+            let reused = run_method_from_vanilla(
+                &ds,
+                ModelKind::Gcn,
+                method,
+                &cfg,
+                Some(&vanilla),
+                &mut None,
+            );
             let a = ppfr_gnn::GnnModel::forward(&scratch.model, &scratch.deploy_ctx);
             let b = ppfr_gnn::GnnModel::forward(&reused.model, &reused.deploy_ctx);
             assert_eq!(
@@ -369,7 +394,14 @@ mod tests {
             ..PpfrConfig::smoke()
         };
         let reg = run_method(&ds, ModelKind::Gcn, Method::Reg, &cfg);
-        let _ = run_method_from_vanilla(&ds, ModelKind::Gcn, Method::Ppfr, &cfg, Some(&reg));
+        let _ = run_method_from_vanilla(
+            &ds,
+            ModelKind::Gcn,
+            Method::Ppfr,
+            &cfg,
+            Some(&reg),
+            &mut None,
+        );
     }
 
     #[test]

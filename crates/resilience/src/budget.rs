@@ -169,6 +169,19 @@ pub fn budget_exhausted() -> bool {
     })
 }
 
+/// `true` when work done now cannot depend on the ambient budget: none is
+/// installed, or the installed one is unlimited and not cancelled.  A
+/// result computed under such a budget is the same in every cell, so it
+/// may be shared between cells; under a bounded or cancelled budget the
+/// result spends or degrades that cell's allowance and must stay its own.
+pub fn budget_unbounded() -> bool {
+    AMBIENT.with(|slot| {
+        slot.borrow()
+            .as_ref()
+            .is_none_or(|budget| budget.inner.limit == UNLIMITED && !budget.cancelled())
+    })
+}
+
 /// One graceful-degradation decision: at `site`, the exact `from` path was
 /// replaced by the cheaper `to` path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,6 +287,28 @@ mod tests {
         });
         assert_eq!(stopped_at, 2, "budget of 2 permits exactly two iterations");
         assert!(checkpoint(1), "ambient budget restored to none after scope");
+    }
+
+    #[test]
+    fn only_an_absent_or_live_unlimited_budget_is_unbounded() {
+        assert!(budget_unbounded(), "no ambient budget");
+        let unlimited = Budget::unlimited();
+        with_budget(&unlimited, || {
+            assert!(checkpoint(1_000));
+            assert!(
+                budget_unbounded(),
+                "spending never bounds an unlimited budget"
+            );
+            unlimited.exhaust();
+            assert!(
+                !budget_unbounded(),
+                "exhausting an unlimited budget cancels it"
+            );
+        });
+        with_budget(&Budget::units(u64::MAX - 1), || {
+            assert!(!budget_unbounded(), "any finite limit is a bound");
+        });
+        assert!(budget_unbounded(), "restored to none after scope");
     }
 
     #[test]

@@ -38,8 +38,8 @@ mod fault;
 mod retry;
 
 pub use budget::{
-    budget_exhausted, checkpoint, collect_degradations, note_degradation, with_budget, Budget,
-    DegradationEvent,
+    budget_exhausted, budget_unbounded, checkpoint, collect_degradations, note_degradation,
+    with_budget, Budget, DegradationEvent,
 };
 pub use error::{panic_message, RunError};
 pub use fault::{

@@ -116,8 +116,9 @@ fn run_group(spec: &ScenarioSpec, group: &RunGroup, cache: &ArtifactCache) -> Gr
                 // The catch sits INSIDE the bundle-lock scope, so a cell
                 // panic never poisons the artifact mutex.  AssertUnwindSafe
                 // is justified: `DatasetArtifacts` mutates transactionally
-                // (the vanilla checkpoint is inserted only after it is fully
-                // built), so an unwound cell leaves the bundle consistent.
+                // (the vanilla checkpoint and the shared re-weighting are
+                // inserted only after they are fully built), so an unwound
+                // cell leaves the bundle consistent.
                 let (result, degradations) = collect_degradations(|| {
                     with_budget(&budget, || {
                         catch_unwind(AssertUnwindSafe(|| {
@@ -254,6 +255,7 @@ mod tests {
     use crate::spec::two_block_weak;
     use ppfr_core::{Method, PpfrConfig};
     use ppfr_datasets::two_block_synthetic;
+    use ppfr_gnn::ModelKind;
     use ppfr_linalg::parallel::with_forced_threads;
 
     /// A deliberately tiny matrix so the executor tests stay fast: 2 small
@@ -310,6 +312,25 @@ mod tests {
         let err = run_scenario(&empty, &cache).expect_err("empty axis must be rejected");
         assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
         assert!(err.to_string().contains("empty axis"));
+        // A repeated model or method would run its cells twice and double
+        // `n` in the aggregation, like a repeated seed or dataset.
+        for (dup, axis) in [
+            (
+                tiny_scenario().with_methods(&[Method::DpFr, Method::DpFr]),
+                "method 'DPFR'",
+            ),
+            (
+                tiny_scenario().with_models(&[ModelKind::Gcn, ModelKind::Gat, ModelKind::Gcn]),
+                "model 'GCN'",
+            ),
+        ] {
+            let err = run_scenario(&dup, &cache).expect_err("duplicates must be rejected");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(
+                err.to_string().contains(&format!("repeats {axis}")),
+                "{err}"
+            );
+        }
         // A QCLP budget the solver would reject must not reach the cells,
         // where every DPFR/PPFR cell would panic and be quarantined.
         for (alpha, beta) in [(-1.0, 0.1), (0.9, f64::NAN)] {

@@ -155,9 +155,10 @@ impl ScenarioSpec {
         self.datasets.len() * self.models.len() * self.methods.len() * self.seeds.len()
     }
 
-    /// Rejects empty axes, duplicate seeds and duplicate dataset names —
-    /// duplicates would make two runs indistinguishable in the aggregation
-    /// (cells are keyed by the dataset name string), silently doubling `n` —
+    /// Rejects empty axes and a repeated seed, dataset name, model or
+    /// method — duplicates would make two runs indistinguishable in the
+    /// aggregation (cells are keyed by the dataset, model and method name
+    /// strings), silently doubling `n` —
     /// as well as a zero attempt count, a negative or non-finite QCLP budget
     /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
     /// re-weighting cell, a negative or non-finite `perturb_ratio`, which
@@ -173,18 +174,27 @@ impl ScenarioSpec {
         {
             return Err(format!("scenario '{}' has an empty axis", self.name));
         }
-        let mut seen = std::collections::HashSet::new();
-        for &seed in &self.seeds {
-            if !seen.insert(seed) {
-                return Err(format!("scenario '{}' repeats seed {seed}", self.name));
-            }
-        }
-        let mut names = std::collections::HashSet::new();
-        for spec in &self.datasets {
-            if !names.insert(spec.name) {
+        let axes: [(&str, Vec<String>); 4] = [
+            ("seed", self.seeds.iter().map(u64::to_string).collect()),
+            (
+                "dataset",
+                self.datasets.iter().map(|d| d.name.to_string()).collect(),
+            ),
+            (
+                "model",
+                self.models.iter().map(|m| m.name().to_string()).collect(),
+            ),
+            (
+                "method",
+                self.methods.iter().map(|m| m.name().to_string()).collect(),
+            ),
+        ];
+        for (axis, values) in axes {
+            let mut seen = std::collections::HashSet::new();
+            if let Some(repeated) = values.iter().find(|v| !seen.insert(*v)) {
                 return Err(format!(
-                    "scenario '{}' repeats dataset '{}'",
-                    self.name, spec.name
+                    "scenario '{}' repeats {axis} '{repeated}'",
+                    self.name
                 ));
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Every test installs a seeded [`FaultPlan`] through `with_fault_plan`
 //! (which serialises plans process-wide, so the suite is safe under the
-//! default parallel test harness) and pins three properties:
+//! default parallel test harness) and pins four properties:
 //!
 //! * **zero interference** — a run with no plan, and a run with an armed but
 //!   empty plan, are bit-identical: the chaos machinery observes, it never
@@ -13,7 +13,10 @@
 //!   and 4;
 //! * **self-healing** — transient errors are retried away, corrupted cached
 //!   artifacts are detected by checksum and rebuilt, and budget exhaustion
-//!   degrades gracefully with every downgrade flagged in `degraded`.
+//!   degrades gracefully with every downgrade flagged in `degraded`;
+//! * **no budget leaks** — the re-weighting DPFR and PPFR share is computed
+//!   afresh by a cell under an exhausted or bounded budget, so that cell
+//!   neither hands its degraded result to its sibling nor borrows theirs.
 
 use ppfr_core::{Method, PpfrConfig};
 use ppfr_datasets::two_block_synthetic;
@@ -60,26 +63,31 @@ fn run_json(run: &SeedRun) -> String {
     serde_json::to_string(run).expect("runs serialise")
 }
 
-/// Asserts every run in `report` is bit-identical to the same
-/// `(dataset, model, method, seed)` run of the clean baseline.
+/// Asserts `run` is bit-identical to the same `(dataset, model, method,
+/// seed)` run of the clean baseline.
+fn assert_matches_clean(run: &SeedRun, clean: &MatrixReport) {
+    let reference = clean
+        .runs
+        .iter()
+        .find(|r| {
+            (&r.dataset, &r.model, &r.method, r.seed)
+                == (&run.dataset, &run.model, &run.method, run.seed)
+        })
+        .expect("surviving cell exists in the clean run");
+    assert_eq!(
+        run_json(run),
+        run_json(reference),
+        "{}:{}:{} diverged from the clean run",
+        run.dataset,
+        run.model,
+        run.method
+    );
+}
+
+/// Asserts every run in `report` is bit-identical to the clean baseline.
 fn assert_survivors_match(report: &MatrixReport, clean: &MatrixReport) {
     for run in &report.runs {
-        let reference = clean
-            .runs
-            .iter()
-            .find(|r| {
-                (&r.dataset, &r.model, &r.method, r.seed)
-                    == (&run.dataset, &run.model, &run.method, run.seed)
-            })
-            .expect("surviving cell exists in the clean run");
-        assert_eq!(
-            run_json(run),
-            run_json(reference),
-            "{}:{}:{} diverged from the clean run",
-            run.dataset,
-            run.model,
-            run.method
-        );
+        assert_matches_clean(run, clean);
     }
 }
 
@@ -276,5 +284,106 @@ fn budget_exhaustion_fault_walks_the_degradation_ladder() {
     assert_eq!(
         reports[0], reports[1],
         "degraded runs are thread-count-invariant"
+    );
+}
+
+#[test]
+fn an_exhausted_budget_never_leaks_between_fr_siblings() {
+    let _suite = suite_lock();
+    // Per group, DPFR and PPFR re-weight the same vanilla checkpoint, which
+    // an unbounded run computes once and shares between the two cells.
+    let spec = chaos_scenario().with_methods(&[Method::Vanilla, Method::DpFr, Method::Ppfr]);
+    let clean = run_scenario(&spec, &ArtifactCache::new()).expect("clean FR run");
+    assert!(clean.failed_cells.is_empty() && clean.degraded.is_empty());
+    // Exhausting the first FR cell must not stop the second from computing
+    // the exact re-weighting; exhausting the second must not let it reuse
+    // the first's exact one.
+    for target in ["DPFR", "PPFR"] {
+        let cell = format!("two-block:s7:GCN:{target}");
+        let plan = || {
+            FaultPlan::empty(29).with(FaultSpec::always("budget", &cell, FaultKind::ExhaustBudget))
+        };
+        let mut reports = Vec::new();
+        for threads in [1, 4] {
+            let report = with_fault_plan(plan(), || {
+                with_forced_threads(threads, || {
+                    run_scenario(&spec, &ArtifactCache::new()).expect("faulted run still reports")
+                })
+            });
+            assert!(report.failed_cells.is_empty(), "degradation is not failure");
+            assert_eq!(report.runs.len(), 6, "every cell completed");
+            let degraded: Vec<_> = report
+                .degraded
+                .iter()
+                .map(|d| {
+                    let cell = (
+                        d.dataset.as_str(),
+                        d.model.as_str(),
+                        d.method.as_str(),
+                        d.seed,
+                    );
+                    (cell, (d.site.as_str(), d.from.as_str(), d.to.as_str()))
+                })
+                .collect();
+            assert_eq!(
+                degraded,
+                [(
+                    ("two-block", "GCN", target, 7),
+                    ("influence", "cg", "lissa")
+                )],
+                "only the {target} cell degrades, at {threads} threads"
+            );
+            let others: Vec<&SeedRun> = report
+                .runs
+                .iter()
+                .filter(|r| (r.dataset.as_str(), r.method.as_str()) != ("two-block", target))
+                .collect();
+            assert_eq!(others.len(), 5);
+            for run in others {
+                assert_matches_clean(run, &clean);
+            }
+            reports.push(report.to_json());
+        }
+        assert_eq!(
+            reports[0], reports[1],
+            "the {target}-faulted report is thread-count-invariant"
+        );
+    }
+}
+
+#[test]
+fn a_bounded_ppfr_cell_does_not_reuse_its_siblings_reweighting() {
+    let _suite = suite_lock();
+    // At 7 units the vanilla cell trains 7 of its 10 epochs, and the PPFR
+    // cell spends 6 on its two 3-iteration CG solves, then stops its
+    // fine-tuning after 1 of 2 epochs.  Had it reused the DPFR sibling's
+    // re-weighting, it would skip the solves and fine-tune both epochs.
+    const UNITS: u64 = 7;
+    let ppfr_runs = |methods: &[Method]| -> (String, u64) {
+        let spec = chaos_scenario()
+            .with_methods(methods)
+            .with_cell_budget(UNITS);
+        let stops_before = counters().budget_stops;
+        let report = run_scenario(&spec, &ArtifactCache::new()).expect("bounded run reports");
+        let stops = counters().budget_stops - stops_before;
+        assert!(report.failed_cells.is_empty(), "{:?}", report.failed_cells);
+        assert!(
+            report.degraded.is_empty(),
+            "the exact solves fit the budget: {:?}",
+            report.degraded
+        );
+        let ppfr: Vec<&SeedRun> = report.runs.iter().filter(|r| r.method == "PPFR").collect();
+        assert_eq!(ppfr.len(), 2, "one PPFR run per dataset");
+        (serde_json::to_string(&ppfr).expect("runs serialise"), stops)
+    };
+    let (alone, stops) = ppfr_runs(&[Method::Vanilla, Method::Ppfr]);
+    assert_eq!(
+        stops, 4,
+        "per group, the budget stops vanilla training and PPFR's fine-tuning, nothing else"
+    );
+    let (with_sibling, _) = ppfr_runs(&[Method::Vanilla, Method::DpFr, Method::Ppfr]);
+    assert_eq!(
+        with_sibling, alone,
+        "a bounded PPFR cell must not depend on whether DPFR ran before it"
     );
 }

@@ -88,22 +88,25 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
     }
 
     // Counts: one cell and one `run_method` per run; one re-weighting (two
-    // CG adjoints, one shared tail, one QCLP) per DPFR/PPFR cell.
+    // CG adjoints, one shared tail, one QCLP) per (dataset, model, seed)
+    // that runs DPFR or PPFR, since its FR cells share it.
     let n_runs = spec.n_runs() as u64;
-    let fr_cells = untraced
+    let fr_triples = untraced
         .runs
         .iter()
         .filter(|r| r.method == "DPFR" || r.method == "PPFR")
-        .count() as u64;
-    assert_eq!((n_runs, fr_cells), (10, 4), "bench-small at one seed");
+        .map(|r| (&r.dataset, &r.model, r.seed))
+        .collect::<std::collections::BTreeSet<_>>()
+        .len() as u64;
+    assert_eq!((n_runs, fr_triples), (10, 2), "bench-small at one seed");
     for (name, expected) in [
         ("runner_cell", n_runs),
         ("run_method", n_runs),
-        ("reweight", fr_cells),
-        ("influence", fr_cells),
-        ("influence_tail", fr_cells),
-        ("qclp", fr_cells),
-        ("influence_cg", 2 * fr_cells),
+        ("reweight", fr_triples),
+        ("influence", fr_triples),
+        ("influence_tail", fr_triples),
+        ("qclp", fr_triples),
+        ("influence_cg", 2 * fr_triples),
     ] {
         assert_eq!(count_of(&tree_1, name), expected, "count of `{name}`");
     }
