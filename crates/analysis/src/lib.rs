@@ -6,7 +6,8 @@
 //!   enforcing the determinism invariants the reproduction relies on
 //!   (a forced-thread-count test for every parallel kernel, no hash-order in
 //!   serialized artifacts, no wall-clock outside the bench crate, documented
-//!   `unsafe`, allowlisted float reductions).  Run it from the repo root:
+//!   `unsafe`, allowlisted float reductions, a non-test caller for every
+//!   `pub fn`).  Run it from the repo root:
 //!
 //!   ```text
 //!   cargo run -p ppfr_analysis --bin ppfr_lint -- --root . [--json]
@@ -33,13 +34,15 @@ pub struct ScanResult {
     pub violations: Vec<Violation>,
 }
 
-/// Lints every first-party source tree plus `vendor/rayon` under `root`.
+/// Lints every first-party source tree plus `vendor/rayon` under `root`,
+/// reading the benches, examples and `perfbench/` as callers only.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     let mut ws = Workspace::new();
-    let files = workspace_rs_files(root)?;
-    for rel in &files {
-        let text = fs::read_to_string(root.join(rel))?;
-        ws.add_file(rel, &text);
+    for rel in &workspace_rs_files(root)? {
+        ws.add_file(rel, &fs::read_to_string(root.join(rel))?);
+    }
+    for rel in &caller_rs_files(root)? {
+        ws.add_caller_file(rel, &fs::read_to_string(root.join(rel))?);
     }
     Ok(ScanResult {
         files_scanned: ws.files_scanned(),
@@ -69,6 +72,30 @@ pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<String>> {
     }
     walk_rs(&root.join("vendor/rayon/src"), "vendor/rayon/src", &mut out)?;
     out.retain(|p| !p.starts_with("crates/analysis/tests/fixtures"));
+    out.sort();
+    Ok(out)
+}
+
+/// The repo-relative `.rs` files that `uncalled-pub` reads for callers and
+/// no rule checks, sorted: `crates/*/benches`, `examples` and `perfbench`'s
+/// `src` and `tests`.
+pub fn caller_rs_files(root: &Path) -> io::Result<Vec<String>> {
+    let mut out = Vec::new();
+    let mut dirs = vec![
+        "examples".to_string(),
+        "perfbench/src".into(),
+        "perfbench/tests".into(),
+    ];
+    for entry in fs::read_dir(root.join("crates"))? {
+        if let Ok(name) = entry?.file_name().into_string() {
+            dirs.push(format!("crates/{name}/benches"));
+        }
+    }
+    for rel in dirs {
+        if root.join(&rel).is_dir() {
+            walk_rs(&root.join(&rel), &rel, &mut out)?;
+        }
+    }
     out.sort();
     Ok(out)
 }

@@ -1,4 +1,4 @@
-//! The five determinism/soundness rules `ppfr_lint` enforces, over the
+//! The six determinism/soundness rules `ppfr_lint` enforces, over the
 //! token streams produced by [`crate::lexer`].
 //!
 //! | rule | requirement |
@@ -8,6 +8,11 @@
 //! | `wall-clock` | no `std::thread::spawn` / `Instant` / `SystemTime` outside `crates/telemetry`, `vendor/rayon` and `crates/bench` |
 //! | `undocumented-unsafe` | every `unsafe` is preceded by a `SAFETY:` (or `# Safety`) comment |
 //! | `par-float-reduction` | float reductions inside parallel kernels only in the blessed allowlist (each blessed kernel has a bit-identity test) |
+//! | `uncalled-pub` | every `pub fn` in `crates/*/src` is named by non-test code: crate sources, benches, examples or `perfbench/` |
+//!
+//! Test code is every item under a `#[cfg(test)]` attribute (the test
+//! module, or a test-only helper anywhere in the file) plus `#[test]` fns;
+//! no rule treats it as production code.
 //!
 //! Any finding can be suppressed in place with a justified escape hatch on
 //! the line above it:
@@ -20,14 +25,16 @@
 
 use crate::lexer::{tokenize, TokKind, Token};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// The rule identifiers, in the order they are documented.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "twin-kernel",
     "nondet-iteration",
     "wall-clock",
     "undocumented-unsafe",
     "par-float-reduction",
+    "uncalled-pub",
 ];
 
 /// The pool-dispatching primitives of `ppfr_linalg::parallel`; calling one
@@ -87,16 +94,21 @@ struct FnDef {
     is_pub: bool,
     is_test: bool,
     /// Token-index range of the `{ ... }` body (empty for bodyless decls).
-    body: std::ops::Range<usize>,
+    body: Range<usize>,
 }
 
 struct SourceFile {
     path: String,
     tokens: Vec<Token>,
-    /// Token index of the first `#[cfg(test)]`; tokens at or after it are
-    /// test-only code (the workspace convention keeps test modules last).
-    cfg_test_at: usize,
+    /// Token ranges of the `#[cfg(test)]` items: test-only code.
+    test_ranges: Vec<Range<usize>>,
     allows: Vec<Allow>,
+}
+
+impl SourceFile {
+    fn is_test(&self, tok: usize) -> bool {
+        self.test_ranges.iter().any(|r| r.contains(&tok))
+    }
 }
 
 /// All scanned files plus the cross-file indexes the rules need.
@@ -104,6 +116,9 @@ struct SourceFile {
 pub struct Workspace {
     files: Vec<SourceFile>,
     fns: Vec<FnDef>,
+    /// Identifiers the caller-only files name, for `uncalled-pub`.
+    caller_idents: BTreeSet<String>,
+    caller_files: usize,
 }
 
 impl Workspace {
@@ -115,20 +130,36 @@ impl Workspace {
     /// slashes (`crates/linalg/src/ops.rs`): rule scoping matches on it.
     pub fn add_file(&mut self, path: &str, source: &str) {
         let tokens = tokenize(source);
-        let cfg_test_at = find_cfg_test(&tokens);
+        let test_ranges = test_ranges(&tokens);
         let allows = extract_allows(&tokens);
         let file_idx = self.files.len();
         self.fns.extend(extract_fns(&tokens, file_idx));
         self.files.push(SourceFile {
             path: path.to_string(),
             tokens,
-            cfg_test_at,
+            test_ranges,
             allows,
         });
     }
 
+    /// Registers a file that no rule checks but whose identifiers count as
+    /// callers for `uncalled-pub`: benches, examples and `perfbench/`.  Its
+    /// test code counts too under `perfbench/`, whose self-test must keep
+    /// building.
+    pub fn add_caller_file(&mut self, path: &str, source: &str) {
+        let tokens = tokenize(source);
+        let tests = if path.starts_with("perfbench/") {
+            Vec::new()
+        } else {
+            test_ranges(&tokens)
+        };
+        self.caller_idents
+            .extend(naming_idents(&tokens, &tests).map(str::to_string));
+        self.caller_files += 1;
+    }
+
     pub fn files_scanned(&self) -> usize {
-        self.files.len()
+        self.files.len() + self.caller_files
     }
 
     /// Runs every rule and returns the unsuppressed findings, sorted by
@@ -140,6 +171,7 @@ impl Workspace {
         all.extend(self.check_wall_clock());
         all.extend(self.check_undocumented_unsafe());
         all.extend(self.check_par_float_reduction());
+        all.extend(self.check_uncalled_pub());
         all.retain(|v| !self.suppressed(v));
         all.sort();
         all.dedup();
@@ -187,7 +219,7 @@ impl Workspace {
             let file = &self.files[f.file];
             if !Self::is_crate_src(&file.path)
                 || f.is_test
-                || f.body.start >= file.cfg_test_at
+                || file.is_test(f.body.start)
                 || PAR_PRIMITIVES.contains(&f.name.as_str())
             {
                 continue;
@@ -254,14 +286,18 @@ impl Workspace {
             if !Self::is_crate_src(&file.path) {
                 continue;
             }
-            let serializes = file.tokens[..file.cfg_test_at].iter().any(|t| {
-                t.kind == TokKind::Ident && SERIALIZATION_MARKS.contains(&t.text.as_str())
-            });
-            if !serializes {
+            let code = || {
+                file.tokens
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, t)| t.kind == TokKind::Ident && !file.is_test(i))
+                    .map(|(_, t)| t)
+            };
+            if !code().any(|t| SERIALIZATION_MARKS.contains(&t.text.as_str())) {
                 continue;
             }
-            for t in &file.tokens[..file.cfg_test_at] {
-                if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
+            for t in code() {
+                if t.text == "HashMap" || t.text == "HashSet" {
                     out.push(Violation {
                         file: file.path.clone(),
                         line: t.line,
@@ -371,7 +407,7 @@ impl Workspace {
             let file = &self.files[f.file];
             if !Self::is_crate_src(&file.path)
                 || f.is_test
-                || f.body.start >= file.cfg_test_at
+                || file.is_test(f.body.start)
                 || BLESSED_KERNELS.contains(&f.name.as_str())
             {
                 continue;
@@ -411,6 +447,37 @@ impl Workspace {
         }
         out
     }
+
+    // ---- rule: uncalled-pub -----------------------------------------------
+
+    fn check_uncalled_pub(&self) -> Vec<Violation> {
+        // Matching is by name token, so a collision can only hide a finding.
+        let mut named: BTreeSet<&str> = self.caller_idents.iter().map(String::as_str).collect();
+        for file in self.files.iter().filter(|f| Self::is_crate_src(&f.path)) {
+            named.extend(naming_idents(&file.tokens, &file.test_ranges));
+        }
+        self.fns
+            .iter()
+            .filter(|f| {
+                let file = &self.files[f.file];
+                f.is_pub
+                    && Self::is_crate_src(&file.path)
+                    && !file.is_test(f.body.start)
+                    && !named.contains(f.name.as_str())
+            })
+            .map(|f| Violation {
+                file: self.files[f.file].path.clone(),
+                line: f.line,
+                rule: "uncalled-pub".into(),
+                message: format!(
+                    "`pub fn {}` is named by no non-test code in crates/*/src, benches, \
+                     examples or perfbench: delete it, or move a test-only helper under \
+                     `#[cfg(test)]`",
+                    f.name
+                ),
+            })
+            .collect()
+    }
 }
 
 /// The token `steps` code tokens away from `i` (negative = backwards),
@@ -430,13 +497,64 @@ fn code_tok(toks: &[Token], i: usize, steps: isize) -> Option<&Token> {
     toks.get(j)
 }
 
-/// Token index of the first `cfg(test)` attribute, or `len` when absent.
-fn find_cfg_test(toks: &[Token]) -> usize {
-    toks.windows(4)
-        .position(|w| {
-            w[0].text == "cfg" && w[1].text == "(" && w[2].text == "test" && w[3].text == ")"
-        })
-        .unwrap_or(toks.len())
+/// Token ranges of the items under a `#[cfg(test)]` attribute: each runs
+/// from the attribute to the item's `;` or the `}` closing its body.
+fn test_ranges(toks: &[Token]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    for (at, w) in toks.windows(5).enumerate() {
+        let text = |k: usize| w[k].text.as_str();
+        if (text(0), text(1), text(2), text(3), text(4)) != ("cfg", "(", "test", ")", "]") {
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut end = toks.len();
+        for (j, t) in toks.iter().enumerate().skip(at + 5) {
+            if t.kind != TokKind::Punct {
+                continue;
+            }
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth == 0 => {
+                    // The attribute sat on a field or arm: the rest of its
+                    // group counts as test code.
+                    end = j;
+                    break;
+                }
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth == 0 && t.text == "}" {
+                        end = j + 1;
+                        break;
+                    }
+                }
+                ";" if depth == 0 => {
+                    end = j + 1;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        out.push(at..end);
+    }
+    out
+}
+
+/// The identifiers a file names outside its test code, `use` items and the
+/// name after each `fn` (a definition names nothing).
+fn naming_idents<'a>(
+    toks: &'a [Token],
+    test_ranges: &'a [Range<usize>],
+) -> impl Iterator<Item = &'a str> + 'a {
+    let mut in_use = false;
+    toks.iter().enumerate().filter_map(move |(i, t)| {
+        if in_use || (t.kind == TokKind::Ident && t.text == "use") {
+            in_use = t.text != ";";
+            return None;
+        }
+        let defines = i > 0 && toks[i - 1].kind == TokKind::Ident && toks[i - 1].text == "fn";
+        (t.kind == TokKind::Ident && !defines && !test_ranges.iter().any(|r| r.contains(&i)))
+            .then_some(t.text.as_str())
+    })
 }
 
 /// Parses every justified `lint: allow(<rule>)` comment.
@@ -480,15 +598,17 @@ fn extract_fns(toks: &[Token], file_idx: usize) -> Vec<FnDef> {
         }
         let name = toks[i + 1].text.clone();
         let line = toks[i].line;
-        // Look back over qualifiers and attributes for `pub` / `#[test]`.
-        let back = &toks[i.saturating_sub(12)..i];
-        let is_pub = back
+        // Look back over qualifiers and attributes for `pub` / `#[test]`;
+        // `pub(crate)` and the like do not make a fn public.
+        let back_start = i.saturating_sub(12);
+        let back = &toks[back_start..i];
+        let item_start = back
             .iter()
-            .rev()
-            .take_while(|t| {
-                !(t.kind == TokKind::Punct && matches!(t.text.as_str(), "{" | "}" | ";"))
-            })
-            .any(|t| t.kind == TokKind::Ident && t.text == "pub");
+            .rposition(|t| t.kind == TokKind::Punct && matches!(t.text.as_str(), "{" | "}" | ";"))
+            .map_or(back_start, |p| back_start + p + 1);
+        let is_pub = toks[item_start..=i]
+            .windows(2)
+            .any(|w| w[0].kind == TokKind::Ident && w[0].text == "pub" && w[1].text != "(");
         let is_test = back
             .windows(3)
             .any(|w| w[0].text == "#" && w[1].text == "[" && w[2].text == "test");

@@ -2,13 +2,13 @@
 //! that an *unjustified* allow fails to suppress.  Trips `wall-clock`
 //! exactly once (the second site).
 
-pub fn budget_guard() -> u128 {
+fn budget_guard() -> u128 {
     // lint: allow(wall-clock) — coarse test budget only, never serialized
     let started = std::time::Instant::now();
     started.elapsed().as_millis()
 }
 
-pub fn unjustified() -> u128 {
+fn unjustified() -> u128 {
     // lint: allow(wall-clock)
     let started = std::time::Instant::now();
     started.elapsed().as_millis()

@@ -4,11 +4,11 @@
 
 use std::collections::BTreeMap;
 
-pub fn block_fill(n: usize) -> Vec<usize> {
+fn block_fill(n: usize) -> Vec<usize> {
     par_rows(n, |i| i * 2)
 }
 
-pub fn to_json(values: &BTreeMap<String, f64>) -> String {
+fn to_json(values: &BTreeMap<String, f64>) -> String {
     let mut out = String::from("{");
     for (k, v) in values {
         out.push_str(&format!("\"{k}\":{v},"));
@@ -17,7 +17,7 @@ pub fn to_json(values: &BTreeMap<String, f64>) -> String {
     out
 }
 
-pub fn first(xs: &[f64]) -> f64 {
+fn first(xs: &[f64]) -> f64 {
     // SAFETY: callers guarantee `xs` is non-empty, so the pointer read stays
     // in bounds.
     unsafe { *xs.as_ptr() }

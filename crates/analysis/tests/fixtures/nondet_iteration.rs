@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-pub fn to_json(values: &[(String, f64)]) -> String {
+fn to_json(values: &[(String, f64)]) -> String {
     let mut out = String::from("{");
     for (k, v) in values {
         out.push_str(&format!("\"{k}\":{v},"));

@@ -2,7 +2,7 @@
 //! `with_forced_threads` test satisfies `twin-kernel`, so only
 //! `par-float-reduction` trips.
 
-pub fn row_total(n: usize) -> f64 {
+fn row_total(n: usize) -> f64 {
     let mut acc = 0.0;
     par_rows(n, |i| {
         acc += i as f64;

@@ -3,6 +3,6 @@
 //! (This header deliberately avoids the magic marker word itself, which
 //! would count as documentation for the first block below.)
 
-pub fn first(xs: &[f64]) -> f64 {
+fn first(xs: &[f64]) -> f64 {
     unsafe { *xs.as_ptr() }
 }

@@ -2,12 +2,12 @@
 //! `wall-clock` twice (`Instant` and `SystemTime` once each) and nothing
 //! else.
 
-pub fn elapsed_ms() -> u128 {
+fn elapsed_ms() -> u128 {
     let started = std::time::Instant::now();
     started.elapsed().as_millis()
 }
 
-pub fn stamp_secs() -> u64 {
+fn stamp_secs() -> u64 {
     match std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
         Ok(d) => d.as_secs(),
         Err(_) => 0,

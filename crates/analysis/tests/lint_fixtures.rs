@@ -1,6 +1,7 @@
 //! Each fixture under `tests/fixtures/` trips exactly one rule (or none):
 //! the fixtures are fed to [`Workspace::add_file`] under synthetic
-//! `crates/fixture/src/` paths so every path-scoped rule applies, and are
+//! `crates/fixture/src/` paths so every path-scoped rule applies (or to
+//! [`Workspace::add_caller_file`] as an example or benchmark caller), and are
 //! excluded from real scans by `workspace_rs_files`.
 
 use ppfr_analysis::rules::{Violation, Workspace};
@@ -34,6 +35,15 @@ fn twin_kernel_fixture_trips_exactly_that_rule() {
     // The fixture's `scale_rows_serial` twin does not satisfy the rule: only
     // a `with_forced_threads` test does.
     let v = lint_fixture(include_str!("fixtures/twin_kernel.rs"));
+    assert_eq!(assert_only_rule(&v, "twin-kernel"), 1);
+    assert!(v[0].message.contains("`scale_rows`"), "{}", v[0].message);
+}
+
+#[test]
+fn twin_kernel_after_a_test_helper_trips_that_rule() {
+    // Only the `#[cfg(test)]` helper is test code: the kernel after it is
+    // production code and needs a forced-thread test like any other.
+    let v = lint_fixture(include_str!("fixtures/twin_kernel_after_test_helper.rs"));
     assert_eq!(assert_only_rule(&v, "twin-kernel"), 1);
     assert!(v[0].message.contains("`scale_rows`"), "{}", v[0].message);
 }
@@ -79,6 +89,45 @@ fn par_float_reduction_fixture_trips_exactly_that_rule() {
     let v = lint_fixture(include_str!("fixtures/par_float_reduction.rs"));
     assert_eq!(assert_only_rule(&v, "par-float-reduction"), 1);
     assert!(v[0].message.contains("row_total"));
+}
+
+#[test]
+fn uncalled_pub_fixture_trips_exactly_that_rule() {
+    // The test module's call does not count: only non-test code calls.
+    let v = lint_fixture(include_str!("fixtures/uncalled_pub.rs"));
+    assert_eq!(assert_only_rule(&v, "uncalled-pub"), 1);
+    assert!(
+        v[0].message.contains("`pub fn only_tested`"),
+        "{}",
+        v[0].message
+    );
+}
+
+#[test]
+fn uncalled_pub_counts_examples_and_perfbench_as_callers() {
+    for caller in ["examples/demo.rs", "perfbench/src/main.rs"] {
+        let mut ws = Workspace::new();
+        ws.add_file(
+            "crates/fixture/src/lib.rs",
+            include_str!("fixtures/uncalled_pub.rs"),
+        );
+        ws.add_caller_file(caller, include_str!("fixtures/uncalled_pub_caller.rs"));
+        // Caller files are read for identifiers only: no rule checks them.
+        ws.add_caller_file("examples/clock.rs", include_str!("fixtures/wall_clock.rs"));
+        let v = ws.run();
+        assert!(v.is_empty(), "{caller} names the fn, got {v:?}");
+    }
+}
+
+#[test]
+fn uncalled_pub_needs_a_justified_allow() {
+    let v = lint_fixture(include_str!("fixtures/uncalled_pub_allowed.rs"));
+    assert_eq!(assert_only_rule(&v, "uncalled-pub"), 1);
+    assert!(
+        v[0].message.contains("`pub fn unjustified`"),
+        "{}",
+        v[0].message
+    );
 }
 
 #[test]
@@ -129,6 +178,7 @@ fn fixtures_cover_every_rule_and_are_excluded_from_real_scans() {
         include_str!("fixtures/wall_clock.rs"),
         include_str!("fixtures/undocumented_unsafe.rs"),
         include_str!("fixtures/par_float_reduction.rs"),
+        include_str!("fixtures/uncalled_pub.rs"),
     ];
     let mut tripped: Vec<String> = all
         .iter()
@@ -161,4 +211,13 @@ fn fixtures_cover_every_rule_and_are_excluded_from_real_scans() {
         files.contains(&"crates/analysis/tests/lint_fixtures.rs".to_string()),
         "the harness itself must stay in scope"
     );
+    let callers = ppfr_analysis::caller_rs_files(root).expect("walk caller trees");
+    for want in [
+        "crates/bench/benches/attack.rs",
+        "examples/quickstart.rs",
+        "perfbench/src/main.rs",
+        "perfbench/tests/selftest.rs",
+    ] {
+        assert!(callers.iter().any(|f| f == want), "{want} must be a caller");
+    }
 }

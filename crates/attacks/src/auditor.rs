@@ -98,11 +98,6 @@ impl ThreatAuditor {
         &self.evaluator
     }
 
-    /// Mutable access to the unsupervised evaluator.
-    pub fn evaluator_mut(&mut self) -> &mut AttackEvaluator {
-        &mut self.evaluator
-    }
-
     /// The target pair sample every audit scores against.
     pub fn sample(&self) -> &PairSample {
         self.evaluator.sample()

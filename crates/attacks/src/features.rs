@@ -73,6 +73,7 @@ pub fn node_entropies(probs: &Matrix, parallel: bool) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics when `out` does not match `n_channels(features.is_some())`.
+// lint: allow(uncalled-pub) — the subject of ppfr_attacks' feature_properties tests
 pub fn pair_feature_row(
     probs: &Matrix,
     features: Option<&Matrix>,

@@ -156,6 +156,7 @@ impl ThreatGridReport {
 
     /// Best unsupervised single-distance AUC — the strongest attack the
     /// weakest adversary could mount.
+    // lint: allow(uncalled-pub) — read by ppfr_attacks' shadow_transfer and large_sbm_grid tests
     pub fn best_unsupervised_auc(&self) -> f64 {
         self.unsupervised
             .auc_per_distance

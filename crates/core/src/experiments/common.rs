@@ -161,11 +161,6 @@ impl DatasetArtifacts {
         h
     }
 
-    /// Trained + audited vanilla checkpoints currently cached.
-    pub fn n_vanilla_checkpoints(&self) -> usize {
-        self.vanilla.len()
-    }
-
     /// Trains and audits the vanilla checkpoint for `kind` unless it is
     /// already cached.
     fn ensure_vanilla(&mut self, kind: ModelKind, cfg: &PpfrConfig) {
@@ -279,12 +274,12 @@ mod tests {
             ..PpfrConfig::smoke()
         };
         let mut artifacts = DatasetArtifacts::build(&spec, 7, &cfg);
-        assert_eq!(artifacts.n_vanilla_checkpoints(), 0);
+        assert_eq!(artifacts.vanilla.len(), 0);
         let vanilla_cell = artifacts.cell(ModelKind::Gcn, Method::Vanilla, &cfg);
-        assert_eq!(artifacts.n_vanilla_checkpoints(), 1);
+        assert_eq!(artifacts.vanilla.len(), 1);
         let reg_cell = artifacts.cell(ModelKind::Gcn, Method::Reg, &cfg);
         // Still one checkpoint: Reg reused the cached vanilla reference.
-        assert_eq!(artifacts.n_vanilla_checkpoints(), 1);
+        assert_eq!(artifacts.vanilla.len(), 1);
         assert_eq!(vanilla_cell.run.method, "Vanilla");
         assert_eq!(reg_cell.run.method, "Reg");
         // The vanilla reference is identical in both cells.

@@ -1,7 +1,7 @@
 //! Privacy-aware perturbation (PP): heterophilic noise edges (§VI-B2).
 
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext};
-use ppfr_graph::{EdgePerturbation, Graph};
+use ppfr_graph::EdgePerturbation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,11 +30,6 @@ pub fn heterophilic_perturbation(
             .filter(|&u| u != v && predicted[u] != own && !ctx.graph.has_edge(u, v))
             .collect()
     })
-}
-
-/// Convenience wrapper: returns the perturbed graph `A' = A + ΔA` directly.
-pub fn perturbed_graph(model: &AnyModel, ctx: &GraphContext, ratio: f64, seed: u64) -> Graph {
-    heterophilic_perturbation(model, ctx, ratio, seed).apply(&ctx.graph)
 }
 
 #[cfg(test)]
@@ -100,7 +95,7 @@ mod tests {
     fn perturbed_graph_has_lower_homophily() {
         let (model, ctx, labels) = trained();
         let before = homophily(&ctx.graph, &labels);
-        let after_graph = perturbed_graph(&model, &ctx, 1.0, 9);
+        let after_graph = heterophilic_perturbation(&model, &ctx, 1.0, 9).apply(&ctx.graph);
         let after = homophily(&after_graph, &labels);
         assert!(
             after < before,

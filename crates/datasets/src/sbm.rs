@@ -30,15 +30,6 @@ impl Dataset {
     pub fn n_nodes(&self) -> usize {
         self.graph.n_nodes()
     }
-
-    /// One-hot label matrix (used by cross-entropy helpers in tests).
-    pub fn one_hot_labels(&self) -> Matrix {
-        let mut y = Matrix::zeros(self.labels.len(), self.n_classes);
-        for (i, &l) in self.labels.iter().enumerate() {
-            y[(i, l)] = 1.0;
-        }
-        y
-    }
 }
 
 /// Generates a dataset from a spec with a fixed RNG seed.
@@ -294,16 +285,6 @@ mod tests {
             rate0 > 2.0 * rate1,
             "class-0 block should fire mostly for class-0 nodes: {rate0} vs {rate1}"
         );
-    }
-
-    #[test]
-    fn one_hot_labels_have_single_one_per_row() {
-        let ds = generate(&two_block_synthetic(), 9);
-        let y = ds.one_hot_labels();
-        for r in 0..y.rows() {
-            assert!((y.row(r).iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert_eq!(y[(r, ds.labels[r])], 1.0);
-        }
     }
 
     #[test]

@@ -49,24 +49,6 @@ impl Splits {
         train.sort_unstable();
         Self { train, val, test }
     }
-
-    /// Panics unless the three splits are pairwise disjoint, in range and
-    /// non-empty — used by tests and by the experiment harness as a guard.
-    pub fn assert_valid(&self, n_nodes: usize) {
-        let mut seen = vec![false; n_nodes];
-        for (name, split) in [
-            ("train", &self.train),
-            ("val", &self.val),
-            ("test", &self.test),
-        ] {
-            assert!(!split.is_empty(), "{name} split must not be empty");
-            for &v in split {
-                assert!(v < n_nodes, "{name} index {v} out of range");
-                assert!(!seen[v], "node {v} appears in more than one split");
-                seen[v] = true;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -74,6 +56,26 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Splits {
+        /// Panics unless the three splits are pairwise disjoint, in range
+        /// and non-empty: the check of the crate's split tests.
+        pub(crate) fn assert_valid(&self, n_nodes: usize) {
+            let mut seen = vec![false; n_nodes];
+            for (name, split) in [
+                ("train", &self.train),
+                ("val", &self.val),
+                ("test", &self.test),
+            ] {
+                assert!(!split.is_empty(), "{name} split must not be empty");
+                for &v in split {
+                    assert!(v < n_nodes, "{name} index {v} out of range");
+                    assert!(!seen[v], "node {v} appears in more than one split");
+                    seen[v] = true;
+                }
+            }
+        }
+    }
 
     #[test]
     fn planetoid_split_has_requested_sizes() {

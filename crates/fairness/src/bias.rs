@@ -22,26 +22,6 @@ pub fn bias(probs: &Matrix, l_s: &SparseMatrix) -> f64 {
     tr / probs.rows() as f64
 }
 
-/// Equivalent pairwise form `½ Σ_{ij} S_ij ‖P_i − P_j‖² / n` computed directly
-/// from the similarity matrix.  Used as a cross-check of [`bias`] in tests and
-/// kept public because its per-pair terms are handy for diagnostics.
-pub fn pairwise_bias(probs: &Matrix, similarity: &SparseMatrix) -> f64 {
-    assert_eq!(probs.rows(), similarity.n_rows());
-    let mut total = 0.0;
-    for (i, j, s) in similarity.iter() {
-        if i == j {
-            continue;
-        }
-        let mut d2 = 0.0;
-        for c in 0..probs.cols() {
-            let d = probs[(i, c)] - probs[(j, c)];
-            d2 += d * d;
-        }
-        total += 0.5 * s * d2;
-    }
-    total / probs.rows() as f64
-}
-
 /// Gradient of `Tr(Pᵀ L_S P) / n` w.r.t. `P`: `2 L_S P / n` (the Laplacian is
 /// symmetric).
 pub fn bias_gradient_wrt_probs(probs: &Matrix, l_s: &SparseMatrix) -> Matrix {
@@ -52,6 +32,25 @@ pub fn bias_gradient_wrt_probs(probs: &Matrix, l_s: &SparseMatrix) -> Matrix {
 mod tests {
     use super::*;
     use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph};
+
+    /// Equivalent pairwise form `½ Σ_{ij} S_ij ‖P_i − P_j‖² / n` computed
+    /// directly from the similarity matrix: the oracle of [`bias`].
+    fn pairwise_bias(probs: &Matrix, similarity: &SparseMatrix) -> f64 {
+        assert_eq!(probs.rows(), similarity.n_rows());
+        let mut total = 0.0;
+        for (i, j, s) in similarity.iter() {
+            if i == j {
+                continue;
+            }
+            let mut d2 = 0.0;
+            for c in 0..probs.cols() {
+                let d = probs[(i, c)] - probs[(j, c)];
+                d2 += d * d;
+            }
+            total += 0.5 * s * d2;
+        }
+        total / probs.rows() as f64
+    }
 
     fn toy() -> (Graph, SparseMatrix, SparseMatrix) {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);

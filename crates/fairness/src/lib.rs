@@ -10,5 +10,5 @@
 mod bias;
 mod streaming;
 
-pub use bias::{bias, bias_gradient_wrt_probs, pairwise_bias};
+pub use bias::{bias, bias_gradient_wrt_probs};
 pub use streaming::streamed_bias;

@@ -315,7 +315,7 @@ mod tests {
         let f = |p: &[f64]| {
             let mut m = gat.clone();
             m.set_params(p);
-            m.forward(&ctx).hadamard(&coeff).sum()
+            m.forward(&ctx).zip_with(&coeff, |a, b| a * b).sum()
         };
         let numeric = central_difference(f, &gat.params(), 1e-5);
         let err = max_relative_error(&analytic, &numeric, 1e-5);

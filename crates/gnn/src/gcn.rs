@@ -124,7 +124,7 @@ mod tests {
             let mut m = gcn.clone();
             m.set_params(p);
             let z = m.forward(&ctx);
-            z.hadamard(&coeff).sum()
+            z.zip_with(&coeff, |a, b| a * b).sum()
         };
         let numeric = central_difference(f, &gcn.params(), 1e-5);
         let err = max_relative_error(&analytic, &numeric, 1e-6);

@@ -53,6 +53,8 @@ impl GraphSage {
     }
 
     /// Enables neighbour sampling with the given fan-out.
+    // lint: allow(uncalled-pub) — pins sampling GraphSAGE in ppfr_gnn's workspace_equivalence
+    // and ppfr_influence's HVP tests until SampledContext replaces it
     pub fn with_sampling(mut self, sample_size: usize) -> Self {
         self.sample_size = Some(sample_size);
         self
@@ -199,7 +201,7 @@ mod tests {
         let f = |p: &[f64]| {
             let mut m = sage.clone();
             m.set_params(p);
-            m.forward(&ctx).hadamard(&coeff).sum()
+            m.forward(&ctx).zip_with(&coeff, |a, b| a * b).sum()
         };
         let numeric = central_difference(f, &sage.params(), 1e-5);
         let err = max_relative_error(&analytic, &numeric, 1e-6);

@@ -79,11 +79,6 @@ impl SampledContext {
         &self.ctx
     }
 
-    /// The full graph the samples are drawn from.
-    pub fn base_graph(&self) -> &Graph {
-        &self.base
-    }
-
     /// Per-node neighbour fan-out of the sampled operators.
     pub fn fanout(&self) -> usize {
         self.fanout

@@ -66,17 +66,6 @@ impl Default for TrainConfig {
     }
 }
 
-impl TrainConfig {
-    /// Same configuration with a different number of epochs (used to derive
-    /// the fine-tuning budget `e_re = s · e_va`).
-    pub fn with_epochs(&self, epochs: usize) -> Self {
-        Self {
-            epochs,
-            ..self.clone()
-        }
-    }
-}
-
 /// Summary of a training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {

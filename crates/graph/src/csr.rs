@@ -303,26 +303,29 @@ impl SparseMatrix {
             }
         }
     }
-
-    /// Converts to a dense matrix (tests / tiny graphs only).
-    pub fn to_dense(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.n_rows, self.n_cols);
-        for (r, c, v) in self.iter() {
-            out[(r, c)] += v;
-        }
-        out
-    }
-
-    /// Sum of all stored values in row `r`.
-    pub fn row_sum(&self, r: usize) -> f64 {
-        self.row(r).map(|(_, v)| v).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppfr_linalg::parallel::with_forced_threads;
+
+    /// Test helpers of the crate's unit tests.
+    impl SparseMatrix {
+        /// Converts to a dense matrix.
+        pub(crate) fn to_dense(&self) -> Matrix {
+            let mut out = Matrix::zeros(self.n_rows, self.n_cols);
+            for (r, c, v) in self.iter() {
+                out[(r, c)] += v;
+            }
+            out
+        }
+
+        /// Sum of all stored values in row `r`.
+        pub(crate) fn row_sum(&self, r: usize) -> f64 {
+            self.row(r).map(|(_, v)| v).sum()
+        }
+    }
 
     fn sample() -> SparseMatrix {
         // [[1, 0, 2],

@@ -83,14 +83,6 @@ impl Graph {
         })
     }
 
-    /// Raw (unnormalised) adjacency matrix `A` as a sparse matrix.
-    pub fn adjacency(&self) -> SparseMatrix {
-        let triplets: Vec<(usize, usize, f64)> = (0..self.n_nodes)
-            .flat_map(|u| self.adj[u].iter().map(move |&v| (u, v, 1.0)))
-            .collect();
-        SparseMatrix::from_triplets(self.n_nodes, self.n_nodes, &triplets)
-    }
-
     /// Symmetrically normalised adjacency with self loops:
     /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` — the GCN propagation operator.
     pub fn normalized_adjacency(&self) -> SparseMatrix {
@@ -102,20 +94,6 @@ impl Graph {
             triplets.push((u, u, 1.0 / deg_tilde[u]));
             for &v in &self.adj[u] {
                 triplets.push((u, v, 1.0 / (deg_tilde[u] * deg_tilde[v]).sqrt()));
-            }
-        }
-        SparseMatrix::from_triplets(self.n_nodes, self.n_nodes, &triplets)
-    }
-
-    /// Left (random-walk) normalised adjacency with self loops:
-    /// `Â = D̃^{-1} (A + I)` — used by the risk model of §VI-B2.
-    pub fn left_normalized_adjacency(&self) -> SparseMatrix {
-        let mut triplets = Vec::with_capacity(2 * self.n_edges + self.n_nodes);
-        for u in 0..self.n_nodes {
-            let inv = 1.0 / (self.degree(u) as f64 + 1.0);
-            triplets.push((u, u, inv));
-            for &v in &self.adj[u] {
-                triplets.push((u, v, inv));
             }
         }
         SparseMatrix::from_triplets(self.n_nodes, self.n_nodes, &triplets)
@@ -158,20 +136,6 @@ impl Graph {
         let mut edges: Vec<(usize, usize)> = self.edges().collect();
         edges.extend_from_slice(extra);
         Graph::from_edges(self.n_nodes, &edges)
-    }
-
-    /// Returns all node pairs `(u, v)` with `u < v` that are *not* connected.
-    /// Quadratic — only for small graphs / tests; attack code samples instead.
-    pub fn unconnected_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for u in 0..self.n_nodes {
-            for v in (u + 1)..self.n_nodes {
-                if !self.has_edge(u, v) {
-                    out.push((u, v));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -220,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn left_normalized_rows_always_sum_to_one() {
-        let g = path4();
-        let a_hat = g.left_normalized_adjacency();
-        for r in 0..4 {
-            assert!((a_hat.row_sum(r) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn normalized_adjacency_is_symmetric() {
         let g = path4();
         let a_hat = g.normalized_adjacency().to_dense();
@@ -263,14 +218,5 @@ mod tests {
         let g2 = g.with_extra_edges(&[(0, 3), (0, 1), (2, 2)]);
         assert_eq!(g2.n_edges(), 4);
         assert!(g2.has_edge(0, 3));
-    }
-
-    #[test]
-    fn unconnected_pairs_complement_edges() {
-        let g = path4();
-        let unconnected = g.unconnected_pairs();
-        assert_eq!(unconnected, vec![(0, 2), (0, 3), (1, 3)]);
-        let total_pairs = 4 * 3 / 2;
-        assert_eq!(unconnected.len() + g.n_edges(), total_pairs);
     }
 }

@@ -30,26 +30,10 @@ pub fn shortest_hops_from(graph: &Graph, source: usize) -> Vec<usize> {
     dist
 }
 
-/// All node pairs `(u, v)` with `u < v` whose shortest-path hop count is
-/// exactly `k`.  Quadratic in the number of nodes; intended for analysis on
-/// the (scaled) datasets, not for hot paths.
-pub fn k_hop_pairs(graph: &Graph, k: usize) -> Vec<(usize, usize)> {
-    let n = graph.n_nodes();
-    let mut out = Vec::new();
-    for u in 0..n {
-        let dist = shortest_hops_from(graph, u);
-        for (v, &d) in dist.iter().enumerate().skip(u + 1) {
-            if d == k {
-                out.push((u, v));
-            }
-        }
-    }
-    out
-}
-
 /// Histogram of hop distances over all unordered node pairs.
 /// Index `k` holds the number of k-hop pairs; the last entry counts
 /// unreachable pairs.  Returns `(histogram, unreachable_count)`.
+// lint: allow(uncalled-pub) — the Eq. 5 sparsity check of tests/integration_tradeoff.rs
 pub fn hop_histogram(graph: &Graph, max_hops: usize) -> (Vec<usize>, usize) {
     let n = graph.n_nodes();
     let mut hist = vec![0usize; max_hops + 1];
@@ -89,15 +73,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
         assert_eq!(d[3], UNREACHABLE);
-    }
-
-    #[test]
-    fn k_hop_pairs_match_hand_enumeration() {
-        let g = path4();
-        assert_eq!(k_hop_pairs(&g, 1), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(k_hop_pairs(&g, 2), vec![(0, 2), (1, 3)]);
-        assert_eq!(k_hop_pairs(&g, 3), vec![(0, 3)]);
-        assert!(k_hop_pairs(&g, 4).is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ mod stats;
 
 pub use csr::{spmm_row_kernel, SparseMatrix};
 pub use graph::Graph;
-pub use hops::{hop_histogram, k_hop_pairs, shortest_hops_from};
-pub use perturb::{add_edges, EdgePerturbation};
+pub use hops::{hop_histogram, shortest_hops_from};
+pub use perturb::EdgePerturbation;
 pub use similarity::{jaccard_similarity, jaccard_wedge_row, similarity_laplacian};
 pub use stats::{average_degree, edge_density, homophily, intra_inter_probabilities};

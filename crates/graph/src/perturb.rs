@@ -79,11 +79,6 @@ impl EdgePerturbation {
     }
 }
 
-/// Convenience wrapper: add an explicit edge list to a graph.
-pub fn add_edges(graph: &Graph, edges: &[(usize, usize)]) -> Graph {
-    graph.with_extra_edges(edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

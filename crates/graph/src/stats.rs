@@ -31,6 +31,7 @@ pub fn average_degree(graph: &Graph) -> f64 {
 
 /// Edge density `|E| / (n choose 2)` — the paper's sparsity assumption is
 /// that this is much smaller than one.
+// lint: allow(uncalled-pub) — ppfr_datasets' sbm tests check generated sparsity with it
 pub fn edge_density(graph: &Graph) -> f64 {
     let n = graph.n_nodes();
     if n < 2 {
@@ -42,6 +43,8 @@ pub fn edge_density(graph: &Graph) -> f64 {
 
 /// Empirical intra-class (`p`) and inter-class (`q`) linking probabilities,
 /// the quantities appearing in the sparsity ratio of Eq. (5).
+// lint: allow(uncalled-pub) — Eq. 5 helper of tests/integration_tradeoff.rs and the
+// sbm/shadow tests of ppfr_datasets
 pub fn intra_inter_probabilities(graph: &Graph, labels: &[usize]) -> (f64, f64) {
     assert_eq!(labels.len(), graph.n_nodes());
     let n = graph.n_nodes();

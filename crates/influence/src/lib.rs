@@ -34,4 +34,4 @@ pub use gradients::{
 pub use hvp::{conjugate_gradient, hessian_vector_product_with, HvpScratch};
 pub use lissa::LissaConfig;
 pub use ppfr_linalg::pearson;
-pub use risk_grad::{sq_risk_gradient_wrt_probs, sq_risk_score};
+pub use risk_grad::sq_risk_gradient_wrt_probs;

@@ -4,8 +4,8 @@
 //! `f_risk(θ) = 2‖d̄₀ − d̄₁‖ / (var(d₀) + var(d₁))` (§VI-B1).  To make the
 //! gradient tractable the pair distance is the squared euclidean distance in
 //! prediction space, which is smooth in the probabilities.  This module
-//! provides the score and its analytic gradient w.r.t. the probability matrix
-//! (verified against finite differences in tests).
+//! provides the score's analytic gradient w.r.t. the probability matrix
+//! (verified against finite differences of the score in tests).
 
 use ppfr_linalg::{mean, variance, Matrix};
 use ppfr_privacy::PairSample;
@@ -19,24 +19,8 @@ fn sq_distance(probs: &Matrix, u: usize, v: usize) -> f64 {
     d
 }
 
-/// The normalised risk score with squared-euclidean pair distances.
-pub fn sq_risk_score(probs: &Matrix, sample: &PairSample) -> f64 {
-    let d1: Vec<f64> = sample
-        .positives
-        .iter()
-        .map(|&(u, v)| sq_distance(probs, u, v))
-        .collect();
-    let d0: Vec<f64> = sample
-        .negatives
-        .iter()
-        .map(|&(u, v)| sq_distance(probs, u, v))
-        .collect();
-    let gap = (mean(&d0) - mean(&d1)).abs();
-    let denom = (variance(&d0) + variance(&d1)).max(1e-9);
-    2.0 * gap / denom
-}
-
-/// Analytic gradient of [`sq_risk_score`] w.r.t. the probabilities.
+/// Analytic gradient w.r.t. the probabilities of the normalised risk score
+/// `2‖d̄₀ − d̄₁‖ / (var(d₀) + var(d₁))` with squared-euclidean pair distances.
 pub fn sq_risk_gradient_wrt_probs(probs: &Matrix, sample: &PairSample) -> Matrix {
     let d1: Vec<f64> = sample
         .positives
@@ -92,6 +76,24 @@ mod tests {
     use ppfr_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The normalised risk score with squared-euclidean pair distances: the
+    /// function [`sq_risk_gradient_wrt_probs`] differentiates.
+    fn sq_risk_score(probs: &Matrix, sample: &PairSample) -> f64 {
+        let d1: Vec<f64> = sample
+            .positives
+            .iter()
+            .map(|&(u, v)| sq_distance(probs, u, v))
+            .collect();
+        let d0: Vec<f64> = sample
+            .negatives
+            .iter()
+            .map(|&(u, v)| sq_distance(probs, u, v))
+            .collect();
+        let gap = (mean(&d0) - mean(&d1)).abs();
+        let denom = (variance(&d0) + variance(&d1)).max(1e-9);
+        2.0 * gap / denom
+    }
 
     fn setup() -> (Matrix, PairSample) {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);

@@ -21,21 +21,18 @@ pub use ops::{
 pub use parallel::{
     par_chunks, par_fill, par_join, par_row_blocks, par_rows, par_rows_quarantined,
 };
-pub use stats::{mean, pearson, std_dev, variance};
+pub use stats::{mean, pearson, variance};
 
 /// Numerical tolerance used by tests and iterative solvers in downstream
 /// crates.  Kept here so every crate agrees on what "equal enough" means.
 pub const EPS: f64 = 1e-9;
 
-/// Returns `true` when `a` and `b` are equal within `tol` (absolute).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// Returns `true` when `a` and `b` are equal within `tol` (absolute).
+    pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+        (a - b).abs() <= tol
+    }
 
     #[test]
     fn approx_eq_respects_tolerance() {

@@ -54,19 +54,13 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a flat row-major buffer.
     ///
     /// # Panics
     /// Panics when `data.len() != rows * cols`.
+    // lint: allow(uncalled-pub) — builds inputs in kernel_properties, workspace_equivalence,
+    // feature_properties, attack_properties, tests/integration_properties.rs and the
+    // ppfr_graph and ppfr_fairness unit tests
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
             data.len(),
@@ -80,6 +74,8 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics when rows have inconsistent lengths.
+    // lint: allow(uncalled-pub) — builds hand-written inputs in the unit tests of ppfr_nn,
+    // ppfr_graph, ppfr_gnn, ppfr_fairness and ppfr_influence
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let n_rows = rows.len();
         let n_cols = rows.first().map_or(0, Vec::len);
@@ -151,11 +147,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -211,6 +202,8 @@ impl Matrix {
     }
 
     /// Matrix transpose.
+    // lint: allow(uncalled-pub) — the explicit-transpose oracle of ppfr_linalg's
+    // kernel_properties and of the ppfr_graph CSR and ppfr_gnn context unit tests
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -555,11 +548,6 @@ impl Matrix {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Element-wise combination with a closure.
     pub fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
@@ -619,23 +607,8 @@ impl Matrix {
         self.map(|v| v * s)
     }
 
-    /// `self += other * s` without allocating.
-    pub fn add_scaled_inplace(&mut self, other: &Matrix, s: f64) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b * s;
-        }
-    }
-
-    /// Adds `row` (length `cols`) to every row of the matrix (bias add).
-    pub fn add_row_broadcast(&self, row: &[f64]) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_broadcast_inplace(row);
-        out
-    }
-
-    /// In-place variant of [`Matrix::add_row_broadcast`] for hot paths that
-    /// already own a temporary (e.g. a bias add right after a matmul).
+    /// Adds `row` (length `cols`) to every row of the matrix in place (bias
+    /// add, e.g. right after a matmul).
     pub fn add_row_broadcast_inplace(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.cols, "broadcast row length mismatch");
         for r in 0..self.rows {
@@ -659,16 +632,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Per-row sums (length `rows`).
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|r| self.row(r).iter().sum()).collect()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Index of the maximum entry in each row (`argmax`), used for predictions.
@@ -732,6 +695,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Allocating oracle of [`Matrix::add_row_broadcast_inplace`].
+    fn add_row_broadcast(a: &Matrix, row: &[f64]) -> Matrix {
+        let mut out = a.clone();
+        for r in 0..a.rows() {
+            for (c, &b) in row.iter().enumerate() {
+                out[(r, c)] = a[(r, c)] + b;
+            }
+        }
+        out
+    }
+
     #[test]
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
@@ -747,7 +721,10 @@ mod tests {
     fn identity_is_matmul_neutral() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = Matrix::gaussian(4, 4, 0.0, 1.0, &mut rng);
-        let i = Matrix::eye(4);
+        let mut i = Matrix::zeros(4, 4);
+        for k in 0..4 {
+            i[(k, k)] = 1.0;
+        }
         let left = i.matmul(&a);
         let right = a.matmul(&i);
         for (x, y) in left.as_slice().iter().zip(a.as_slice()) {
@@ -776,7 +753,6 @@ mod tests {
     fn col_and_row_sums() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.col_sums(), vec![4.0, 6.0]);
-        assert_eq!(a.row_sums(), vec![3.0, 7.0]);
         assert_eq!(a.sum(), 10.0);
     }
 
@@ -794,14 +770,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn add_scaled_inplace_accumulates() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        a.add_scaled_inplace(&b, 0.5);
-        assert!(a.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-12));
     }
 
     #[test]
@@ -942,7 +910,7 @@ mod tests {
     fn add_row_broadcast_inplace_matches_allocating_version() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let bias = [0.5, -1.5];
-        let want = a.add_row_broadcast(&bias);
+        let want = add_row_broadcast(&a, &bias);
         let mut got = a.clone();
         got.add_row_broadcast_inplace(&bias);
         assert_eq!(got.as_slice(), want.as_slice());

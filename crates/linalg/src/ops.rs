@@ -118,7 +118,7 @@ pub fn row_softmax_backward_into(probs: &Matrix, d_probs: &Matrix, out: &mut Mat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::tests::approx_eq;
 
     #[test]
     fn relu_zeroes_negative_entries() {

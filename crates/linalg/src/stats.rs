@@ -17,11 +17,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Pearson correlation coefficient between two equally-long samples.
 ///
 /// Returns 0 when either sample is (numerically) constant, which matches how
@@ -56,7 +51,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -192,7 +192,10 @@ proptest! {
         let bias: Vec<f64> = (0..cols).map(|c| c as f64 - 1.5).collect();
         let mut inplace = a.clone();
         inplace.add_row_broadcast_inplace(&bias);
-        prop_assert_eq!(inplace.as_slice(), a.add_row_broadcast(&bias).as_slice());
+        let broadcast: Vec<f64> = (0..rows)
+            .flat_map(|r| a.row(r).iter().zip(&bias).map(|(v, b)| v + b))
+            .collect();
+        prop_assert_eq!(inplace.as_slice(), broadcast.as_slice());
 
         let mut col_buf = vec![0.0; rows];
         for c in 0..cols {

@@ -2,6 +2,8 @@
 //! and by the influence-function Hessian-vector products.
 
 /// Central finite-difference approximation of the gradient of `f` at `x`.
+// lint: allow(uncalled-pub) — the numeric side of the gradient checks in the ppfr_gnn
+// gcn/gat/sage and ppfr_influence gradients unit tests
 pub fn central_difference(f: impl Fn(&[f64]) -> f64, x: &[f64], h: f64) -> Vec<f64> {
     let mut grad = vec![0.0; x.len()];
     let mut work = x.to_vec();
@@ -20,6 +22,7 @@ pub fn central_difference(f: impl Fn(&[f64]) -> f64, x: &[f64], h: f64) -> Vec<f
 /// Maximum relative error between an analytic and a numeric gradient, using
 /// `max(|a|, |b|, floor)` as the denominator so near-zero entries do not blow
 /// up the ratio.
+// lint: allow(uncalled-pub) — compares gradients in the ppfr_gnn gcn/gat/sage unit tests
 pub fn max_relative_error(analytic: &[f64], numeric: &[f64], floor: f64) -> f64 {
     assert_eq!(analytic.len(), numeric.len());
     analytic

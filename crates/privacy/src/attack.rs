@@ -230,6 +230,8 @@ pub fn auc_from_distances(pos: &[f64], neg: &[f64]) -> f64 {
 /// Ties are counted by *exact value equality* (half a win each): the seed's
 /// `(p − q).abs() <= f64::EPSILON` tolerance missed genuinely equal ranks at
 /// magnitudes above ~2 and fired spuriously for distinct values near 0.
+// lint: allow(uncalled-pub) — the oracle of ppfr_privacy's attack_properties and
+// large_sbm_attack tests
 pub fn auc_from_distances_quadratic(pos: &[f64], neg: &[f64]) -> f64 {
     if pos.is_empty() || neg.is_empty() {
         return 0.5;

@@ -189,11 +189,23 @@ mod tests {
     use super::*;
     use crate::attack::{attack_auc, auc_per_distance, average_attack_auc};
     use crate::distance::pairwise_distance;
-    use crate::risk::prediction_distance_gap;
     use ppfr_linalg::parallel::with_forced_threads;
-    use ppfr_linalg::row_softmax;
+    use ppfr_linalg::{mean, row_softmax};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `f_risk` of Definition 2 pair by pair: the oracle of
+    /// [`DistanceTable::mean_gap`].
+    fn prediction_distance_gap(probs: &Matrix, sample: &PairSample, kind: DistanceKind) -> f64 {
+        let mean_distance = |pairs: &[(usize, usize)]| {
+            let d: Vec<f64> = pairs
+                .iter()
+                .map(|&(u, v)| pairwise_distance(kind, probs.row(u), probs.row(v)))
+                .collect();
+            mean(&d)
+        };
+        (mean_distance(&sample.negatives) - mean_distance(&sample.positives)).abs()
+    }
 
     /// A two-community graph with separable posteriors (mirrors attack.rs).
     fn setup(n_per_block: usize) -> (Graph, Matrix, AttackEvaluator) {
@@ -307,5 +319,50 @@ mod tests {
         let report = ev.evaluate(&probs);
         assert_eq!(report.average_auc, 0.5);
         assert_eq!(report.risk_gap, 0.0);
+    }
+
+    /// Two 3-cliques whose predictions lie `separation` apart.
+    fn separated(separation: f64) -> (Matrix, AttackEvaluator) {
+        let edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)];
+        let g = Graph::from_edges(6, &edges);
+        let mut probs = Matrix::zeros(6, 2);
+        for v in 0..6 {
+            let wiggle = v as f64 * 0.01;
+            let p = if v < 3 {
+                0.5 + separation / 2.0
+            } else {
+                0.5 - separation / 2.0
+            };
+            probs[(v, 0)] = p - wiggle;
+            probs[(v, 1)] = 1.0 - p + wiggle;
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        (probs, AttackEvaluator::from_graph(&g, &mut rng))
+    }
+
+    #[test]
+    fn larger_separation_means_larger_risk() {
+        let (p_small, mut ev_small) = separated(0.1);
+        let (p_large, mut ev_large) = separated(0.8);
+        for kind in [
+            DistanceKind::Euclidean,
+            DistanceKind::Cityblock,
+            DistanceKind::Cosine,
+        ] {
+            let small = ev_small.distances(&p_small).mean_gap(kind);
+            let large = ev_large.distances(&p_large).mean_gap(kind);
+            assert!(
+                large > small,
+                "{}: gap {large} should exceed {small}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn identical_predictions_have_zero_gap() {
+        let (_, mut ev) = separated(0.5);
+        let probs = Matrix::filled(6, 2, 0.5);
+        assert!(ev.evaluate(&probs).risk_gap.abs() < 1e-12);
     }
 }

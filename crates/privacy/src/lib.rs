@@ -9,8 +9,8 @@
 //! * [`evaluator`] — the scalable [`AttackEvaluator`]: a single-pass
 //!   multi-metric distance kernel (all eight metrics per pair in one
 //!   traversal, parallel over pair chunks) feeding `O(m log m)` Mann–Whitney
-//!   AUCs, with sample and buffers cached across posterior matrices;
-//! * [`risk`] — `f_risk` of Definition 2 and its normalised form from §VI-B1;
+//!   AUCs, with sample and buffers cached across posterior matrices, and
+//!   `f_risk` of Definition 2 ([`DistanceTable::mean_gap`]);
 //! * [`dp`] — the edge differential-privacy defences EdgeRand and LapGraph
 //!   (Wu et al., IEEE S&P 2022) used by the DPReg / DPFR baselines;
 //! * [`risk_model`] — the closed-form edge-sensitivity model of Eq. (20).
@@ -21,7 +21,6 @@ pub mod attack;
 pub mod distance;
 pub mod dp;
 pub mod evaluator;
-pub mod risk;
 pub mod risk_model;
 
 pub use attack::{
@@ -31,5 +30,4 @@ pub use attack::{
 pub use distance::{multi_distance, pairwise_distance, DistanceKind, N_DISTANCE_KINDS};
 pub use dp::{edge_rand, lap_graph};
 pub use evaluator::{AttackEvaluator, AttackReport, DistanceTable};
-pub use risk::{prediction_distance_gap, risk_score};
 pub use risk_model::{edge_sensitivity, EdgeSensitivityInputs};

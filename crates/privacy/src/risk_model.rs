@@ -25,6 +25,7 @@ pub struct EdgeSensitivityInputs {
 }
 
 /// Expected embedding-distance sensitivity `E[Δd(v_i, v_j)]` of Eq. (20).
+// lint: allow(uncalled-pub) — the Eq. 20 check of tests/integration_tradeoff.rs
 pub fn edge_sensitivity(inputs: &EdgeSensitivityInputs) -> f64 {
     assert!(
         inputs.hetero_neighbors_i <= inputs.degree_i

@@ -24,11 +24,6 @@ impl RetryPolicy {
             max_attempts: max_attempts.max(1),
         }
     }
-
-    /// The no-retry policy: one attempt only.
-    pub fn none() -> Self {
-        Self::attempts(1)
-    }
 }
 
 impl Default for RetryPolicy {

@@ -344,9 +344,9 @@ mod tests {
         // Likewise a DP budget edge-DP would reject: every DPReg/DPFR cell
         // would panic in the mechanism and be quarantined.
         for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let bad = tiny_scenario()
-                .with_methods(&[Method::Vanilla, Method::DpReg, Method::DpFr])
-                .with_dp_epsilon(epsilon);
+            let mut bad =
+                tiny_scenario().with_methods(&[Method::Vanilla, Method::DpReg, Method::DpFr]);
+            bad.config.dp_epsilon = epsilon;
             let err = run_scenario(&bad, &cache).expect_err("invalid DP budget");
             assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
             assert!(err.to_string().contains("dp_epsilon"), "{err}");
@@ -354,9 +354,8 @@ mod tests {
         // A negative perturbation ratio would panic every PPFR cell, and a
         // NaN damping would make every influence NaN, which the QCLP of
         // every DPFR cell rejects: both must stop at validation instead.
-        let bad = tiny_scenario()
-            .with_methods(&[Method::Vanilla, Method::Ppfr])
-            .with_perturb_ratio(-0.5);
+        let mut bad = tiny_scenario().with_methods(&[Method::Vanilla, Method::Ppfr]);
+        bad.config.perturb_ratio = -0.5;
         let err = run_scenario(&bad, &cache).expect_err("invalid perturbation ratio");
         assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
         assert!(err.to_string().contains("perturb_ratio"), "{err}");
@@ -367,6 +366,21 @@ mod tests {
         let err = run_scenario(&bad, &cache).expect_err("invalid Hessian damping");
         assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
         assert!(err.to_string().contains("influence_damping"), "{err}");
+        // A misspelt threat model or an empty list would keep fewer registry
+        // entries and silently audit a smaller grid.
+        for (names, want) in [
+            (
+                vec!["posterior".to_string()],
+                "unknown threat model 'posterior'",
+            ),
+            (Vec::new(), "empty threat_models"),
+        ] {
+            let mut bad = tiny_scenario();
+            bad.threat_models = Some(names);
+            let err = run_scenario(&bad, &cache).expect_err("invalid threat models");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
         assert!(cache.is_empty(), "nothing was built for an invalid spec");
     }
 
@@ -392,9 +406,8 @@ mod tests {
     #[test]
     fn threat_subset_restricts_the_per_threat_metrics() {
         let cache = ArtifactCache::new();
-        let spec = tiny_scenario()
-            .with_seeds(&[7])
-            .with_threat_models(&["posteriors", "posteriors+shadow"]);
+        let mut spec = tiny_scenario().with_seeds(&[7]);
+        spec.threat_models = Some(vec!["posteriors".into(), "posteriors+shadow".into()]);
         let report = run_scenario(&spec, &cache).expect("scenario runs");
         let run = &report.runs[0];
         assert_eq!(run.evaluation.auc_per_threat.len(), 2);

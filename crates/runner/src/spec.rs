@@ -7,7 +7,7 @@
 //! and the [`ScenarioRegistry`] names the stock scenarios the `exp_*`
 //! binaries and the golden regression suite share.
 
-use ppfr_core::{ExperimentScale, Method, PpfrConfig};
+use ppfr_core::{ExperimentScale, Method, PpfrConfig, ThreatModel};
 use ppfr_datasets::{two_block_synthetic, DatasetSpec};
 use ppfr_gnn::ModelKind;
 
@@ -82,12 +82,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the total attempts per cell (first try included).
-    pub fn with_max_cell_attempts(mut self, attempts: u32) -> Self {
-        self.max_cell_attempts = attempts;
-        self
-    }
-
     /// Sets the architecture axis.
     pub fn with_models(mut self, models: &[ModelKind]) -> Self {
         self.models = models.to_vec();
@@ -103,26 +97,6 @@ impl ScenarioSpec {
     /// Sets the seed axis.
     pub fn with_seeds(mut self, seeds: &[u64]) -> Self {
         self.seeds = seeds.to_vec();
-        self
-    }
-
-    /// Sets the heterophilic-perturbation ratio γ knob; [`ScenarioSpec::validate`]
-    /// rejects a value that is not finite and non-negative.
-    pub fn with_perturb_ratio(mut self, gamma: f64) -> Self {
-        self.config.perturb_ratio = gamma;
-        self
-    }
-
-    /// Sets the edge-DP budget ε knob; [`ScenarioSpec::validate`] rejects a
-    /// value that is not finite and positive.
-    pub fn with_dp_epsilon(mut self, epsilon: f64) -> Self {
-        self.config.dp_epsilon = epsilon;
-        self
-    }
-
-    /// Restricts the audit to the named threat models.
-    pub fn with_threat_models(mut self, names: &[&str]) -> Self {
-        self.threat_models = Some(names.iter().map(|n| n.to_string()).collect());
         self
     }
 
@@ -163,9 +137,10 @@ impl ScenarioSpec {
     /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
     /// re-weighting cell, a negative or non-finite `perturb_ratio`, which
     /// would panic every PPFR cell, or `influence_damping`, which can leave
-    /// that QCLP with non-finite influences, and a DP budget `dp_epsilon`
+    /// that QCLP with non-finite influences, a DP budget `dp_epsilon`
     /// that is not finite and positive, which would fail every DPReg and DPFR
-    /// cell.
+    /// cell, and an empty or unknown `threat_models` entry, which would
+    /// silently audit a smaller grid.
     pub fn validate(&self) -> Result<(), String> {
         if self.datasets.is_empty()
             || self.models.is_empty()
@@ -226,6 +201,23 @@ impl ScenarioSpec {
                  positive",
                 self.name
             ));
+        }
+        if let Some(names) = &self.threat_models {
+            if names.is_empty() {
+                return Err(format!(
+                    "scenario '{}' has an empty threat_models list",
+                    self.name
+                ));
+            }
+            if let Some(unknown) = names
+                .iter()
+                .find(|n| !ThreatModel::ALL.iter().any(|t| t.name() == n.as_str()))
+            {
+                return Err(format!(
+                    "scenario '{}' names unknown threat model '{unknown}'",
+                    self.name
+                ));
+            }
         }
         Ok(())
     }
@@ -349,7 +341,8 @@ mod tests {
         let mut twice = ScenarioSpec::golden_small();
         twice.datasets = vec![two_block_synthetic(), two_block_synthetic()];
         assert!(twice.validate().is_err(), "duplicate dataset names");
-        let no_attempts = ScenarioSpec::golden_small().with_max_cell_attempts(0);
+        let mut no_attempts = ScenarioSpec::golden_small();
+        no_attempts.max_cell_attempts = 0;
         assert!(no_attempts.validate().is_err(), "zero cell attempts");
     }
 
@@ -358,9 +351,8 @@ mod tests {
         let spec = ScenarioSpec::golden_small();
         assert_eq!(spec.cell_budget, None, "budget must be opt-in");
         assert_eq!(spec.max_cell_attempts, 2);
-        let bounded = ScenarioSpec::golden_small()
-            .with_cell_budget(500)
-            .with_max_cell_attempts(3);
+        let mut bounded = ScenarioSpec::golden_small().with_cell_budget(500);
+        bounded.max_cell_attempts = 3;
         assert_eq!(bounded.cell_budget, Some(500));
         assert_eq!(bounded.max_cell_attempts, 3);
         bounded.validate().expect("bounded spec is valid");
@@ -378,9 +370,9 @@ mod tests {
 
     #[test]
     fn knob_builders_reach_the_per_seed_config() {
-        let spec = ScenarioSpec::golden_small()
-            .with_perturb_ratio(1.5)
-            .with_dp_epsilon(2.0);
+        let mut spec = ScenarioSpec::golden_small();
+        spec.config.perturb_ratio = 1.5;
+        spec.config.dp_epsilon = 2.0;
         let cfg = spec.config_for_seed(99);
         assert_eq!(cfg.seed, 99);
         assert_eq!(cfg.perturb_ratio, 1.5);

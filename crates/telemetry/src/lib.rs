@@ -136,11 +136,6 @@ impl Stopwatch {
         }
     }
 
-    /// Elapsed nanoseconds since start (saturating at `u64::MAX`).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
     /// Elapsed milliseconds since start.
     pub fn elapsed_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3

@@ -30,9 +30,9 @@ fn stopwatch_and_time_ms_are_always_available() {
         acc = acc.wrapping_add(i * i);
     }
     assert!(std::hint::black_box(acc) > 0);
-    assert!(sw.elapsed_ms() >= 0.0);
-    let first = sw.elapsed_ns();
-    assert!(sw.elapsed_ns() >= first, "elapsed must be monotone");
+    let first = sw.elapsed_ms();
+    assert!(first >= 0.0);
+    assert!(sw.elapsed_ms() >= first, "elapsed must be monotone");
 
     let (out, ms) = tel::time_ms(|| 21 * 2);
     assert_eq!(out, 42);
