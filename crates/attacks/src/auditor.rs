@@ -122,7 +122,10 @@ impl ThreatAuditor {
         let _span = ppfr_telemetry::span!("attack_grid");
         // One distance pass feeds both the unsupervised report and the
         // supervised feature extraction.
-        let unsupervised = self.evaluator.evaluate(probs);
+        let unsupervised = {
+            let _span = ppfr_telemetry::span!("attack_distances");
+            self.evaluator.evaluate(probs)
+        };
         let sample = self.evaluator.sample();
         let n_pos = sample.positives.len();
         let n_pairs = sample.positives.len() + sample.negatives.len();

@@ -1,5 +1,6 @@
-//! Times the core kernels (dense matmul, CSR SpMM, Jaccard similarity,
-//! Hessian-vector product) at one forced thread against the ambient thread
+//! Times the core kernels (dense matmul, CSR SpMM, the products with the
+//! input features, Jaccard similarity, Hessian-vector product) at one
+//! forced thread against the ambient thread
 //! count and writes `BENCH_kernels.json` so successive PRs accumulate a
 //! machine-readable performance trajectory.  Each kernel has one
 //! implementation; its "serial" column is that implementation run under
@@ -8,8 +9,9 @@
 //! Usage: `cargo run --release -p ppfr_bench --bin exp_bench_json [--smoke]`
 //! (`--smoke` shrinks the problem sizes for CI).
 
+use ppfr_core::experiments::scaled_spec;
 use ppfr_core::ExperimentScale;
-use ppfr_datasets::{generate, two_block_synthetic, DatasetSpec};
+use ppfr_datasets::{cora, generate, two_block_synthetic, DatasetSpec};
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext, ModelKind};
 use ppfr_graph::jaccard_similarity;
 use ppfr_influence::{hessian_vector_product_with, HvpScratch};
@@ -177,6 +179,36 @@ fn main() {
         reps,
         || with_forced_threads(1, || a_hat.matmul_dense(&ds.features)),
         || a_hat.matmul_dense(&ds.features),
+    ));
+
+    // The products with the input features that every model runs, through
+    // the context's CSR of `X`, on the Cora smoke analogue at any scale.
+    let cora_ds = generate(&scaled_spec(cora(), ExperimentScale::Smoke), 7);
+    let cora_ctx = GraphContext::new(cora_ds.graph.clone(), cora_ds.features.clone());
+    let x_nnz = cora_ds
+        .features
+        .as_slice()
+        .iter()
+        .filter(|&&v| v != 0.0)
+        .count();
+    let (n, d, h) = (cora_ds.n_nodes(), cora_ctx.feat_dim(), 16);
+    let w = Matrix::gaussian(d, h, 0.0, 1.0, &mut rng);
+    let g = Matrix::gaussian(n, h, 0.0, 1.0, &mut rng);
+    let size = format!("n={n} d={d} nnz={x_nnz} h={h}");
+    let (mut serial_out, mut parallel_out) = (Matrix::default(), Matrix::default());
+    kernels.push(compare(
+        "features_xw_csr",
+        size.clone(),
+        50,
+        || with_forced_threads(1, || cora_ctx.features_matmul_into(&w, &mut serial_out)),
+        || cora_ctx.features_matmul_into(&w, &mut parallel_out),
+    ));
+    kernels.push(compare(
+        "features_xtg_csr",
+        size,
+        50,
+        || with_forced_threads(1, || cora_ctx.features_t_matmul_into(&g, &mut serial_out)),
+        || cora_ctx.features_t_matmul_into(&g, &mut parallel_out),
     ));
     kernels.push(compare(
         "jaccard",

@@ -79,12 +79,20 @@ pub struct TrainedOutcome {
 /// smaller graphs (Cora, Citeseer), LapGraph on larger ones (Pubmed) where it
 /// is the more efficient mechanism.
 fn dp_perturb(dataset: &Dataset, epsilon: f64, seed: u64) -> Graph {
+    let _span = ppfr_telemetry::span!("perturb");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
     if dataset.graph.n_nodes() >= 2500 {
         lap_graph(&dataset.graph, epsilon, &mut rng)
     } else {
         edge_rand(&dataset.graph, epsilon, &mut rng)
     }
+}
+
+/// `base` over a perturbed graph, under the `context` span of the base
+/// context's build.
+fn context_over(base: &GraphContext, graph: Graph) -> GraphContext {
+    let _span = ppfr_telemetry::span!("context");
+    base.with_graph(graph)
 }
 
 fn build_model(
@@ -174,7 +182,10 @@ pub fn run_method_from_vanilla(
             "checkpoint architecture mismatch"
         );
     }
-    let base_ctx = GraphContext::new(dataset.graph.clone(), dataset.features.clone());
+    let base_ctx = {
+        let _span = ppfr_telemetry::span!("context");
+        GraphContext::new(dataset.graph.clone(), dataset.features.clone())
+    };
     let l_s = match vanilla {
         Some(checkpoint) => checkpoint.similarity_laplacian.clone(),
         None => similarity_laplacian(&jaccard_similarity(&dataset.graph)),
@@ -223,8 +234,7 @@ pub fn run_method_from_vanilla(
         }
         Method::DpReg => {
             let mut model = build_model(kind, &base_ctx, dataset, cfg);
-            let dp_graph = dp_perturb(dataset, cfg.dp_epsilon, cfg.seed);
-            let dp_ctx = base_ctx.with_graph(dp_graph);
+            let dp_ctx = context_over(&base_ctx, dp_perturb(dataset, cfg.dp_epsilon, cfg.seed));
             train(
                 &mut model,
                 &dp_ctx,
@@ -247,6 +257,7 @@ pub fn run_method_from_vanilla(
             let graph = if method == Method::DpFr {
                 dp_perturb(dataset, cfg.dp_epsilon, cfg.seed)
             } else {
+                let _span = ppfr_telemetry::span!("perturb");
                 let delta = heterophilic_perturbation(
                     &model,
                     &base_ctx,
@@ -255,7 +266,7 @@ pub fn run_method_from_vanilla(
                 );
                 delta.apply(&base_ctx.graph)
             };
-            let ctx = base_ctx.with_graph(graph);
+            let ctx = context_over(&base_ctx, graph);
             train(
                 &mut model,
                 &ctx,

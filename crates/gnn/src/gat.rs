@@ -37,11 +37,11 @@ impl GatLayer {
         self.in_dim * self.out_dim + 2 * self.out_dim
     }
 
-    /// Forward pass of the layer on input `x`: every intermediate lands in
-    /// `b`, fully overwritten.
-    fn forward_ws(&self, ctx: &GraphContext, x: &Matrix, b: &mut GatLayerBufs) {
+    /// Attention forward pass of the layer on the projected input
+    /// `b.h = x W`, which the caller computes: every other intermediate lands
+    /// in `b`, fully overwritten.
+    fn forward_ws(&self, ctx: &GraphContext, b: &mut GatLayerBufs) {
         let n = ctx.n_nodes();
-        x.matmul_into(&self.w, &mut b.h);
         // s_i = h_i · a_src, t_j = h_j · a_dst: independent per node.
         ensure_len(&mut b.s, n);
         ensure_len(&mut b.t, n);
@@ -84,19 +84,12 @@ impl GatLayer {
         }
     }
 
-    /// Backward pass of the layer, reusing the activations that
-    /// [`GatLayer::forward_ws`] cached in `b`.  Leaves the parameter
-    /// gradients in `b.d_w` / `b.d_a_src` / `b.d_a_dst`; the gradient w.r.t.
-    /// the layer input is only materialised in `b.d_x` when `need_d_x` is set
-    /// (the first layer's input gradient is never consumed).
-    fn backward_ws(
-        &self,
-        ctx: &GraphContext,
-        x: &Matrix,
-        b: &mut GatLayerBufs,
-        d_out: &Matrix,
-        need_d_x: bool,
-    ) {
+    /// Attention backward pass of the layer, reusing the activations that
+    /// [`GatLayer::forward_ws`] cached in `b`.  Leaves the gradients w.r.t.
+    /// `h` and the attention vectors in `b.d_h` / `b.d_a_src` / `b.d_a_dst`;
+    /// the caller turns `b.d_h` into the gradients w.r.t. `W` and the layer
+    /// input.
+    fn backward_ws(&self, ctx: &GraphContext, b: &mut GatLayerBufs, d_out: &Matrix) {
         let n = ctx.n_nodes();
         let m = ctx.att_edges.len();
         b.d_h.resize_to(n, self.out_dim);
@@ -147,11 +140,6 @@ impl GatLayer {
                 *r += ds_i * self.a_src[c] + dt_i * self.a_dst[c];
             }
         }
-        // h = x W.
-        x.matmul_at_b_into(&b.d_h, &mut b.d_w);
-        if need_d_x {
-            b.d_h.matmul_a_bt_into(&self.w, &mut b.d_x);
-        }
     }
 }
 
@@ -187,20 +175,24 @@ impl Gat {
 impl GnnModel for Gat {
     fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
         let g = &mut ws.gat;
-        self.layer1.forward_ws(ctx, &ctx.features, &mut g.l1);
+        ctx.features_matmul_into(&self.layer1.w, &mut g.l1.h);
+        self.layer1.forward_ws(ctx, &mut g.l1);
         relu_into(&g.l1.out, &mut g.h1);
-        self.layer2.forward_ws(ctx, &g.h1, &mut g.l2);
+        g.h1.matmul_into(&self.layer2.w, &mut g.l2.h);
+        self.layer2.forward_ws(ctx, &mut g.l2);
         ws.logits.copy_from(&g.l2.out);
     }
 
     fn backward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
-        // Reuses both layer caches (h/pre/alpha/out) from forward_ws.
+        // Reuses both layer caches (h/pre/alpha/out) from forward_ws.  The
+        // first layer's input gradient is never consumed.
         let g = &mut ws.gat;
-        self.layer2
-            .backward_ws(ctx, &g.h1, &mut g.l2, &ws.d_logits, true);
+        self.layer2.backward_ws(ctx, &mut g.l2, &ws.d_logits);
+        g.h1.matmul_at_b_into(&g.l2.d_h, &mut g.l2.d_w);
+        g.l2.d_h.matmul_a_bt_into(&self.layer2.w, &mut g.l2.d_x);
         relu_grad_into(&g.l1.out, &g.l2.d_x, &mut g.d_pre1);
-        self.layer1
-            .backward_ws(ctx, &ctx.features, &mut g.l1, &g.d_pre1, false);
+        self.layer1.backward_ws(ctx, &mut g.l1, &g.d_pre1);
+        ctx.features_t_matmul_into(&g.l1.d_h, &mut g.l1.d_w);
 
         // Flatten in parameter order: W₁, a₁ˢʳᶜ, a₁ᵈˢᵗ, W₂, a₂ˢʳᶜ, a₂ᵈˢᵗ.
         ensure_len(&mut ws.grads, self.n_params());

@@ -40,7 +40,7 @@ impl GnnModel for Gcn {
     fn forward_ws(&self, ctx: &GraphContext, ws: &mut TrainWorkspace) {
         // pre1 = Â X W1 ; h1 = ReLU(pre1) ; logits = Â h1 W2
         let b = &mut ws.gcn;
-        ctx.features.matmul_into(&self.w1, &mut b.xw1);
+        ctx.features_matmul_into(&self.w1, &mut b.xw1);
         ctx.a_hat.matmul_dense_into(&b.xw1, &mut b.pre1);
         relu_into(&b.pre1, &mut b.h1);
         b.h1.matmul_into(&self.w2, &mut b.h1w2);
@@ -57,7 +57,7 @@ impl GnnModel for Gcn {
         relu_grad_into(&b.pre1, &b.d_h1, &mut b.d_pre1);
         // pre1 = Â (X W1): d(X W1) = Â d_pre1.
         ctx.a_hat.matmul_dense_into(&b.d_pre1, &mut b.d_xw1);
-        ctx.features.matmul_at_b_into(&b.d_xw1, &mut b.d_w1);
+        ctx.features_t_matmul_into(&b.d_xw1, &mut b.d_w1);
         let (n1, n2) = (b.d_w1.as_slice().len(), b.d_w2.as_slice().len());
         ensure_len(&mut ws.grads, n1 + n2);
         ws.grads[..n1].copy_from_slice(b.d_w1.as_slice());

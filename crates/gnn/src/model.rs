@@ -228,6 +228,78 @@ mod tests {
         }
     }
 
+    /// The first-layer product `X·W₁`, and the first-layer gradient `Xᵀ·G`
+    /// with its input `G`, as each model leaves them in the workspace.
+    fn first_layer(kind: ModelKind, ws: &TrainWorkspace) -> [&Matrix; 3] {
+        match kind {
+            ModelKind::Gcn => [&ws.gcn.xw1, &ws.gcn.d_xw1, &ws.gcn.d_w1],
+            ModelKind::Gat => [&ws.gat.l1.h, &ws.gat.l1.d_h, &ws.gat.l1.d_w],
+            ModelKind::GraphSage => [&ws.sage.t_self, &ws.sage.d_pre1, &ws.sage.d_w1_self],
+        }
+    }
+
+    /// Equal bits, or NaN on both sides.
+    fn assert_same_values(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{what}: entry {i} is {a}, the dense kernel gives {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_operands_take_the_dense_exact_path() {
+        // Feature 0 is zero on every node, so only the dense exact path
+        // turns a NaN in W₁'s row 0, or in G, into NaN (`0 × NaN`).
+        let (n, d, h, c) = (8, 5, 4, 3);
+        let g = Graph::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        let mut x = Matrix::zeros(n, d);
+        for i in 0..n {
+            for k in 1..d {
+                if (i + 2 * k) % 3 != 0 {
+                    x[(i, k)] = if (i + k) % 2 == 0 { 1.0 } else { -0.5 };
+                }
+            }
+        }
+        let ctx = GraphContext::new(g, x.clone());
+        for kind in ModelKind::ALL {
+            let fresh = || {
+                let mut model = match kind {
+                    ModelKind::GraphSage => AnyModel::GraphSage(
+                        GraphSage::new(d, h, c, &mut StdRng::seed_from_u64(3)).with_sampling(1),
+                    ),
+                    _ => AnyModel::new(kind, d, h, c, 3),
+                };
+                model.resample(&ctx, 5);
+                model
+            };
+            let name = kind.name();
+
+            // W₁ leads every model's parameters, row-major d × h.
+            let mut model = fresh();
+            let mut p = model.params();
+            p[0] = f64::NAN;
+            model.set_params(&p);
+            let mut ws = TrainWorkspace::new();
+            model.forward_ws(&ctx, &mut ws);
+            let want = x.matmul(&Matrix::from_vec(d, h, p[..d * h].to_vec()));
+            assert!(want.col(0).iter().all(|v| v.is_nan()), "{name}");
+            assert_same_values(first_layer(kind, &ws)[0], &want, &format!("{name} X·W₁"));
+
+            let model = fresh();
+            model.forward_ws(&ctx, &mut ws);
+            ws.d_logits = Matrix::zeros(n, c);
+            ws.d_logits.row_mut(2).fill(f64::NAN);
+            model.backward_ws(&ctx, &mut ws);
+            let [_, g, d_w1] = first_layer(kind, &ws);
+            let want = x.matmul_at_b(g);
+            assert!(want.row(0).iter().any(|v| v.is_nan()), "{name}");
+            assert_same_values(d_w1, &want, &format!("{name} Xᵀ·G"));
+        }
+    }
+
     #[test]
     fn model_kind_names_match_paper_tables() {
         assert_eq!(ModelKind::Gcn.name(), "GCN");

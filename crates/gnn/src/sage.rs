@@ -71,8 +71,8 @@ impl GnnModel for GraphSage {
         // logits = h1 W2_self + (M h1) W2_neigh
         let agg = self.aggregator(ctx);
         let b = &mut ws.sage;
-        agg.matmul_dense_into(&ctx.features, &mut b.mx);
-        ctx.features.matmul_into(&self.w1_self, &mut b.t_self);
+        ctx.propagate_features_into(agg, &mut b.mx);
+        ctx.features_matmul_into(&self.w1_self, &mut b.t_self);
         b.mx.matmul_into(&self.w1_neigh, &mut b.t_neigh);
         b.t_self.zip_into(&b.t_neigh, &mut b.pre1, |a, bb| a + bb);
         relu_into(&b.pre1, &mut b.h1);
@@ -95,7 +95,7 @@ impl GnnModel for GraphSage {
         b.d_h1_dir
             .zip_into(&b.d_h1_agg, &mut b.d_h1, |a, bb| a + bb);
         relu_grad_into(&b.pre1, &b.d_h1, &mut b.d_pre1);
-        ctx.features.matmul_at_b_into(&b.d_pre1, &mut b.d_w1_self);
+        ctx.features_t_matmul_into(&b.d_pre1, &mut b.d_w1_self);
         b.mx.matmul_at_b_into(&b.d_pre1, &mut b.d_w1_neigh);
 
         let l1 = b.d_w1_self.as_slice().len();

@@ -156,7 +156,8 @@ pub struct GatLayerBufs {
     pub t: Vec<f64>,
     /// Gradient w.r.t. `H`.
     pub d_h: Matrix,
-    /// Gradient w.r.t. the layer input `X` (only filled when requested).
+    /// Gradient w.r.t. the layer input (second layer only: the first
+    /// layer's input gradient is never consumed).
     pub d_x: Matrix,
     /// Gradient w.r.t. `W`.
     pub d_w: Matrix,

@@ -113,6 +113,37 @@ impl SparseMatrix {
         out
     }
 
+    /// The CSR of a dense matrix, dropping only its `±0.0` entries: NaN and
+    /// `±∞` are stored like any other value.
+    ///
+    /// Its products with a finite dense operand are bit-identical to the
+    /// dense zero-skip kernels: [`SparseMatrix::matmul_dense_into`] to
+    /// `Matrix::matmul_into`, [`SparseMatrix::transpose_matmul_dense_into`]
+    /// to `Matrix::matmul_at_b_into`.  Both sides add the same non-zero
+    /// terms in ascending index order onto a `+0.0` start.
+    pub fn from_dense(dense: &Matrix) -> Self {
+        let mut row_ptr = Vec::with_capacity(dense.rows() + 1);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        row_ptr.push(0);
+        for r in 0..dense.rows() {
+            for (c, &v) in dense.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Self {
+            n_rows: dense.rows(),
+            n_cols: dense.cols(),
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Builds a CSR matrix directly from its raw parts.
     ///
     /// Every row's column indices must already be sorted, duplicate-free and

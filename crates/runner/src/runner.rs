@@ -366,6 +366,23 @@ mod tests {
         let err = run_scenario(&bad, &cache).expect_err("invalid Hessian damping");
         assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
         assert!(err.to_string().contains("influence_damping"), "{err}");
+        // A non-finite learning rate or weight decay would make every cell's
+        // logits NaN, and a non-finite fairness strength every Reg/DPReg
+        // cell's: each would panic in the accuracy's argmax.
+        type Spoil = fn(&mut PpfrConfig);
+        let knobs: [(&str, Spoil); 4] = [
+            ("lr", |c| c.lr = f64::NAN),
+            ("lr", |c| c.lr = f64::INFINITY),
+            ("weight_decay", |c| c.weight_decay = f64::NAN),
+            ("fairness_lambda", |c| c.fairness_lambda = f64::INFINITY),
+        ];
+        for (knob, spoil) in knobs {
+            let mut bad = tiny_scenario().with_seeds(&[7]);
+            spoil(&mut bad.config);
+            let err = run_scenario(&bad, &cache).expect_err("invalid training knob");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(err.to_string().contains(&format!(" {knob} = ")), "{err}");
+        }
         // A misspelt threat model or an empty list would keep fewer registry
         // entries and silently audit a smaller grid.
         for (names, want) in [

@@ -133,7 +133,10 @@ impl ScenarioSpec {
     /// method — duplicates would make two runs indistinguishable in the
     /// aggregation (cells are keyed by the dataset, model and method name
     /// strings), silently doubling `n` —
-    /// as well as a zero attempt count, a negative or non-finite QCLP budget
+    /// as well as a zero attempt count, a negative or non-finite `lr`,
+    /// `weight_decay` or `fairness_lambda` (a non-finite one makes the
+    /// logits of every cell, or of every Reg/DPReg cell, NaN and panics
+    /// it), a negative or non-finite QCLP budget
     /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
     /// re-weighting cell, a negative or non-finite `perturb_ratio`, which
     /// would panic every PPFR cell, or `influence_damping`, which can leave
@@ -181,6 +184,9 @@ impl ScenarioSpec {
         }
         let c = &self.config;
         for (what, knob, value) in [
+            ("learning rate", "lr", c.lr),
+            ("weight decay", "weight_decay", c.weight_decay),
+            ("fairness strength", "fairness_lambda", c.fairness_lambda),
             ("QCLP budget", "qclp_alpha", c.qclp_alpha),
             ("QCLP budget", "qclp_beta", c.qclp_beta),
             ("perturbation ratio", "perturb_ratio", c.perturb_ratio),

@@ -73,12 +73,15 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
     for (parent, children) in [
         ("runner_group", &["runner_cell"][..]),
         ("runner_cell", &["evaluate", "run_method"]),
-        ("run_method", &["reweight", "train"]),
+        ("run_method", &["context", "perturb", "reweight", "train"]),
         ("train", &["train_epoch"]),
         ("reweight", &["influence", "influence_grads", "qclp"]),
         ("influence", &["influence_cg", "influence_tail"]),
         ("evaluate", &["attack_grid", "bias", "predict"]),
-        ("attack_grid", &["attack_classifier", "attack_features"]),
+        (
+            "attack_grid",
+            &["attack_classifier", "attack_distances", "attack_features"],
+        ),
     ] {
         assert_eq!(
             children_of(&tree_1, parent),
@@ -87,10 +90,17 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
         );
     }
 
-    // Counts: one cell and one `run_method` per run; one re-weighting (two
-    // CG adjoints, one shared tail, one QCLP) per (dataset, model, seed)
-    // that runs DPFR or PPFR, since its FR cells share it.
+    // Counts: one cell, one `run_method` and one distance pass per run; one
+    // re-weighting (two CG adjoints, one shared tail, one QCLP) per
+    // (dataset, model, seed) that runs DPFR or PPFR, since its FR cells
+    // share it; one perturbation, and one context over its graph, per run
+    // that deploys on a perturbed graph.
     let n_runs = spec.n_runs() as u64;
+    let n_perturbed = untraced
+        .runs
+        .iter()
+        .filter(|r| matches!(r.method.as_str(), "DPReg" | "DPFR" | "PPFR"))
+        .count() as u64;
     let fr_triples = untraced
         .runs
         .iter()
@@ -98,10 +108,17 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
         .map(|r| (&r.dataset, &r.model, r.seed))
         .collect::<std::collections::BTreeSet<_>>()
         .len() as u64;
-    assert_eq!((n_runs, fr_triples), (10, 2), "bench-small at one seed");
+    assert_eq!(
+        (n_runs, fr_triples, n_perturbed),
+        (10, 2, 6),
+        "bench-small at one seed"
+    );
     for (name, expected) in [
         ("runner_cell", n_runs),
         ("run_method", n_runs),
+        ("context", n_runs + n_perturbed),
+        ("perturb", n_perturbed),
+        ("attack_distances", n_runs),
         ("reweight", fr_triples),
         ("influence", fr_triples),
         ("influence_tail", fr_triples),

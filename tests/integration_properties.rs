@@ -1,6 +1,7 @@
 //! Property-based integration tests on the core invariants of the stack.
 
-use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph};
+use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph, SparseMatrix};
+use ppfr_linalg::parallel::with_forced_threads;
 use ppfr_linalg::{row_softmax, Matrix};
 use ppfr_privacy::{auc_from_distances, edge_rand, lap_graph, pairwise_distance, DistanceKind};
 use ppfr_qclp::{solve, QclpProblem, SolverOptions};
@@ -23,8 +24,88 @@ fn arb_probs(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |logits| row_softmax(&Matrix::from_vec(rows, cols, logits)))
 }
 
+/// Strategy: an `n×d` feature matrix, dimensions down to zero, half of it
+/// `±0.0` and the rest negative or positive, with one planted NaN and one
+/// planted `±∞` (each may fall outside the matrix), then one row and one
+/// column zeroed.
+fn arb_features() -> impl Strategy<Value = Matrix> {
+    (0usize..10, 0usize..10).prop_flat_map(|(n, d)| {
+        let cells = proptest::collection::vec((0usize..8, -3.0f64..3.0), n * d);
+        let planted = (0..n * d + 2, 0..n * d + 2);
+        (cells, planted, (0..n + 1, 0..d + 1)).prop_map(
+            move |(cells, (nan_at, inf_at), (empty_row, empty_col))| {
+                let mut data: Vec<f64> = cells
+                    .into_iter()
+                    .map(|(code, v)| match code {
+                        0..=2 => 0.0,
+                        3 => -0.0,
+                        _ => v,
+                    })
+                    .collect();
+                if let Some(x) = data.get_mut(nan_at) {
+                    *x = f64::NAN;
+                }
+                if let Some(x) = data.get_mut(inf_at) {
+                    *x = if inf_at % 2 == 0 {
+                        f64::INFINITY
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                }
+                let mut x = Matrix::from_vec(n, d, data);
+                if empty_row < n {
+                    x.row_mut(empty_row).fill(0.0);
+                }
+                if empty_col < d {
+                    (0..n).for_each(|r| x[(r, empty_col)] = -0.0);
+                }
+                x
+            },
+        )
+    })
+}
+
+/// Strategy: features `X`, a finite `W` (`d×h`) and a finite `G` (`n×h`).
+fn arb_features_w_g() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
+    (arb_features(), 0usize..6).prop_flat_map(|(x, h)| {
+        let (n, d) = x.shape();
+        let finite = move |rows: usize| {
+            proptest::collection::vec(-2.0f64..2.0, rows * h)
+                .prop_map(move |v| Matrix::from_vec(rows, h, v))
+        };
+        (finite(d), finite(n)).prop_map(move |(w, g)| (x.clone(), w, g))
+    })
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn feature_csr_products_equal_the_dense_kernels_bitwise(case in arb_features_w_g()) {
+        let (x, w, g) = case;
+        let csr = SparseMatrix::from_dense(&x);
+        prop_assert_eq!((csr.n_rows(), csr.n_cols()), x.shape());
+        prop_assert_eq!(csr.nnz(), x.as_slice().iter().filter(|&&v| v != 0.0).count());
+        let (mut dense_out, mut csr_out) = (Matrix::zeros(2, 2), Matrix::zeros(3, 1));
+        for threads in [1, 4] {
+            with_forced_threads(threads, || {
+                x.matmul_into(&w, &mut dense_out);
+                csr.matmul_dense_into(&w, &mut csr_out);
+            });
+            prop_assert_eq!(csr_out.shape(), dense_out.shape());
+            prop_assert_eq!(bits(&csr_out), bits(&dense_out), "X·W at {} threads", threads);
+            with_forced_threads(threads, || {
+                x.matmul_at_b_into(&g, &mut dense_out);
+                csr.transpose_matmul_dense_into(&g, &mut csr_out);
+            });
+            prop_assert_eq!(csr_out.shape(), dense_out.shape());
+            prop_assert_eq!(bits(&csr_out), bits(&dense_out), "Xᵀ·G at {} threads", threads);
+        }
+    }
 
     #[test]
     fn jaccard_similarity_is_symmetric_bounded_and_laplacian_is_psd(graph in arb_graph()) {
