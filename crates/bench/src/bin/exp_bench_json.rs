@@ -113,6 +113,21 @@ fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Peak resident set size of this process in MiB: `VmHWM` of
+/// `/proc/self/status`, or `None` where that file is unavailable.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
 fn compare<R>(
     kernel: &str,
     size: String,
@@ -529,7 +544,8 @@ fn main() {
     // attack and neighbour-sampled training, with per-stage wall-clock
     // recovered from the telemetry spans (the scenario itself never reads a
     // clock).  Recording is switched on for this section only and restored
-    // afterwards.
+    // afterwards.  The process's peak resident set is read right after the
+    // run, which at full scale is the 10⁶-node scenario's peak.
     let scaling = {
         use ppfr_runner::{run_scale_scenario, ScaleSpec};
         let spec = match scale {
@@ -541,6 +557,7 @@ fn main() {
         ppfr_telemetry::reset();
         let (report, total_ms) =
             ppfr_telemetry::time_ms(|| ppfr_bench::report_or_exit(run_scale_scenario(&spec)));
+        let peak_rss_mb = peak_rss_mb();
         let tree = ppfr_telemetry::span_tree();
         ppfr_telemetry::set_enabled(was_enabled);
 
@@ -556,19 +573,21 @@ fn main() {
             }
         }
         println!(
-            "{:<24} n={} m={}     bias {:.4}   auc {:.3}   acc {:.3}   total {:>9.1} ms",
+            "{:<24} n={} m={}     bias {:.4}   auc {:.3}   acc {:.3}   total {:>9.1} ms   peak rss {} MiB",
             "scaling",
             report.n_nodes,
             report.n_edges,
             report.bias,
             report.attack_auc,
             report.sampled_train_accuracy,
-            total_ms
+            total_ms,
+            peak_rss_mb.map_or("n/a".to_string(), |mb| format!("{mb:.1}"))
         );
         Value::Obj(vec![
             ("spec".to_string(), spec.to_value()),
             ("report".to_string(), report.to_value()),
             ("total_ms".to_string(), total_ms.to_value()),
+            ("peak_rss_mb".to_string(), peak_rss_mb.to_value()),
             ("stages".to_string(), Value::Arr(stages)),
         ])
     };

@@ -218,7 +218,7 @@ pub fn run_method_from_vanilla(
     };
 
     let (model, deploy_ctx, fairness_loss_weights) = match method {
-        Method::Vanilla => (vanilla_model(), base_ctx.clone(), None),
+        Method::Vanilla => (vanilla_model(), base_ctx, None),
         Method::Reg => {
             let mut model = build_model(kind, &base_ctx, dataset, cfg);
             train(
@@ -230,7 +230,7 @@ pub fn run_method_from_vanilla(
                 Some(&reg()),
                 &cfg.vanilla_train_config(),
             );
-            (model, base_ctx.clone(), None)
+            (model, base_ctx, None)
         }
         Method::DpReg => {
             let mut model = build_model(kind, &base_ctx, dataset, cfg);

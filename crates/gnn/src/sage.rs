@@ -145,23 +145,31 @@ impl GnnModel for GraphSage {
             self.sampled_agg = None;
             return;
         };
+        // Each row is written straight into CSR: the drawn neighbours,
+        // sorted, each weighted by one over their count.  The shuffle buffer
+        // is reused across nodes and draws the RNG stream a fresh copy of
+        // the neighbour row would.
         let mut rng = StdRng::seed_from_u64(seed);
         let n = ctx.n_nodes();
-        let mut triplets = Vec::new();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        let mut pool = Vec::new();
+        row_ptr.push(0);
         for v in 0..n {
             let neighbors = ctx.graph.neighbors(v);
-            if neighbors.is_empty() {
-                continue;
+            if !neighbors.is_empty() {
+                pool.clear();
+                pool.extend_from_slice(neighbors);
+                pool.shuffle(&mut rng);
+                let drawn = &mut pool[..neighbors.len().min(k)];
+                drawn.sort_unstable();
+                col_idx.extend_from_slice(drawn);
+                values.extend(std::iter::repeat_n(1.0 / drawn.len() as f64, drawn.len()));
             }
-            let mut pool: Vec<usize> = neighbors.to_vec();
-            pool.shuffle(&mut rng);
-            let take = pool.len().min(k);
-            let inv = 1.0 / take as f64;
-            for &u in pool.iter().take(take) {
-                triplets.push((v, u, inv));
-            }
+            row_ptr.push(col_idx.len());
         }
-        self.sampled_agg = Some(SparseMatrix::from_triplets(n, n, &triplets));
+        self.sampled_agg = Some(SparseMatrix::from_csr_parts(n, n, row_ptr, col_idx, values));
     }
 }
 
@@ -235,6 +243,41 @@ mod tests {
         // With fan-out 1 on nodes of degree >= 2 this is almost surely different;
         // if identical the test is still meaningful via the fan-out assertion above.
         let _ = before != *after;
+    }
+
+    #[test]
+    fn sampled_aggregator_equals_the_triplet_build() {
+        // A hub of degree 5, a triangle, a pendant path and isolated node 7.
+        let g = Graph::from_edges(8, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (1, 2)]);
+        let ctx = GraphContext::new(g, Matrix::zeros(8, 2));
+        let bits = |m: &SparseMatrix| {
+            m.iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (k, seed) in [(1, 3), (2, 4), (3, 5), (6, 6)] {
+            let mut sage = GraphSage::new(2, 2, 2, &mut StdRng::seed_from_u64(1)).with_sampling(k);
+            sage.resample(&ctx, seed);
+            // Oracle: each row's fresh copy shuffled, its draw bucketed and
+            // sorted by `from_triplets`.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut triplets = Vec::new();
+            for v in 0..ctx.n_nodes() {
+                let neighbors = ctx.graph.neighbors(v);
+                if neighbors.is_empty() {
+                    continue;
+                }
+                let mut pool = neighbors.to_vec();
+                pool.shuffle(&mut rng);
+                let take = pool.len().min(k);
+                for &u in &pool[..take] {
+                    triplets.push((v, u, 1.0 / take as f64));
+                }
+            }
+            let want = SparseMatrix::from_triplets(8, 8, &triplets);
+            let got = sage.sampled_agg.as_ref().expect("sampling is on");
+            assert_eq!(bits(got), bits(&want), "fan-out {k}");
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! graph *is* the full graph, so [`train_sampled`] degenerates to a
 //! bit-identical replay of [`train_with_workspace`](crate::train_with_workspace)
 //! — the pinning tests lean on this.
+//!
+//! An epoch's rebuild is linear in the sampled edges: the shuffle reuses one
+//! buffer across nodes, [`Graph::from_edges`] builds the sampled graph by a
+//! counting sort, and its `Â` and mean-aggregation operators are written
+//! straight into CSR from the graph's sorted neighbour rows.
 
 use crate::{FairnessReg, GnnModel, GraphContext, TrainConfig, TrainReport, TrainWorkspace};
 use ppfr_graph::Graph;
@@ -28,21 +33,24 @@ use rand::SeedableRng;
 /// Draws up to `fanout` neighbours per node (the GraphSAGE shuffle idiom,
 /// deterministic in `seed`) and returns the symmetrised union as a graph over
 /// the same node set.
+///
+/// Each node's neighbours are shuffled in one buffer reused across nodes;
+/// the shuffle sees the same slice as a fresh copy would, so it draws the
+/// same RNG stream.
 pub fn sample_subgraph(base: &Graph, fanout: usize, seed: u64) -> Graph {
     assert!(fanout > 0, "fanout must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::new();
+    let mut pool = Vec::new();
     for v in 0..base.n_nodes() {
         let neighbors = base.neighbors(v);
         if neighbors.is_empty() {
             continue;
         }
-        let mut pool: Vec<usize> = neighbors.to_vec();
+        pool.clear();
+        pool.extend_from_slice(neighbors);
         pool.shuffle(&mut rng);
-        let take = pool.len().min(fanout);
-        for &u in pool.iter().take(take) {
-            edges.push((v, u));
-        }
+        edges.extend(pool.iter().take(fanout).map(|&u| (v, u)));
     }
     // `from_edges` dedups and symmetrises: (v,u) and (u,v) collapse into one
     // undirected edge, so an edge survives when either endpoint drew it.

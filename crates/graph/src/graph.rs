@@ -1,81 +1,127 @@
 //! The undirected [`Graph`] type and its normalised propagation operators.
+//!
+//! A graph is one flat CSR adjacency: `offsets` of `n + 1` entries and
+//! `targets` of `2|E|` entries, each undirected edge stored once per
+//! direction.  [`Graph::from_edges`] builds it by counting sort in one pass
+//! over the edges plus one sort of each row, with no allocation per node.
+//! The operators `Â` and `M` are written row by row straight into CSR
+//! parts: each node's neighbour row is already sorted and duplicate-free, so
+//! no triplet list is bucketed or re-sorted.
 
 use crate::SparseMatrix;
-use std::collections::BTreeSet;
 
-/// An undirected, unweighted graph `G = {V, E}` stored as a sorted
-/// neighbour-list (CSR-like) structure.
+/// An undirected, unweighted graph `G = {V, E}` stored as a flat CSR
+/// adjacency: node `v`'s neighbours are `targets[offsets[v]..offsets[v + 1]]`,
+/// sorted ascending and duplicate-free.
 ///
 /// Nodes are `0..n_nodes`.  Self-loops are not stored in the edge set; the
 /// normalised operators add them explicitly (the `A + I` of GCN).
 #[derive(Debug, Clone)]
 pub struct Graph {
-    n_nodes: usize,
-    /// Sorted, deduplicated neighbour lists.
-    adj: Vec<Vec<usize>>,
-    n_edges: usize,
+    /// `offsets[v]..offsets[v + 1]` indexes the neighbours of `v` in
+    /// `targets`; `n_nodes + 1` entries.
+    offsets: Vec<usize>,
+    /// Every row's neighbours, concatenated; `2|E|` entries.
+    targets: Vec<usize>,
 }
 
 impl Graph {
     /// Builds a graph from an undirected edge list.  Duplicate edges and
     /// self-loops are ignored.
+    ///
+    /// Counting sort: count both directions of every edge, prefix-sum the
+    /// counts into row offsets, scatter, then sort each row and drop its
+    /// repeats in place.
     pub fn from_edges(n_nodes: usize, edges: &[(usize, usize)]) -> Self {
-        let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n_nodes];
+        // Count each row's entries into `offsets[v + 1]`; the prefix sum
+        // then turns `offsets[v]` into the start of row `v`.
+        let mut offsets = vec![0usize; n_nodes + 1];
         for &(u, v) in edges {
             assert!(u < n_nodes && v < n_nodes, "edge ({u},{v}) out of bounds");
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u + 1] += 1;
+                offsets[v + 1] += 1;
             }
-            sets[u].insert(v);
-            sets[v].insert(u);
         }
-        let adj: Vec<Vec<usize>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
-        let n_edges = adj.iter().map(Vec::len).sum::<usize>() / 2;
-        Self {
-            n_nodes,
-            adj,
-            n_edges,
+        let mut sum = 0;
+        for offset in &mut offsets {
+            sum += *offset;
+            *offset = sum;
         }
+        // Scattering advances `offsets[v]` as a cursor, so afterwards it
+        // holds the end of row `v`.
+        let mut targets = vec![0usize; offsets[n_nodes]];
+        for &(u, v) in edges {
+            if u != v {
+                targets[offsets[u]] = v;
+                offsets[u] += 1;
+                targets[offsets[v]] = u;
+                offsets[v] += 1;
+            }
+        }
+        // Sort and deduplicate every row, compacting the rows towards the
+        // front: the write cursor `len` never passes the read position.
+        let (mut start, mut len) = (0, 0);
+        for offset in &mut offsets[..n_nodes] {
+            let end = *offset;
+            targets[start..end].sort_unstable();
+            *offset = len;
+            for i in start..end {
+                let t = targets[i];
+                if len == *offset || targets[len - 1] != t {
+                    targets[len] = t;
+                    len += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n_nodes] = len;
+        // The repeats' slots stay allocated.  Shrinking would reallocate in
+        // place and split off the tail; once a small allocation takes that
+        // tail, the freed block is too small for the next graph of the same
+        // size, and a loop that rebuilds one graph grew its heap by a whole
+        // `targets` per build under glibc malloc.
+        targets.truncate(len);
+        Self { offsets, targets }
     }
 
     /// Graph with no edges.
     pub fn empty(n_nodes: usize) -> Self {
         Self {
-            n_nodes,
-            adj: vec![Vec::new(); n_nodes],
-            n_edges: 0,
+            offsets: vec![0; n_nodes + 1],
+            targets: Vec::new(),
         }
     }
 
     /// Number of nodes `|V|`.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges `|E|`.
     pub fn n_edges(&self) -> usize {
-        self.n_edges
+        self.targets.len() / 2
     }
 
     /// Sorted neighbours of `v` (excluding `v` itself).
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[v]
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of `v` (number of neighbours, self-loop excluded).
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Whether the undirected edge `(u, v)` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adj[u].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterator over each undirected edge once, as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n_nodes).flat_map(move |u| {
-            self.adj[u]
+        (0..self.n_nodes()).flat_map(move |u| {
+            self.neighbors(u)
                 .iter()
                 .copied()
                 .filter(move |&v| u < v)
@@ -85,45 +131,59 @@ impl Graph {
 
     /// Symmetrically normalised adjacency with self loops:
     /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` — the GCN propagation operator.
+    ///
+    /// Row `u` holds `1 / d̃_u` at its own column, merged into the sorted
+    /// neighbour row, and `1 / √(d̃_u d̃_v)` at each neighbour `v`.
     pub fn normalized_adjacency(&self) -> SparseMatrix {
-        let deg_tilde: Vec<f64> = (0..self.n_nodes)
-            .map(|v| self.degree(v) as f64 + 1.0)
-            .collect();
-        let mut triplets = Vec::with_capacity(2 * self.n_edges + self.n_nodes);
-        for u in 0..self.n_nodes {
-            triplets.push((u, u, 1.0 / deg_tilde[u]));
-            for &v in &self.adj[u] {
-                triplets.push((u, v, 1.0 / (deg_tilde[u] * deg_tilde[v]).sqrt()));
+        let n = self.n_nodes();
+        let deg_tilde: Vec<f64> = (0..n).map(|v| self.degree(v) as f64 + 1.0).collect();
+        let nnz = self.targets.len() + n;
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for u in 0..n {
+            let neighbors = self.neighbors(u);
+            let split = neighbors.partition_point(|&v| v < u);
+            let off_diagonal = |v: usize| 1.0 / (deg_tilde[u] * deg_tilde[v]).sqrt();
+            for &v in &neighbors[..split] {
+                col_idx.push(v);
+                values.push(off_diagonal(v));
             }
+            col_idx.push(u);
+            values.push(1.0 / deg_tilde[u]);
+            for &v in &neighbors[split..] {
+                col_idx.push(v);
+                values.push(off_diagonal(v));
+            }
+            row_ptr.push(col_idx.len());
         }
-        SparseMatrix::from_triplets(self.n_nodes, self.n_nodes, &triplets)
+        SparseMatrix::from_csr_parts(n, n, row_ptr, col_idx, values)
     }
 
     /// Row-normalised *mean aggregation* operator over neighbours only
     /// (no self loop), used by the GraphSAGE mean aggregator.  Isolated nodes
     /// get an all-zero row.
+    ///
+    /// Its sparsity pattern is the adjacency itself, so the graph's
+    /// `offsets` and `targets` become its row pointers and column indices.
     pub fn mean_aggregation(&self) -> SparseMatrix {
-        let mut triplets = Vec::with_capacity(2 * self.n_edges);
-        for u in 0..self.n_nodes {
+        let n = self.n_nodes();
+        let mut values = Vec::with_capacity(self.targets.len());
+        for u in 0..n {
             let deg = self.degree(u);
-            if deg == 0 {
-                continue;
-            }
-            let inv = 1.0 / deg as f64;
-            for &v in &self.adj[u] {
-                triplets.push((u, v, inv));
-            }
+            values.extend(std::iter::repeat_n(1.0 / deg as f64, deg));
         }
-        SparseMatrix::from_triplets(self.n_nodes, self.n_nodes, &triplets)
+        SparseMatrix::from_csr_parts(n, n, self.offsets.clone(), self.targets.clone(), values)
     }
 
     /// Directed edge list *including self loops*, as `(dst, src)` pairs grouped
     /// by destination — the layout GAT attention uses.
     pub fn attention_edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(2 * self.n_edges + self.n_nodes);
-        for u in 0..self.n_nodes {
+        let mut out = Vec::with_capacity(self.targets.len() + self.n_nodes());
+        for u in 0..self.n_nodes() {
             out.push((u, u));
-            for &v in &self.adj[u] {
+            for &v in self.neighbors(u) {
                 out.push((u, v));
             }
         }
@@ -135,7 +195,7 @@ impl Graph {
     pub fn with_extra_edges(&self, extra: &[(usize, usize)]) -> Graph {
         let mut edges: Vec<(usize, usize)> = self.edges().collect();
         edges.extend_from_slice(extra);
-        Graph::from_edges(self.n_nodes, &edges)
+        Graph::from_edges(self.n_nodes(), &edges)
     }
 }
 

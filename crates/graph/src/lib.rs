@@ -1,7 +1,8 @@
 //! Graph substrate for the PPFR stack.
 //!
-//! Provides the undirected [`Graph`] type (edge set + CSR adjacency), the
-//! normalised propagation operators used by GCN/GAT/GraphSAGE, the Jaccard
+//! Provides the undirected [`Graph`] type (one flat CSR adjacency built by
+//! counting sort), the normalised propagation operators used by
+//! GCN/GAT/GraphSAGE, the Jaccard
 //! similarity matrix and its Laplacian (the individual-fairness similarity of
 //! InFoRM; every row of it, dense or streamed, comes from the one
 //! wedge-counting kernel [`jaccard_wedge_row`]), k-hop analysis used by

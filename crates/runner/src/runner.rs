@@ -368,13 +368,23 @@ mod tests {
         assert!(err.to_string().contains("influence_damping"), "{err}");
         // A non-finite learning rate or weight decay would make every cell's
         // logits NaN, and a non-finite fairness strength every Reg/DPReg
-        // cell's: each would panic in the accuracy's argmax.
+        // cell's: each would panic in the accuracy's argmax.  An infinite
+        // fine-tuning fraction would panic every DPFR/PPFR fine-tune, and a
+        // NaN or negative one would fine-tune for one epoch; a NaN or
+        // negative LiSSA scale would fall back to power iteration, and an
+        // infinite one would zero every LiSSA influence.
         type Spoil = fn(&mut PpfrConfig);
-        let knobs: [(&str, Spoil); 4] = [
+        let knobs: [(&str, Spoil); 10] = [
             ("lr", |c| c.lr = f64::NAN),
             ("lr", |c| c.lr = f64::INFINITY),
             ("weight_decay", |c| c.weight_decay = f64::NAN),
             ("fairness_lambda", |c| c.fairness_lambda = f64::INFINITY),
+            ("finetune_fraction", |c| c.finetune_fraction = f64::INFINITY),
+            ("finetune_fraction", |c| c.finetune_fraction = f64::NAN),
+            ("finetune_fraction", |c| c.finetune_fraction = -1.0),
+            ("lissa_scale", |c| c.lissa_scale = f64::INFINITY),
+            ("lissa_scale", |c| c.lissa_scale = f64::NAN),
+            ("lissa_scale", |c| c.lissa_scale = -1.0),
         ];
         for (knob, spoil) in knobs {
             let mut bad = tiny_scenario().with_seeds(&[7]);

@@ -140,7 +140,11 @@ impl ScenarioSpec {
     /// (`qclp_alpha`, `qclp_beta`), which the solver would reject in every
     /// re-weighting cell, a negative or non-finite `perturb_ratio`, which
     /// would panic every PPFR cell, or `influence_damping`, which can leave
-    /// that QCLP with non-finite influences, a DP budget `dp_epsilon`
+    /// that QCLP with non-finite influences, a negative or non-finite
+    /// `finetune_fraction` (∞ panics every DPFR and PPFR fine-tune, NaN or a
+    /// negative value silently fine-tunes one epoch) or `lissa_scale` (NaN
+    /// or a negative value silently selects the scale by power iteration,
+    /// ∞ zeroes every LiSSA influence), a DP budget `dp_epsilon`
     /// that is not finite and positive, which would fail every DPReg and DPFR
     /// cell, and an empty or unknown `threat_models` entry, which would
     /// silently audit a smaller grid.
@@ -191,6 +195,12 @@ impl ScenarioSpec {
             ("QCLP budget", "qclp_beta", c.qclp_beta),
             ("perturbation ratio", "perturb_ratio", c.perturb_ratio),
             ("Hessian damping", "influence_damping", c.influence_damping),
+            (
+                "fine-tuning fraction",
+                "finetune_fraction",
+                c.finetune_fraction,
+            ),
+            ("LiSSA scale", "lissa_scale", c.lissa_scale),
         ] {
             if !(value.is_finite() && value >= 0.0) {
                 return Err(format!(

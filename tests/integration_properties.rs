@@ -1,5 +1,6 @@
 //! Property-based integration tests on the core invariants of the stack.
 
+use ppfr_gnn::sample_subgraph;
 use ppfr_graph::{jaccard_similarity, similarity_laplacian, Graph, SparseMatrix};
 use ppfr_linalg::parallel::with_forced_threads;
 use ppfr_linalg::{row_softmax, Matrix};
@@ -7,6 +8,7 @@ use ppfr_privacy::{auc_from_distances, edge_rand, lap_graph, pairwise_distance, 
 use ppfr_qclp::{solve, QclpProblem, SolverOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 
@@ -81,6 +83,161 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Strategy: `n ∈ [0, 14)` nodes and an edge list over them that holds
+/// self-loops, repeated pairs and pairs listed in both directions.  It has
+/// at most `2n` draws, so isolated nodes are common.
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (0usize..14).prop_flat_map(|n| {
+        let node = 0..n.max(1);
+        proptest::collection::vec((node.clone(), node, 0usize..4), 0..2 * n + 1).prop_map(
+            move |draws| {
+                let mut edges = Vec::new();
+                for (u, v, kind) in draws {
+                    match kind {
+                        0 => edges.push((u, u)),
+                        1 => edges.extend([(u, v), (v, u)]),
+                        2 => edges.extend([(u, v), (u, v)]),
+                        _ => edges.push((u, v)),
+                    }
+                }
+                (n, edges)
+            },
+        )
+    })
+}
+
+/// Oracle: the neighbour rows of one `BTreeSet` per node, which drops
+/// self-loops and repeats and sorts each row.
+fn oracle_rows(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut sets = vec![BTreeSet::new(); n];
+    for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+        sets[u].insert(v);
+        sets[v].insert(u);
+    }
+    sets.into_iter().map(|s| s.into_iter().collect()).collect()
+}
+
+/// Oracle: `Â` from triplets, the self loop listed first in each row and
+/// `from_triplets` bucketing and sorting the rows.
+fn oracle_normalized_adjacency(rows: &[Vec<usize>]) -> SparseMatrix {
+    let n = rows.len();
+    let deg_tilde: Vec<f64> = rows.iter().map(|row| row.len() as f64 + 1.0).collect();
+    let mut triplets = Vec::new();
+    for (u, row) in rows.iter().enumerate() {
+        triplets.push((u, u, 1.0 / deg_tilde[u]));
+        for &v in row {
+            triplets.push((u, v, 1.0 / (deg_tilde[u] * deg_tilde[v]).sqrt()));
+        }
+    }
+    SparseMatrix::from_triplets(n, n, &triplets)
+}
+
+/// Oracle: the neighbour-mean operator `M` from triplets.
+fn oracle_mean_aggregation(rows: &[Vec<usize>]) -> SparseMatrix {
+    let n = rows.len();
+    let mut triplets = Vec::new();
+    for (u, row) in rows.iter().enumerate() {
+        for &v in row {
+            triplets.push((u, v, 1.0 / row.len() as f64));
+        }
+    }
+    SparseMatrix::from_triplets(n, n, &triplets)
+}
+
+/// Oracle: the neighbour rows of a sample that shuffles a fresh `to_vec`
+/// of each node's neighbours.
+fn oracle_sample(graph: &Graph, fanout: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for v in 0..graph.n_nodes() {
+        let neighbors = graph.neighbors(v);
+        if neighbors.is_empty() {
+            continue;
+        }
+        let mut pool: Vec<usize> = neighbors.to_vec();
+        pool.shuffle(&mut rng);
+        for &u in pool.iter().take(fanout) {
+            edges.push((v, u));
+        }
+    }
+    oracle_rows(graph.n_nodes(), &edges)
+}
+
+/// A CSR matrix's shape and its stored entries in storage order, values
+/// by bits.
+fn csr_bits(m: &SparseMatrix) -> (usize, usize, Vec<(usize, usize, u64)>) {
+    let entries = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+    (m.n_rows(), m.n_cols(), entries)
+}
+
+/// Asserts that the graph built from `edges`, its operators and its
+/// neighbour samples equal the oracles above.
+fn assert_graph_matches_oracles(n: usize, edges: &[(usize, usize)], seed: u64) {
+    let graph = Graph::from_edges(n, edges);
+    let rows = oracle_rows(n, edges);
+    assert_eq!(graph.n_nodes(), n);
+    for (v, row) in rows.iter().enumerate() {
+        assert_eq!(graph.neighbors(v), row.as_slice(), "neighbours of {v}");
+        assert_eq!(graph.degree(v), row.len(), "degree of {v}");
+        for u in 0..n {
+            assert_eq!(graph.has_edge(v, u), row.contains(&u), "edge ({v},{u})");
+        }
+    }
+    let oracle_edges: BTreeSet<(usize, usize)> = edges
+        .iter()
+        .filter(|(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    assert_eq!(graph.n_edges(), oracle_edges.len());
+    assert_eq!(
+        graph.edges().collect::<Vec<_>>(),
+        oracle_edges.into_iter().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        csr_bits(&graph.normalized_adjacency()),
+        csr_bits(&oracle_normalized_adjacency(&rows)),
+        "normalised adjacency"
+    );
+    assert_eq!(
+        csr_bits(&graph.mean_aggregation()),
+        csr_bits(&oracle_mean_aggregation(&rows)),
+        "mean aggregation"
+    );
+    let max_degree = rows.iter().map(Vec::len).max().unwrap_or(0);
+    for fanout in [1, 3, max_degree.max(1)] {
+        let sampled = sample_subgraph(&graph, fanout, seed);
+        let want = oracle_sample(&graph, fanout, seed);
+        assert_eq!(sampled.n_nodes(), n);
+        for (v, row) in want.iter().enumerate() {
+            assert_eq!(
+                sampled.neighbors(v),
+                row.as_slice(),
+                "fanout {fanout}: sampled neighbours of {v}"
+            );
+        }
+    }
+    // At a fanout of at least the maximum degree every node keeps all of
+    // its neighbours, so the sample is the graph itself.
+    let full = sample_subgraph(&graph, max_degree.max(1), seed);
+    assert_eq!(
+        full.edges().collect::<Vec<_>>(),
+        graph.edges().collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn empty_and_single_node_graphs_match_the_oracles() {
+    for (n, edges) in [
+        (0, vec![]),
+        (1, vec![]),
+        (1, vec![(0, 0), (0, 0)]),
+        (2, vec![(1, 1)]),
+        (2, vec![(0, 1), (1, 0), (0, 1)]),
+    ] {
+        assert_graph_matches_oracles(n, &edges, 5);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -105,6 +262,15 @@ proptest! {
             prop_assert_eq!(csr_out.shape(), dense_out.shape());
             prop_assert_eq!(bits(&csr_out), bits(&dense_out), "Xᵀ·G at {} threads", threads);
         }
+    }
+
+    #[test]
+    fn graph_csr_operators_and_samples_match_the_btreeset_and_triplet_oracles(
+        case in arb_edge_list(),
+        seed in 0u64..1000,
+    ) {
+        let (n, edges) = case;
+        assert_graph_matches_oracles(n, &edges, seed);
     }
 
     #[test]
