@@ -35,7 +35,7 @@ pub struct ScanResult {
 }
 
 /// Lints every first-party source tree plus `vendor/rayon` under `root`,
-/// reading the benches, examples and `perfbench/` as callers only.
+/// reading the examples and `perfbench/` as callers only.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     let mut ws = Workspace::new();
     for rel in &workspace_rs_files(root)? {
@@ -77,23 +77,12 @@ pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<String>> {
 }
 
 /// The repo-relative `.rs` files that `uncalled-pub` reads for callers and
-/// no rule checks, sorted: `crates/*/benches`, `examples` and `perfbench`'s
-/// `src` and `tests`.
+/// no rule checks, sorted: `examples` and `perfbench`'s `src` and `tests`.
 pub fn caller_rs_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    let mut dirs = vec![
-        "examples".to_string(),
-        "perfbench/src".into(),
-        "perfbench/tests".into(),
-    ];
-    for entry in fs::read_dir(root.join("crates"))? {
-        if let Ok(name) = entry?.file_name().into_string() {
-            dirs.push(format!("crates/{name}/benches"));
-        }
-    }
-    for rel in dirs {
-        if root.join(&rel).is_dir() {
-            walk_rs(&root.join(&rel), &rel, &mut out)?;
+    for rel in ["examples", "perfbench/src", "perfbench/tests"] {
+        if root.join(rel).is_dir() {
+            walk_rs(&root.join(rel), rel, &mut out)?;
         }
     }
     out.sort();

@@ -8,7 +8,7 @@
 //! | `wall-clock` | no `std::thread::spawn` / `Instant` / `SystemTime` outside `crates/telemetry`, `vendor/rayon` and `crates/bench` |
 //! | `undocumented-unsafe` | every `unsafe` is preceded by a `SAFETY:` (or `# Safety`) comment |
 //! | `par-float-reduction` | float reductions inside parallel kernels only in the blessed allowlist (each blessed kernel has a bit-identity test) |
-//! | `uncalled-pub` | every `pub fn` in `crates/*/src` is named by non-test code: crate sources, benches, examples or `perfbench/` |
+//! | `uncalled-pub` | every `pub fn` in `crates/*/src` is named by non-test code: crate sources, examples or `perfbench/` |
 //!
 //! Test code is every item under a `#[cfg(test)]` attribute (the test
 //! module, or a test-only helper anywhere in the file) plus `#[test]` fns;
@@ -143,9 +143,8 @@ impl Workspace {
     }
 
     /// Registers a file that no rule checks but whose identifiers count as
-    /// callers for `uncalled-pub`: benches, examples and `perfbench/`.  Its
-    /// test code counts too under `perfbench/`, whose self-test must keep
-    /// building.
+    /// callers for `uncalled-pub`: examples and `perfbench/`.  Its test code
+    /// counts too under `perfbench/`, whose self-test must keep building.
     pub fn add_caller_file(&mut self, path: &str, source: &str) {
         let tokens = tokenize(source);
         let tests = if path.starts_with("perfbench/") {
@@ -470,8 +469,8 @@ impl Workspace {
                 line: f.line,
                 rule: "uncalled-pub".into(),
                 message: format!(
-                    "`pub fn {}` is named by no non-test code in crates/*/src, benches, \
-                     examples or perfbench: delete it, or move a test-only helper under \
+                    "`pub fn {}` is named by no non-test code in crates/*/src, examples \
+                     or perfbench: delete it, or move a test-only helper under \
                      `#[cfg(test)]`",
                     f.name
                 ),

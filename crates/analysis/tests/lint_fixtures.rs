@@ -7,6 +7,14 @@
 use ppfr_analysis::rules::{Violation, Workspace};
 use ppfr_analysis::{to_json, ScanResult};
 
+/// The repository root, two levels above this crate.
+fn repo_root() -> &'static std::path::Path {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("repo root")
+}
+
 /// Lints one fixture in isolation under a synthetic crate-src path.
 fn lint_fixture(source: &str) -> Vec<Violation> {
     let mut ws = Workspace::new();
@@ -196,10 +204,7 @@ fn fixtures_cover_every_rule_and_are_excluded_from_real_scans() {
         rules
     });
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("repo root");
+    let root = repo_root();
     let files = ppfr_analysis::workspace_rs_files(root).expect("walk workspace");
     assert!(
         files
@@ -213,11 +218,28 @@ fn fixtures_cover_every_rule_and_are_excluded_from_real_scans() {
     );
     let callers = ppfr_analysis::caller_rs_files(root).expect("walk caller trees");
     for want in [
-        "crates/bench/benches/attack.rs",
         "examples/quickstart.rs",
         "perfbench/src/main.rs",
         "perfbench/tests/selftest.rs",
     ] {
         assert!(callers.iter().any(|f| f == want), "{want} must be a caller");
     }
+}
+
+/// The workspace lints clean, so a finding fails `cargo test` as well as the
+/// `ppfr_lint` binary.
+#[test]
+fn the_workspace_has_no_lint_findings() {
+    let scan = ppfr_analysis::scan_workspace(repo_root()).expect("scan workspace");
+    assert!(scan.files_scanned > 0, "the scan found no source files");
+    let findings: Vec<String> = scan
+        .violations
+        .iter()
+        .map(|v| format!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message))
+        .collect();
+    assert!(
+        findings.is_empty(),
+        "ppfr_lint findings:\n{}",
+        findings.join("\n")
+    );
 }

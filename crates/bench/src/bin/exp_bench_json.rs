@@ -1,10 +1,13 @@
-//! Times the core kernels (dense matmul, CSR SpMM, the products with the
-//! input features, Jaccard similarity, Hessian-vector product) at one
-//! forced thread against the ambient thread
-//! count and writes `BENCH_kernels.json` so successive PRs accumulate a
-//! machine-readable performance trajectory.  Each kernel has one
-//! implementation; its "serial" column is that implementation run under
-//! `with_forced_threads(1, ..)`.
+//! Times the core kernels (dense GEMM in its three forms, CSR SpMM, the
+//! products with the input features, Jaccard similarity, the Hessian-vector
+//! product, the multi-metric attack, the QCLP solve and one pool dispatch)
+//! once at one forced thread and again at forced 2 and 8 threads, times
+//! training, the attack stages, the runner matrix and the scaling scenario
+//! at the ambient thread count, and writes `BENCH_kernels.json` so
+//! successive PRs accumulate a machine-readable performance trajectory.
+//! Each kernel has one implementation; every row of the `kernels` table
+//! runs it under `with_forced_threads`, so the table does not depend on the
+//! ambient thread count.
 //!
 //! Usage: `cargo run --release -p ppfr_bench --bin exp_bench_json [--smoke]`
 //! (`--smoke` shrinks the problem sizes for CI).
@@ -18,22 +21,30 @@ use ppfr_influence::{hessian_vector_product_with, HvpScratch};
 use ppfr_linalg::parallel::{current_num_threads, with_forced_threads};
 use ppfr_linalg::{row_softmax, Matrix};
 use ppfr_privacy::AttackEvaluator;
+use ppfr_qclp::{solve, QclpProblem, SolverOptions};
 use ppfr_telemetry::Stopwatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One kernel's wall-clock comparison, at one forced thread vs the ambient
-/// thread count.
+/// The forced thread counts every kernel is timed at after its one-thread
+/// run.
+const KERNEL_THREADS: [usize; 2] = [2, 8];
+
+/// One kernel's wall-clock comparison: one forced thread against `threads`
+/// forced threads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelBench {
     /// Kernel name.
     pub kernel: String,
     /// Problem-size label.
     pub size: String,
+    /// Forced thread count of the `parallel_ms` run.
+    pub threads: usize,
     /// Best-of-reps time at one forced thread (milliseconds).
     pub serial_ms: f64,
-    /// Best-of-reps time at the ambient thread count (milliseconds).
+    /// Best-of-reps time at `threads` forced threads (milliseconds).
     pub parallel_ms: f64,
     /// `serial_ms / parallel_ms`.
     pub speedup: f64,
@@ -83,24 +94,6 @@ pub struct RunnerBench {
     pub cache_entries: usize,
 }
 
-/// One kernel timed at one forced thread vs an explicitly forced thread
-/// count (the top-level `kernels` section records only the ambient count).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PoolKernelBench {
-    /// Kernel name.
-    pub kernel: String,
-    /// Problem-size label.
-    pub size: String,
-    /// Forced `PPFR_NUM_THREADS` for the parallel run.
-    pub threads: usize,
-    /// Best-of-reps time at one forced thread (milliseconds).
-    pub serial_ms: f64,
-    /// Best-of-reps pooled time at `threads` (milliseconds).
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-}
-
 /// Best-of-`reps` wall time of `f`, in milliseconds — through the telemetry
 /// [`Stopwatch`], the single wall-clock primitive of the workspace.
 fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -128,27 +121,32 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-fn compare<R>(
+/// Times `f` once at one forced thread, then at each of [`KERNEL_THREADS`],
+/// and appends one row per forced count to `rows`.
+fn time_kernel<R>(
+    rows: &mut Vec<KernelBench>,
     kernel: &str,
     size: String,
     reps: usize,
-    mut serial: impl FnMut() -> R,
-    mut parallel: impl FnMut() -> R,
-) -> KernelBench {
-    let serial_ms = best_ms(reps, &mut serial);
-    let parallel_ms = best_ms(reps, &mut parallel);
-    let b = KernelBench {
-        kernel: kernel.to_string(),
-        size,
-        serial_ms,
-        parallel_ms,
-        speedup: serial_ms / parallel_ms,
-    };
-    println!(
-        "{:<24} {:<18} serial {:>9.3} ms   parallel {:>9.3} ms   speedup {:>5.2}x",
-        b.kernel, b.size, b.serial_ms, b.parallel_ms, b.speedup
-    );
-    b
+    mut f: impl FnMut() -> R,
+) {
+    let serial_ms = with_forced_threads(1, || best_ms(reps, &mut f));
+    for threads in KERNEL_THREADS {
+        let parallel_ms = with_forced_threads(threads, || best_ms(reps, &mut f));
+        let b = KernelBench {
+            kernel: kernel.to_string(),
+            size: size.clone(),
+            threads,
+            serial_ms,
+            parallel_ms,
+            speedup: serial_ms / parallel_ms,
+        };
+        println!(
+            "{:<24} {:<18} serial {:>9.3} ms   {} threads {:>9.3} ms   speedup {:>5.2}x",
+            b.kernel, b.size, b.serial_ms, b.threads, b.parallel_ms, b.speedup
+        );
+        rows.push(b);
+    }
 }
 
 fn main() {
@@ -158,21 +156,29 @@ fn main() {
         ExperimentScale::Smoke => (128, 64, 32, 3),
     };
     let threads = current_num_threads();
-    println!("kernel benchmarks: {threads} worker thread(s), best of {reps}\n");
+    println!(
+        "kernel benchmarks: best of {reps} at 1 vs {KERNEL_THREADS:?} forced thread(s); \
+         {threads} ambient worker thread(s) for the other sections\n"
+    );
 
     let mut kernels = Vec::new();
     let mut rng = StdRng::seed_from_u64(7);
 
-    // Dense matmul.
+    // Dense GEMM: `a·b`, and the transpose-free `aᵀ·at_rhs` and `a·bt_rhsᵀ`.
     let a = Matrix::gaussian(mm, mk, 0.0, 1.0, &mut rng);
     let b = Matrix::gaussian(mk, mn, 0.0, 1.0, &mut rng);
-    kernels.push(compare(
-        "matmul",
-        format!("{mm}x{mk}*{mk}x{mn}"),
-        reps,
-        || with_forced_threads(1, || a.matmul(&b)),
-        || a.matmul(&b),
-    ));
+    let at_rhs = Matrix::gaussian(mm, mn, 0.0, 1.0, &mut rng);
+    let bt_rhs = Matrix::gaussian(mn, mk, 0.0, 1.0, &mut rng);
+    let gemm = format!("{mm}x{mk}*{mk}x{mn}");
+    time_kernel(&mut kernels, "matmul", gemm, reps, || a.matmul(&b));
+    let gemm_at_b = format!("({mm}x{mk})T*{mm}x{mn}");
+    time_kernel(&mut kernels, "matmul_at_b", gemm_at_b, reps, || {
+        a.matmul_at_b(&at_rhs)
+    });
+    let gemm_a_bt = format!("{mm}x{mk}*({mn}x{mk})T");
+    time_kernel(&mut kernels, "matmul_a_bt", gemm_a_bt, reps, || {
+        a.matmul_a_bt(&bt_rhs)
+    });
 
     // Graph kernels on an SBM large enough to show parallel structure.
     let spec = DatasetSpec {
@@ -181,20 +187,16 @@ fn main() {
     };
     let ds = generate(&spec, 7);
     let a_hat = ds.graph.normalized_adjacency();
-    let feat_cols = ds.features.cols();
-    kernels.push(compare(
-        "spmm",
-        format!(
-            "{}x{} nnz={} * d={}",
-            ds.n_nodes(),
-            ds.n_nodes(),
-            a_hat.nnz(),
-            feat_cols
-        ),
-        reps,
-        || with_forced_threads(1, || a_hat.matmul_dense(&ds.features)),
-        || a_hat.matmul_dense(&ds.features),
-    ));
+    let size = format!(
+        "{}x{} nnz={} * d={}",
+        ds.n_nodes(),
+        ds.n_nodes(),
+        a_hat.nnz(),
+        ds.features.cols()
+    );
+    time_kernel(&mut kernels, "spmm", size, reps, || {
+        a_hat.matmul_dense(&ds.features)
+    });
 
     // The products with the input features that every model runs, through
     // the context's CSR of `X`, on the Cora smoke analogue at any scale.
@@ -210,28 +212,17 @@ fn main() {
     let w = Matrix::gaussian(d, h, 0.0, 1.0, &mut rng);
     let g = Matrix::gaussian(n, h, 0.0, 1.0, &mut rng);
     let size = format!("n={n} d={d} nnz={x_nnz} h={h}");
-    let (mut serial_out, mut parallel_out) = (Matrix::default(), Matrix::default());
-    kernels.push(compare(
-        "features_xw_csr",
-        size.clone(),
-        50,
-        || with_forced_threads(1, || cora_ctx.features_matmul_into(&w, &mut serial_out)),
-        || cora_ctx.features_matmul_into(&w, &mut parallel_out),
-    ));
-    kernels.push(compare(
-        "features_xtg_csr",
-        size,
-        50,
-        || with_forced_threads(1, || cora_ctx.features_t_matmul_into(&g, &mut serial_out)),
-        || cora_ctx.features_t_matmul_into(&g, &mut parallel_out),
-    ));
-    kernels.push(compare(
-        "jaccard",
-        format!("n={} m={}", ds.n_nodes(), ds.graph.n_edges()),
-        reps,
-        || with_forced_threads(1, || jaccard_similarity(&ds.graph)),
-        || jaccard_similarity(&ds.graph),
-    ));
+    let mut out = Matrix::default();
+    time_kernel(&mut kernels, "features_xw_csr", size.clone(), 50, || {
+        cora_ctx.features_matmul_into(&w, &mut out)
+    });
+    time_kernel(&mut kernels, "features_xtg_csr", size, 50, || {
+        cora_ctx.features_t_matmul_into(&g, &mut out)
+    });
+    let size = format!("n={} m={}", ds.n_nodes(), ds.graph.n_edges());
+    time_kernel(&mut kernels, "jaccard", size, reps, || {
+        jaccard_similarity(&ds.graph)
+    });
 
     // Hessian-vector product through a warm HvpScratch (parallel = the two
     // FD gradients via par_join plus the parallel forward/backward kernels
@@ -239,18 +230,48 @@ fn main() {
     let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
     let model = AnyModel::new(ModelKind::Gcn, ctx.feat_dim(), 16, ds.n_classes, 1);
     let v = vec![0.01; model.n_params()];
-    let hvp = |scratch: &mut HvpScratch| {
-        hessian_vector_product_with(scratch, &ctx, &ds.labels, &ds.splits.train, &v, 1e-4, 0.01)
+    let mut scratch = HvpScratch::new(&model);
+    let size = format!("params={}", model.n_params());
+    time_kernel(&mut kernels, "hvp", size, reps, || {
+        hessian_vector_product_with(
+            &mut scratch,
+            &ctx,
+            &ds.labels,
+            &ds.splits.train,
+            &v,
+            1e-4,
+            0.01,
+        )
+    });
+
+    // The QCLP re-weighting solve over 200 variables at the default
+    // options.  The solver is serial, so its rows read about 1x.
+    let n_vars = 200;
+    let problem = QclpProblem {
+        bias_influence: (0..n_vars)
+            .map(|i| ((i * 31 % 17) as f64 - 8.0) / 10.0)
+            .collect(),
+        util_influence: (0..n_vars)
+            .map(|i| ((i * 13 % 23) as f64 - 11.0) / 10.0)
+            .collect(),
+        alpha: 0.9,
+        beta: 0.1,
     };
-    let (mut serial_scratch, mut parallel_scratch) =
-        (HvpScratch::new(&model), HvpScratch::new(&model));
-    kernels.push(compare(
-        "hvp",
-        format!("params={}", model.n_params()),
-        reps,
-        || with_forced_threads(1, || hvp(&mut serial_scratch)),
-        || hvp(&mut parallel_scratch),
-    ));
+    let size = format!("vars={n_vars}");
+    time_kernel(&mut kernels, "qclp_solve", size, reps, || {
+        solve(&problem, &SolverOptions::default())
+    });
+
+    // One pool dispatch over trivial items: the fixed cost a parallel
+    // kernel pays per call.  At one thread it is a plain loop.
+    let items = 1024;
+    let cells: Vec<AtomicU64> = (0..items).map(|_| AtomicU64::new(0)).collect();
+    let size = format!("items={items}");
+    time_kernel(&mut kernels, "pool_dispatch", size, 200, || {
+        rayon::dispatch(items, current_num_threads(), |i| {
+            cells[i].store(i as u64 + 1, Ordering::Relaxed)
+        })
+    });
 
     // End-to-end GNN training through the TrainWorkspace path, per
     // architecture, with a cold and a warm workspace.
@@ -332,31 +353,21 @@ fn main() {
         &mut rng,
     ));
     let mut rng = StdRng::seed_from_u64(5);
-    let mut ev_serial = AttackEvaluator::from_graph(&ds.graph, &mut rng);
-    let mut ev_parallel = ev_serial.clone();
-    let (n_pos, n_neg) = ev_serial.sample().counts();
-    kernels.push(compare(
-        "attack_multi_metric",
-        format!("pairs={}", n_pos + n_neg),
-        reps,
-        || {
-            with_forced_threads(1, || {
-                ev_serial.distances(&probs);
-            })
-        },
-        || {
-            ev_parallel.distances(&probs);
-        },
-    ));
+    let mut ev = AttackEvaluator::from_graph(&ds.graph, &mut rng);
+    let (n_pos, n_neg) = ev.sample().counts();
+    let size = format!("pairs={}", n_pos + n_neg);
+    time_kernel(&mut kernels, "attack_multi_metric", size, reps, || {
+        ev.distances(&probs);
+    });
 
-    let sample = ev_parallel.sample().clone();
+    let sample = ev.sample().clone();
 
     // Supervised attack stages: batched pair-feature extraction (serial vs
     // parallel) and attack-classifier training (logistic and MLP).
     let mut attacks = Vec::new();
     {
         use ppfr_attacks::{AttackTrainConfig, ClassifierKind, PairFeatureTable, TrainedAttack};
-        ev_parallel.distances(&probs);
+        ev.distances(&probs);
         let features = &ds.features;
         let size = format!(
             "pairs={} ch=12",
@@ -371,13 +382,7 @@ fn main() {
             });
         };
         let extract = |parallel: bool| {
-            PairFeatureTable::from_distances(
-                ev_parallel.table(),
-                &sample,
-                &probs,
-                Some(features),
-                parallel,
-            )
+            PairFeatureTable::from_distances(ev.table(), &sample, &probs, Some(features), parallel)
         };
         record(
             "attack_feature_extract_serial",
@@ -446,50 +451,6 @@ fn main() {
             "runner_matrix", b.matrix, b.cold_ms, b.warm_ms, b.speedup
         );
         b
-    };
-
-    // Persistent pool: kernels at explicitly forced thread counts.
-    let pool_value = {
-        let mut kernel_rows = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let serial_ms = best_ms(reps, || with_forced_threads(1, || a.matmul(&b)));
-            let parallel_ms = best_ms(reps, || with_forced_threads(threads, || a.matmul(&b)));
-            kernel_rows.push(PoolKernelBench {
-                kernel: "matmul".to_string(),
-                size: format!("{mm}x{mk}*{mk}x{mn}"),
-                threads,
-                serial_ms,
-                parallel_ms,
-                speedup: serial_ms / parallel_ms,
-            });
-            let serial_ms = best_ms(reps, || {
-                with_forced_threads(1, || a_hat.matmul_dense(&ds.features))
-            });
-            let parallel_ms = best_ms(reps, || {
-                with_forced_threads(threads, || a_hat.matmul_dense(&ds.features))
-            });
-            kernel_rows.push(PoolKernelBench {
-                kernel: "spmm".to_string(),
-                size: format!("{}x{} nnz={}", ds.n_nodes(), ds.n_nodes(), a_hat.nnz()),
-                threads,
-                serial_ms,
-                parallel_ms,
-                speedup: serial_ms / parallel_ms,
-            });
-        }
-        for row in &kernel_rows {
-            println!(
-                "{:<24} {:<18} serial {:>9.3} ms   pool@{}   {:>9.3} ms   speedup {:>5.2}x",
-                format!("pool_{}", row.kernel),
-                row.size,
-                row.serial_ms,
-                row.threads,
-                row.parallel_ms,
-                row.speedup
-            );
-        }
-
-        Value::Obj(vec![("kernels".to_string(), kernel_rows.to_value())])
     };
 
     // Static-analysis layer: lint runtime over the workspace plus the model
@@ -682,7 +643,6 @@ fn main() {
             ("training", training.to_value()),
             ("attacks", attacks.to_value()),
             ("runner", runner.to_value()),
-            ("pool", pool_value),
             ("analysis", analysis),
             ("scaling", scaling),
             ("resilience", resilience),

@@ -1,22 +1,18 @@
-//! Experiment binaries and Criterion benchmarks for the PPFR reproduction.
+//! Experiment binaries for the PPFR reproduction.
 //!
 //! * `src/bin/exp_table{2,3,4,5}.rs`, `src/bin/exp_fig{4,5,6,7}.rs` —
 //!   regenerate each table / figure of the paper, multi-seed via
 //!   `ppfr_runner`, and print every metric as `mean ± std` (Table II, an
 //!   influence correlation, is single-seed; pass `--smoke` for the reduced
-//!   scale);
+//!   scale); `src/bin/exp_all.rs` runs them all;
 //! * `src/bin/exp_runner.rs` — execute one named scenario matrix and print
 //!   the aggregated report (text + stable JSON);
-//! * `src/bin/exp_bench_json.rs` — time the kernels at one forced thread and
-//!   at the ambient thread count and merge the results into
+//! * `src/bin/exp_bench_json.rs` — time each kernel at one forced thread and
+//!   at forced 2 and 8 threads, plus training, the attack stages, the
+//!   runner matrix and the scaling scenario, and merge the results into
 //!   `BENCH_kernels.json`;
-//! * `benches/kernels.rs` — micro-benchmarks of the hot kernels;
-//! * `benches/microkernels.rs` — the 4-wide GEMM/SpMM microkernels at one
-//!   forced thread, and the persistent pool's dispatch latency;
-//! * `benches/tables.rs`, `benches/figures.rs` — smoke-scale end-to-end
-//!   benchmarks, one group per table / figure;
-//! * `benches/ablations.rs` — design-choice ablations (PP vs DP noise, QCLP
-//!   re-weighting vs top-k node deletion).
+//! * `src/bin/exp_trace.rs` — run one scenario with telemetry on, print its
+//!   span tree and merge it into `BENCH_kernels.json` as `telemetry`.
 
 #![forbid(unsafe_code)]
 

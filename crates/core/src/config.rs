@@ -127,8 +127,8 @@ impl PpfrConfig {
         }
     }
 
-    /// A cheaper configuration for smoke tests and Criterion benches: fewer
-    /// epochs and CG iterations, same structure.
+    /// A cheaper configuration for smoke tests and the `--smoke` runs of the
+    /// `exp_*` binaries: fewer epochs and CG iterations, same structure.
     pub fn smoke() -> Self {
         Self {
             vanilla_epochs: 60,
@@ -144,7 +144,8 @@ impl PpfrConfig {
 pub enum ExperimentScale {
     /// Full paper scale (the `exp_*` binaries without `--smoke`).
     Full,
-    /// Reduced scale used by Criterion benches and smoke tests.
+    /// Reduced scale used by the `exp_*` binaries' `--smoke` runs and smoke
+    /// tests.
     Smoke,
 }
 

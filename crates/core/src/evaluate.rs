@@ -12,7 +12,7 @@ use ppfr_datasets::Dataset;
 use ppfr_fairness::bias;
 use ppfr_gnn::GnnModel;
 use ppfr_linalg::{row_softmax, Matrix};
-use ppfr_privacy::{AttackEvaluator, PairSample};
+use ppfr_privacy::PairSample;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -66,13 +66,6 @@ pub fn predictions(outcome: &TrainedOutcome, cfg: &PpfrConfig) -> Matrix {
 pub fn attack_sample(dataset: &Dataset, cfg: &PpfrConfig) -> PairSample {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xa77a_c4e1);
     PairSample::balanced(&dataset.graph, &mut rng)
-}
-
-/// The attack evaluator over [`attack_sample`]'s pairs — the *unsupervised*
-/// attack surface, kept for callers (benches, ablation internals) that do not
-/// need the supervised grid.
-pub fn attack_evaluator(dataset: &Dataset, cfg: &PpfrConfig) -> AttackEvaluator {
-    AttackEvaluator::new(attack_sample(dataset, cfg))
 }
 
 /// The full threat auditor over [`attack_sample`]'s pairs: the unsupervised

@@ -137,8 +137,8 @@ fn finetuned_outcome(ab: &AblationContext, gamma: f64, finetune_epochs: usize) -
 /// Regenerates the three ablation panels of Fig. 6 for one run seed.
 ///
 /// * Full scale uses Cora + GAT (as in the paper).
-/// * Smoke scale uses the small two-block synthetic graph + GCN so benches
-///   finish in seconds.
+/// * Smoke scale uses the small two-block synthetic graph + GCN so smoke
+///   runs finish in seconds.
 ///
 /// Like the runner's scenarios, the seed drives both dataset generation and
 /// the pipeline RNG streams, so the multi-seed view (`ppfr_runner`'s

@@ -9,7 +9,7 @@
 //!
 //! Each driver takes an [`ExperimentScale`](crate::ExperimentScale) so the
 //! same code serves the full reproduction and the fast smoke variant used
-//! by Criterion benches and tests.  Every result type serialises to JSON and
+//! by `--smoke` runs and tests.  Every result type serialises to JSON and
 //! renders a plain-text table through its `to_table_string` method, which
 //! is what the `exp_*` binaries in `ppfr_bench` print.
 

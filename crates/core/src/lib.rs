@@ -45,8 +45,8 @@ pub mod reweight;
 
 pub use config::{ExperimentScale, PpfrConfig};
 pub use evaluate::{
-    attack_evaluator, attack_sample, deltas, evaluate, evaluate_with, predictions, threat_auditor,
-    Evaluation, MethodDeltas,
+    attack_sample, deltas, evaluate, evaluate_with, predictions, threat_auditor, Evaluation,
+    MethodDeltas,
 };
 pub use perturb::heterophilic_perturbation;
 pub use pipeline::{run_method, run_method_from_vanilla, Method, TrainedOutcome};

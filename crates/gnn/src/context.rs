@@ -50,28 +50,42 @@ impl GraphContext {
     }
 
     fn from_parts(graph: Graph, features: Matrix, features_csr: SparseMatrix) -> Self {
-        assert_eq!(graph.n_nodes(), features.rows(), "one feature row per node");
-        let a_hat = graph.normalized_adjacency();
-        let mean_agg = graph.mean_aggregation();
-        let att_edges = graph.attention_edges();
-        let mut att_ptr = Vec::with_capacity(graph.n_nodes() + 1);
-        att_ptr.push(0);
+        let mut ctx = Self {
+            graph: Graph::empty(0),
+            features,
+            features_csr,
+            a_hat: SparseMatrix::zeros(0, 0),
+            mean_agg: SparseMatrix::zeros(0, 0),
+            att_edges: Vec::new(),
+            att_ptr: Vec::new(),
+        };
+        ctx.install_graph(graph);
+        ctx
+    }
+
+    /// Swaps `graph` and the operators derived from it into the context,
+    /// keeping the features.  The one operator build of both a fresh context
+    /// and [`SampledContext`](crate::SampledContext)'s per-epoch swap.
+    pub(crate) fn install_graph(&mut self, graph: Graph) {
+        assert_eq!(
+            graph.n_nodes(),
+            self.features.rows(),
+            "one feature row per node"
+        );
+        self.a_hat = graph.normalized_adjacency();
+        self.mean_agg = graph.mean_aggregation();
+        self.att_edges = graph.attention_edges();
+        self.att_ptr.clear();
+        self.att_ptr.reserve(graph.n_nodes() + 1);
+        self.att_ptr.push(0);
         let mut cursor = 0usize;
         for v in 0..graph.n_nodes() {
             // attention_edges lists (v, v) then (v, each neighbour of v).
             cursor += 1 + graph.degree(v);
-            att_ptr.push(cursor);
+            self.att_ptr.push(cursor);
         }
-        debug_assert_eq!(cursor, att_edges.len());
-        Self {
-            graph,
-            features,
-            features_csr,
-            a_hat,
-            mean_agg,
-            att_edges,
-            att_ptr,
-        }
+        debug_assert_eq!(cursor, self.att_edges.len());
+        self.graph = graph;
     }
 
     /// Number of nodes.

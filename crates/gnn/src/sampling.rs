@@ -40,7 +40,10 @@ use rand::SeedableRng;
 pub fn sample_subgraph(base: &Graph, fanout: usize, seed: u64) -> Graph {
     assert!(fanout > 0, "fanout must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::new();
+    // Node `v` pushes `min(degree(v), fanout)` edges, and the degrees sum to
+    // `2·|E|`, so this bound holds every push.
+    let mut edges =
+        Vec::with_capacity((2 * base.n_edges()).min(base.n_nodes().saturating_mul(fanout)));
     let mut pool = Vec::new();
     for v in 0..base.n_nodes() {
         let neighbors = base.neighbors(v);
@@ -97,30 +100,13 @@ impl SampledContext {
     /// installs the same operators.
     pub fn resample(&mut self, seed: u64) {
         let sampled = sample_subgraph(&self.base, self.fanout, seed);
-        self.install(sampled);
+        self.ctx.install_graph(sampled);
     }
 
     /// Restores the full-graph operators (used for the final evaluation after
     /// sampled training).
     pub fn restore_full(&mut self) {
-        self.install(self.base.clone());
-    }
-
-    /// Swaps `graph` and its derived operators into the held context without
-    /// touching the features.
-    fn install(&mut self, graph: Graph) {
-        self.ctx.a_hat = graph.normalized_adjacency();
-        self.ctx.mean_agg = graph.mean_aggregation();
-        self.ctx.att_edges = graph.attention_edges();
-        self.ctx.att_ptr.clear();
-        self.ctx.att_ptr.push(0);
-        let mut cursor = 0usize;
-        for v in 0..graph.n_nodes() {
-            cursor += 1 + graph.degree(v);
-            self.ctx.att_ptr.push(cursor);
-        }
-        debug_assert_eq!(cursor, self.ctx.att_edges.len());
-        self.ctx.graph = graph;
+        self.ctx.install_graph(self.base.clone());
     }
 }
 
@@ -358,15 +344,25 @@ mod tests {
 
     #[test]
     fn restore_full_round_trips_the_operators() {
+        fn assert_same_operators(got: &GraphContext, want: &GraphContext, after: &str) {
+            assert_eq!(
+                got.graph.edges().collect::<Vec<_>>(),
+                want.graph.edges().collect::<Vec<_>>(),
+                "graph after {after}"
+            );
+            assert_eq!(got.a_hat, want.a_hat, "a_hat after {after}");
+            assert_eq!(got.mean_agg, want.mean_agg, "mean_agg after {after}");
+            assert_eq!(got.att_edges, want.att_edges, "att_edges after {after}");
+            assert_eq!(got.att_ptr, want.att_ptr, "att_ptr after {after}");
+        }
         let (g, x, _, _) = setup();
         let full_ctx = GraphContext::new(g.clone(), x.clone());
+        let sampled_ctx = GraphContext::new(sample_subgraph(&g, 2, 77), x.clone());
         let mut sctx = SampledContext::new(g, x, 2);
         sctx.resample(77);
         assert!(sctx.ctx().graph.n_edges() < full_ctx.graph.n_edges());
+        assert_same_operators(sctx.ctx(), &sampled_ctx, "resample(77)");
         sctx.restore_full();
-        assert_eq!(sctx.ctx().graph.n_edges(), full_ctx.graph.n_edges());
-        assert_eq!(sctx.ctx().a_hat, full_ctx.a_hat);
-        assert_eq!(sctx.ctx().att_edges, full_ctx.att_edges);
-        assert_eq!(sctx.ctx().att_ptr, full_ctx.att_ptr);
+        assert_same_operators(sctx.ctx(), &full_ctx, "restore_full");
     }
 }

@@ -46,6 +46,9 @@ impl Matrix {
     }
 
     /// Matrix filled with a constant.
+    // lint: allow(uncalled-pub) — builds constant inputs in large_sbm_grid,
+    // large_sbm_attack and the unit tests of ppfr_graph, ppfr_gnn, ppfr_fairness,
+    // ppfr_privacy, ppfr_attacks and ppfr_influence
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Self {
             rows,

@@ -50,9 +50,9 @@ pub use retry::{run_with_retry, RetryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Always-on relaxed tallies of resilience events, independent of the
-/// telemetry gate so benches and chaos tests can read them whether or not
-/// telemetry is recording.  All increments sit on failure/degradation paths,
-/// never on the fault-free hot path.
+/// telemetry gate so `exp_bench_json` and the chaos tests can read them
+/// whether or not telemetry is recording.  All increments sit on
+/// failure/degradation paths, never on the fault-free hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceCounters {
     /// Cell attempts re-run after a transient failure.
@@ -85,7 +85,8 @@ pub fn counters() -> ResilienceCounters {
     }
 }
 
-/// Resets the process-wide tallies (for benches that measure one section).
+/// Resets the process-wide tallies (for a bench binary that measures one
+/// section).
 pub fn reset_counters() {
     RETRIES.store(0, Ordering::Relaxed);
     DEGRADATIONS.store(0, Ordering::Relaxed);

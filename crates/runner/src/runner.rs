@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::spec::two_block_weak;
     use ppfr_core::{Method, PpfrConfig};
-    use ppfr_datasets::two_block_synthetic;
+    use ppfr_datasets::{two_block_synthetic, DatasetSpec};
     use ppfr_gnn::ModelKind;
     use ppfr_linalg::parallel::with_forced_threads;
 
@@ -392,6 +392,28 @@ mod tests {
             let err = run_scenario(&bad, &cache).expect_err("invalid training knob");
             assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
             assert!(err.to_string().contains(&format!(" {knob} = ")), "{err}");
+        }
+        // A class count of zero or above the node count panics in the
+        // generator or the shadow SBM, and a feature probability outside
+        // [0, 1] in the generator's Bernoulli draws: every cell of the
+        // dataset would be quarantined.
+        type SpoilData = fn(&mut DatasetSpec);
+        let fields: [(&str, SpoilData); 4] = [
+            ("n_classes", |d| d.n_classes = 0),
+            ("n_classes", |d| d.n_classes = d.n_nodes + 1),
+            ("feature_signal", |d| d.feature_signal = f64::NAN),
+            ("feature_noise", |d| d.feature_noise = 1.5),
+        ];
+        for (field, spoil) in fields {
+            let mut bad = tiny_scenario().with_seeds(&[7]);
+            spoil(&mut bad.datasets[0]);
+            let err = run_scenario(&bad, &cache).expect_err("invalid dataset spec");
+            assert!(matches!(err, RunError::InvalidSpec(_)), "got {err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("dataset 'two-block' has {field} = ")),
+                "{err}"
+            );
         }
         // A misspelt threat model or an empty list would keep fewer registry
         // entries and silently audit a smaller grid.

@@ -133,7 +133,10 @@ impl ScenarioSpec {
     /// method — duplicates would make two runs indistinguishable in the
     /// aggregation (cells are keyed by the dataset, model and method name
     /// strings), silently doubling `n` —
-    /// as well as a zero attempt count, a negative or non-finite `lr`,
+    /// as well as a dataset whose `n_classes` is zero or above its `n_nodes`,
+    /// or whose `feature_signal` or `feature_noise` lies outside [0, 1]
+    /// (each panics the generator in every cell of that dataset), a zero
+    /// attempt count, a negative or non-finite `lr`,
     /// `weight_decay` or `fairness_lambda` (a non-finite one makes the
     /// logits of every cell, or of every Reg/DPReg cell, NaN and panics
     /// it), a negative or non-finite QCLP budget
@@ -178,6 +181,26 @@ impl ScenarioSpec {
                     "scenario '{}' repeats {axis} '{repeated}'",
                     self.name
                 ));
+            }
+        }
+        for d in &self.datasets {
+            if d.n_classes == 0 || d.n_classes > d.n_nodes {
+                return Err(format!(
+                    "scenario '{}' dataset '{}' has n_classes = {}; it must be between 1 and \
+                     n_nodes = {}",
+                    self.name, d.name, d.n_classes, d.n_nodes
+                ));
+            }
+            for (field, p) in [
+                ("feature_signal", d.feature_signal),
+                ("feature_noise", d.feature_noise),
+            ] {
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!(
+                        "scenario '{}' dataset '{}' has {field} = {p}; it must lie in [0, 1]",
+                        self.name, d.name
+                    ));
+                }
             }
         }
         if self.max_cell_attempts == 0 {
@@ -285,7 +308,7 @@ impl ScenarioSpec {
     }
 }
 
-/// Named stock scenarios shared by the `exp_*` binaries, benches and tests.
+/// Named stock scenarios shared by the `exp_*` binaries and tests.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioRegistry;
 
