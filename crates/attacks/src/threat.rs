@@ -78,11 +78,6 @@ impl ThreatModelRegistry {
         Self { entries }
     }
 
-    /// Registers an extra setting (e.g. an MLP variant of an existing one).
-    pub fn register(&mut self, model: ThreatModel, cfg: AttackTrainConfig) {
-        self.entries.push((model, cfg));
-    }
-
     /// Number of registered settings.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -169,7 +164,6 @@ impl ThreatGridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::ClassifierKind;
 
     #[test]
     fn standard_registry_covers_the_four_knowledge_settings() {
@@ -189,21 +183,5 @@ mod tests {
         // Per-entry seeds differ so initialisations are independent.
         let seeds: std::collections::HashSet<u64> = reg.iter().map(|(_, c)| c.seed).collect();
         assert_eq!(seeds.len(), 4);
-    }
-
-    #[test]
-    fn extra_settings_can_be_registered() {
-        let mut reg = ThreatModelRegistry::standard(AttackTrainConfig::default());
-        reg.register(
-            ThreatModel {
-                node_features: true,
-                shadow_dataset: true,
-            },
-            AttackTrainConfig {
-                kind: ClassifierKind::Mlp { hidden: 8 },
-                ..AttackTrainConfig::default()
-            },
-        );
-        assert_eq!(reg.len(), 5);
     }
 }

@@ -3,7 +3,8 @@
 //! product, the multi-metric attack, the QCLP solve and one pool dispatch)
 //! once at one forced thread and again at forced 2 and 8 threads, times
 //! training, the attack stages, the runner matrix and the scaling scenario
-//! at the ambient thread count, and writes `BENCH_kernels.json` so
+//! at the ambient thread count, records the `bench-small` span tree at one
+//! forced thread, and writes the whole of `BENCH_kernels.json` so
 //! successive PRs accumulate a machine-readable performance trajectory.
 //! Each kernel has one implementation; every row of the `kernels` table
 //! runs it under `with_forced_threads`, so the table does not depend on the
@@ -119,6 +120,37 @@ fn peak_rss_mb() -> Option<f64> {
         .parse::<f64>()
         .ok()?;
     Some(kib / 1024.0)
+}
+
+/// Renders one merged span node (and its children) as a JSON object.
+fn span_value(node: &ppfr_telemetry::SpanTree) -> Value {
+    Value::Obj(vec![
+        ("name".to_string(), node.name.to_value()),
+        ("count".to_string(), node.count.to_value()),
+        (
+            "total_ms".to_string(),
+            (node.total_ns as f64 / 1e6).to_value(),
+        ),
+        (
+            "children".to_string(),
+            Value::Arr(node.children.iter().map(span_value).collect()),
+        ),
+    ])
+}
+
+fn pool_value(stats: &rayon::PoolStats) -> Value {
+    Value::Obj(vec![
+        ("dispatches".to_string(), stats.dispatches.to_value()),
+        (
+            "serial_fallbacks".to_string(),
+            stats.serial_fallbacks.to_value(),
+        ),
+        ("joins".to_string(), stats.joins.to_value()),
+        ("joins_inline".to_string(), stats.joins_inline.to_value()),
+        ("steals".to_string(), stats.steals.to_value()),
+        ("local_pops".to_string(), stats.local_pops.to_value()),
+        ("parks".to_string(), stats.parks.to_value()),
+    ])
 }
 
 /// Times `f` once at one forced thread, then at each of [`KERNEL_THREADS`],
@@ -631,23 +663,75 @@ fn main() {
         ])
     };
 
-    // Merge into any existing BENCH_kernels.json: only this binary's
-    // sections are replaced, sections owned by other binaries survive.
-    let existing = std::fs::read_to_string("BENCH_kernels.json").ok();
-    let json = ppfr_bench::merge_bench_sections(
-        existing.as_deref(),
-        vec![
-            ("threads", threads.to_value()),
-            ("reps", reps.to_value()),
-            ("kernels", kernels.to_value()),
-            ("training", training.to_value()),
-            ("attacks", attacks.to_value()),
-            ("runner", runner.to_value()),
-            ("analysis", analysis),
-            ("scaling", scaling),
-            ("resilience", resilience),
-        ],
+    // The `bench-small` span tree, with the pool and artifact-cache counts
+    // of the same run, at smoke scale and one forced thread whether or not
+    // `--smoke` is given, so its counts compare across recordings.
+    // Telemetry and the pool statistics are switched on for this section
+    // only, and the telemetry gate is restored afterwards.
+    let telemetry = {
+        use ppfr_runner::{run_scenario, ArtifactCache, ScenarioRegistry};
+        let spec = ScenarioRegistry::get("bench-small", ExperimentScale::Smoke)
+            .expect("bench-small is a registered scenario");
+        let traced_threads = 1;
+        let cache = ArtifactCache::new();
+        let was_enabled = ppfr_telemetry::enabled();
+        ppfr_telemetry::set_enabled(true);
+        ppfr_telemetry::reset();
+        rayon::reset_pool_stats();
+        rayon::set_pool_stats_enabled(true);
+        with_forced_threads(traced_threads, || {
+            ppfr_bench::report_or_exit(run_scenario(&spec, &cache))
+        });
+        rayon::set_pool_stats_enabled(false);
+        let pool = rayon::pool_stats();
+        let tree = ppfr_telemetry::span_tree();
+        ppfr_telemetry::set_enabled(was_enabled);
+        let stats = cache.stats();
+        println!(
+            "{:<24} {} ({} runs) at {traced_threads} thread   {}",
+            "telemetry",
+            spec.name,
+            spec.n_runs(),
+            stats.summary_line()
+        );
+        Value::Obj(vec![
+            ("scenario".to_string(), spec.name.to_value()),
+            ("threads".to_string(), traced_threads.to_value()),
+            (
+                "spans".to_string(),
+                Value::Arr(tree.iter().map(span_value).collect()),
+            ),
+            ("pool".to_string(), pool_value(&pool)),
+            (
+                "cache".to_string(),
+                Value::Obj(vec![
+                    ("entries".to_string(), stats.entries.to_value()),
+                    ("hits".to_string(), stats.hits.to_value()),
+                    ("misses".to_string(), stats.misses.to_value()),
+                ]),
+            ),
+        ])
+    };
+
+    let sections = [
+        ("threads", threads.to_value()),
+        ("reps", reps.to_value()),
+        ("kernels", kernels.to_value()),
+        ("training", training.to_value()),
+        ("attacks", attacks.to_value()),
+        ("runner", runner.to_value()),
+        ("analysis", analysis),
+        ("scaling", scaling),
+        ("resilience", resilience),
+        ("telemetry", telemetry),
+    ];
+    let report = Value::Obj(
+        sections
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
     );
+    let json = serde_json::to_string_pretty(&report).expect("bench report serialises");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("\nwrote BENCH_kernels.json (merged)");
+    println!("\nwrote BENCH_kernels.json");
 }

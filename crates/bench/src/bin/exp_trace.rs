@@ -1,7 +1,7 @@
 //! Runs one scenario with full telemetry on and exports the observability
-//! artifacts: a span-tree/metrics text report on stdout, a chrome://tracing
-//! trace-event JSON file, and a `telemetry` section merged into
-//! `BENCH_kernels.json`.
+//! artifacts: a span-tree text report, the artifact-cache and pool counters
+//! on stdout, and a chrome://tracing trace-event JSON file.  The committed
+//! `telemetry` section of `BENCH_kernels.json` comes from `exp_bench_json`.
 //!
 //! Usage:
 //! `cargo run --release -p ppfr_bench --bin exp_trace -- \
@@ -17,74 +17,6 @@
 
 use ppfr_core::{ExperimentScale, Method};
 use ppfr_runner::{run_scenario, ArtifactCache, ScenarioRegistry};
-use serde::{Serialize, Value};
-
-/// Renders one merged span node (and its children) as a JSON object.
-fn span_value(node: &ppfr_telemetry::SpanTree) -> Value {
-    Value::Obj(vec![
-        ("name".to_string(), node.name.to_value()),
-        ("count".to_string(), node.count.to_value()),
-        (
-            "total_ms".to_string(),
-            (node.total_ns as f64 / 1e6).to_value(),
-        ),
-        (
-            "children".to_string(),
-            Value::Arr(node.children.iter().map(span_value).collect()),
-        ),
-    ])
-}
-
-/// Renders the metric snapshot as a JSON object in its canonical sorted
-/// order.
-fn metrics_value(snapshot: &[(String, ppfr_telemetry::MetricValue)]) -> Value {
-    use ppfr_telemetry::MetricValue;
-    Value::Obj(
-        snapshot
-            .iter()
-            .map(|(name, value)| {
-                let v = match value {
-                    MetricValue::Counter(n) => n.to_value(),
-                    MetricValue::Gauge(g) => g.to_value(),
-                    MetricValue::Histogram(h) => Value::Obj(vec![
-                        ("count".to_string(), h.count.to_value()),
-                        ("sum".to_string(), h.sum.to_value()),
-                        (
-                            "buckets".to_string(),
-                            Value::Arr(
-                                h.buckets
-                                    .iter()
-                                    .map(|&(le, n)| {
-                                        Value::Obj(vec![
-                                            ("le".to_string(), le.to_value()),
-                                            ("n".to_string(), n.to_value()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                };
-                (name.clone(), v)
-            })
-            .collect(),
-    )
-}
-
-fn pool_value(stats: &rayon::PoolStats) -> Value {
-    Value::Obj(vec![
-        ("dispatches".to_string(), stats.dispatches.to_value()),
-        (
-            "serial_fallbacks".to_string(),
-            stats.serial_fallbacks.to_value(),
-        ),
-        ("joins".to_string(), stats.joins.to_value()),
-        ("joins_inline".to_string(), stats.joins_inline.to_value()),
-        ("steals".to_string(), stats.steals.to_value()),
-        ("local_pops".to_string(), stats.local_pops.to_value()),
-        ("parks".to_string(), stats.parks.to_value()),
-    ])
-}
 
 fn main() {
     let scale = ppfr_bench::scale_from_args();
@@ -120,7 +52,7 @@ fn main() {
     let cache = ArtifactCache::new();
     let report = ppfr_bench::report_or_exit(run_scenario(&spec, &cache));
 
-    // Human-readable span tree + metrics, after the run quiesced.
+    // Human-readable span tree and counters, after the run quiesced.
     println!("{}", ppfr_telemetry::report());
     println!("{}", cache.stats().summary_line());
     let pool = rayon::pool_stats();
@@ -133,28 +65,6 @@ fn main() {
     let trace = ppfr_telemetry::chrome_trace_json();
     std::fs::write(out_path, &trace).expect("write trace-event JSON");
     println!("\nwrote {out_path} (chrome://tracing trace-event JSON)");
-
-    // Merge the canonical aggregates into the shared bench artifact.
-    let telemetry_section = Value::Obj(vec![
-        ("scenario".to_string(), spec.name.to_value()),
-        ("threads".to_string(), threads.to_value()),
-        (
-            "spans".to_string(),
-            Value::Arr(ppfr_telemetry::span_tree().iter().map(span_value).collect()),
-        ),
-        (
-            "metrics".to_string(),
-            metrics_value(&ppfr_telemetry::snapshot()),
-        ),
-        ("pool".to_string(), pool_value(&pool)),
-    ]);
-    let existing = std::fs::read_to_string("BENCH_kernels.json").ok();
-    let json = ppfr_bench::merge_bench_sections(
-        existing.as_deref(),
-        vec![("telemetry", telemetry_section)],
-    );
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("merged telemetry section into BENCH_kernels.json");
 
     // Keep the run honest: the report must still aggregate the full matrix,
     // and the trace must hold one cell span per run.

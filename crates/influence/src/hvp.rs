@@ -75,6 +75,9 @@ impl HvpScratch {
 /// two gradient evaluations run concurrently, each through its side of the
 /// persistent [`HvpScratch`], so a conjugate-gradient solve allocates only
 /// its result vectors.
+///
+/// Each call records one `influence_hvp` span, so that span's count under
+/// `influence_cg` is the number of CG iterations run.
 pub fn hessian_vector_product_with(
     scratch: &mut HvpScratch,
     ctx: &GraphContext,
@@ -84,6 +87,7 @@ pub fn hessian_vector_product_with(
     fd_step: f64,
     damping: f64,
 ) -> Vec<f64> {
+    let _span = ppfr_telemetry::span!("influence_hvp");
     let n_train = train_ids.len().max(1) as f64;
     // lint: allow(par-float-reduction) — the `.sum` norm runs serially before
     // par_join; the two gradient sides are independent, pinned bit-identical
@@ -123,8 +127,6 @@ pub fn conjugate_gradient(
     max_iters: usize,
     tol: f64,
 ) -> Vec<f64> {
-    static CG_ITERS: ppfr_telemetry::Histogram =
-        ppfr_telemetry::Histogram::new("influence.cg_iters");
     let _span = ppfr_telemetry::span!("influence_cg");
     let n = b.len();
     let mut x = vec![0.0; n];
@@ -132,17 +134,14 @@ pub fn conjugate_gradient(
     let mut p = r.clone();
     let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
     if rs_old.sqrt() < tol {
-        CG_ITERS.record(0);
         return x;
     }
-    let mut iters = 0u64;
     for _ in 0..max_iters {
         // Cooperative deadline: an exhausted ambient budget truncates the
         // solve at the current (finite, partially converged) iterate.
         if !ppfr_resilience::checkpoint(1) {
             break;
         }
-        iters += 1;
         let ap = apply(&p);
         let p_ap: f64 = p.iter().zip(&ap).map(|(&a, &b)| a * b).sum();
         if p_ap.abs() <= f64::EPSILON {
@@ -163,7 +162,6 @@ pub fn conjugate_gradient(
         }
         rs_old = rs_new;
     }
-    CG_ITERS.record(iters);
     x
 }
 

@@ -57,27 +57,6 @@ fn plan_workers(n_items: usize) -> usize {
         .max(1)
 }
 
-static DISPATCH_POOL: ppfr_telemetry::Counter =
-    ppfr_telemetry::Counter::new("linalg.dispatch.pool");
-static DISPATCH_SERIAL: ppfr_telemetry::Counter =
-    ppfr_telemetry::Counter::new("linalg.dispatch.serial");
-
-/// Records one dispatch decision (pool vs serial fast path) in the telemetry
-/// metrics.  A single static branch when telemetry is disabled; recording
-/// never influences the decision itself.  The vendored pool's own
-/// statistics have their own switch (`rayon::set_pool_stats_enabled`),
-/// which each reader of those counters turns on itself.
-fn note_dispatch(pool: bool) {
-    if !ppfr_telemetry::enabled() {
-        return;
-    }
-    if pool {
-        DISPATCH_POOL.incr();
-    } else {
-        DISPATCH_SERIAL.incr();
-    }
-}
-
 /// A raw pointer that may cross thread boundaries; each pool task derives
 /// its own disjoint sub-slice (or slot) from it by index.
 struct SendPtr<T>(*mut T);
@@ -127,7 +106,6 @@ pub fn par_chunks(data: &mut [f64], chunk_len: usize, f: impl Fn(usize, &mut [f6
     );
     let n_chunks = data.len() / chunk_len;
     let threads = plan_workers(n_chunks);
-    note_dispatch(threads > 1);
     if threads <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
@@ -178,7 +156,6 @@ pub fn par_row_blocks(
     let block_len = rows_per_block * row_len;
     let n_blocks = n_rows.div_ceil(rows_per_block);
     let threads = plan_workers(n_rows).min(n_blocks.max(1));
-    note_dispatch(threads > 1);
     if threads <= 1 {
         for (b, block) in data.chunks_mut(block_len).enumerate() {
             f(b * rows_per_block, block);
@@ -204,7 +181,6 @@ pub fn par_row_blocks(
 /// are bit-identical.
 pub fn par_fill(out: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
     let threads = plan_workers(out.len());
-    note_dispatch(threads > 1);
     if threads <= 1 {
         for (i, o) in out.iter_mut().enumerate() {
             *o = f(i);
@@ -227,7 +203,6 @@ pub fn par_fill(out: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
 /// of applying [`MIN_ITEMS_PER_WORKER`].
 pub fn par_rows<T: Send>(n_rows: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = current_num_threads().min(n_rows);
-    note_dispatch(threads > 1);
     if threads <= 1 {
         return (0..n_rows).map(f).collect();
     }
@@ -257,7 +232,6 @@ pub fn par_rows_quarantined<T: Send>(
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, String>> {
     let threads = current_num_threads().min(n_rows.max(1));
-    note_dispatch(threads > 1);
     let mut out: Vec<Option<T>> = (0..n_rows).map(|_| None).collect();
     let base = SendPtr(out.as_mut_ptr());
     let caught = rayon::dispatch_quarantined(n_rows, threads, |i| {

@@ -150,9 +150,6 @@ pub fn checkpoint(units: u64) -> bool {
         None => true,
     });
     if !ok {
-        static STOPS: ppfr_telemetry::Counter =
-            ppfr_telemetry::Counter::new("resilience.budget_stops");
-        STOPS.incr();
         crate::BUDGET_STOPS.fetch_add(1, Ordering::Relaxed);
     }
     ok
@@ -195,12 +192,9 @@ pub struct DegradationEvent {
 }
 
 /// Records one degradation event into the ambient log (when a collector is
-/// installed) and the `resilience.degradations` telemetry counter.  Library
+/// installed) and the `degradations` tally of [`crate::counters`].  Library
 /// code calls this at every ladder step so no downgrade goes unflagged.
 pub fn note_degradation(site: &str, from: &str, to: &str) {
-    static DEGRADED: ppfr_telemetry::Counter =
-        ppfr_telemetry::Counter::new("resilience.degradations");
-    DEGRADED.incr();
     crate::DEGRADATIONS.fetch_add(1, Ordering::Relaxed);
     DEGRADATIONS.with(|slot| {
         if let Some(log) = slot.borrow_mut().as_mut() {

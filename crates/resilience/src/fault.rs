@@ -180,9 +180,6 @@ pub fn fault_at(site: &str, key: &str) -> Option<FaultKind> {
                 continue;
             }
         }
-        static INJECTED: ppfr_telemetry::Counter =
-            ppfr_telemetry::Counter::new("resilience.faults_injected");
-        INJECTED.incr();
         crate::FAULTS_INJECTED.fetch_add(1, Ordering::Relaxed);
         return Some(spec.kind);
     }

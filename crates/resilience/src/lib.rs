@@ -49,10 +49,10 @@ pub use retry::{run_with_retry, RetryPolicy};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Always-on relaxed tallies of resilience events, independent of the
-/// telemetry gate so `exp_bench_json` and the chaos tests can read them
-/// whether or not telemetry is recording.  All increments sit on
-/// failure/degradation paths, never on the fault-free hot path.
+/// Always-on relaxed tallies of resilience events, the one count of each:
+/// `exp_bench_json` and the chaos tests read them with no switch to turn
+/// on.  All increments sit on failure/degradation paths, never on the
+/// fault-free hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceCounters {
     /// Cell attempts re-run after a transient failure.
@@ -97,7 +97,5 @@ pub fn reset_counters() {
 
 /// Records one quarantined panic (runner-side bookkeeping).
 pub fn note_cell_panic() {
-    static PANICS: ppfr_telemetry::Counter = ppfr_telemetry::Counter::new("resilience.cell_panics");
-    PANICS.incr();
     CELL_PANICS.fetch_add(1, Ordering::Relaxed);
 }

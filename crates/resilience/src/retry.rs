@@ -35,7 +35,7 @@ impl Default for RetryPolicy {
 
 /// Runs `f(attempt)` (attempt is 1-based) until it succeeds or the policy's
 /// attempts are spent; returns the first success or the *last* error.  Each
-/// re-run bumps the `resilience.retries` counter.
+/// re-run bumps the `retries` tally of [`crate::counters`].
 pub fn run_with_retry<T, E>(
     policy: RetryPolicy,
     mut f: impl FnMut(u32) -> Result<T, E>,
@@ -48,9 +48,6 @@ pub fn run_with_retry<T, E>(
                 if attempt >= policy.max_attempts {
                     return Err(err);
                 }
-                static RETRIES: ppfr_telemetry::Counter =
-                    ppfr_telemetry::Counter::new("resilience.retries");
-                RETRIES.incr();
                 crate::RETRIES.fetch_add(1, Ordering::Relaxed);
                 attempt += 1;
             }

@@ -220,20 +220,6 @@ fn finish(
     report
 }
 
-/// Publishes the cache tallies as telemetry gauges, from the orchestrating
-/// thread after the run quiesced (gauges are last-write-wins and expect a
-/// single writer).  Never enters the serialised [`MatrixReport`] — that is
-/// pinned bit-identical between cold and warm runs, which tallies are not.
-fn publish_cache_gauges(cache: &ArtifactCache) {
-    static HITS: ppfr_telemetry::Gauge = ppfr_telemetry::Gauge::new("runner.cache.hits");
-    static MISSES: ppfr_telemetry::Gauge = ppfr_telemetry::Gauge::new("runner.cache.misses");
-    static ENTRIES: ppfr_telemetry::Gauge = ppfr_telemetry::Gauge::new("runner.cache.entries");
-    let stats = cache.stats();
-    HITS.set(stats.hits as f64);
-    MISSES.set(stats.misses as f64);
-    ENTRIES.set(stats.entries as f64);
-}
-
 /// Executes the scenario's full run matrix, groups in parallel.
 ///
 /// Never panics on runner-path failures: an invalid spec returns
@@ -244,9 +230,7 @@ pub fn run_scenario(spec: &ScenarioSpec, cache: &ArtifactCache) -> Result<Matrix
     spec.validate().map_err(RunError::InvalidSpec)?;
     let groups = spec.groups();
     let outcomes = par_rows_quarantined(groups.len(), |g| run_group(spec, &groups[g], cache));
-    let report = finish(spec, &groups, outcomes);
-    publish_cache_gauges(cache);
-    Ok(report)
+    Ok(finish(spec, &groups, outcomes))
 }
 
 #[cfg(test)]
@@ -396,13 +380,20 @@ mod tests {
         // A class count of zero or above the node count panics in the
         // generator or the shadow SBM, and a feature probability outside
         // [0, 1] in the generator's Bernoulli draws: every cell of the
-        // dataset would be quarantined.
+        // dataset would be quarantined.  A non-finite degree, homophily or
+        // skew generates the complete graph, a negative degree no edges, and
+        // a homophily outside [0, 1] no inter- or no intra-class edges:
+        // every cell would report numbers for the wrong graph.
         type SpoilData = fn(&mut DatasetSpec);
-        let fields: [(&str, SpoilData); 4] = [
+        let fields: [(&str, SpoilData); 8] = [
             ("n_classes", |d| d.n_classes = 0),
             ("n_classes", |d| d.n_classes = d.n_nodes + 1),
             ("feature_signal", |d| d.feature_signal = f64::NAN),
             ("feature_noise", |d| d.feature_noise = 1.5),
+            ("avg_degree", |d| d.avg_degree = f64::INFINITY),
+            ("avg_degree", |d| d.avg_degree = -4.0),
+            ("target_homophily", |d| d.target_homophily = 1.5),
+            ("degree_skew", |d| d.degree_skew = f64::NAN),
         ];
         for (field, spoil) in fields {
             let mut bad = tiny_scenario().with_seeds(&[7]);

@@ -135,7 +135,11 @@ impl ScenarioSpec {
     /// strings), silently doubling `n` —
     /// as well as a dataset whose `n_classes` is zero or above its `n_nodes`,
     /// or whose `feature_signal` or `feature_noise` lies outside [0, 1]
-    /// (each panics the generator in every cell of that dataset), a zero
+    /// (each panics the generator in every cell of that dataset), a dataset
+    /// whose `target_homophily` lies outside [0, 1], whose `avg_degree` is
+    /// negative or non-finite, or whose `degree_skew` is non-finite (each
+    /// silently generates a graph with no edges, no intra- or no
+    /// inter-class edges, or every edge), a zero
     /// attempt count, a negative or non-finite `lr`,
     /// `weight_decay` or `fairness_lambda` (a non-finite one makes the
     /// logits of every cell, or of every Reg/DPReg cell, NaN and panics
@@ -191,7 +195,21 @@ impl ScenarioSpec {
                     self.name, d.name, d.n_classes, d.n_nodes
                 ));
             }
+            if !(d.avg_degree.is_finite() && d.avg_degree >= 0.0) {
+                return Err(format!(
+                    "scenario '{}' dataset '{}' has avg_degree = {}; it must be finite and \
+                     non-negative",
+                    self.name, d.name, d.avg_degree
+                ));
+            }
+            if !d.degree_skew.is_finite() {
+                return Err(format!(
+                    "scenario '{}' dataset '{}' has degree_skew = {}; it must be finite",
+                    self.name, d.name, d.degree_skew
+                ));
+            }
             for (field, p) in [
+                ("target_homophily", d.target_homophily),
                 ("feature_signal", d.feature_signal),
                 ("feature_noise", d.feature_noise),
             ] {

@@ -77,6 +77,7 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
         ("train", &["train_epoch"]),
         ("reweight", &["influence", "influence_grads", "qclp"]),
         ("influence", &["influence_cg", "influence_tail"]),
+        ("influence_cg", &["influence_hvp"]),
         ("evaluate", &["attack_grid", "bias", "predict"]),
         (
             "attack_grid",
@@ -94,7 +95,9 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
     // re-weighting (two CG adjoints, one shared tail, one QCLP) per
     // (dataset, model, seed) that runs DPFR or PPFR, since its FR cells
     // share it; one perturbation, and one context over its graph, per run
-    // that deploys on a perturbed graph.
+    // that deploys on a perturbed graph.  One HVP per CG iteration: the four
+    // solves run 32 iterations, the sum the `influence.cg_iters` histogram
+    // recorded for this run before the HVP span replaced it.
     let n_runs = spec.n_runs() as u64;
     let n_perturbed = untraced
         .runs
@@ -124,6 +127,7 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
         ("influence_tail", fr_triples),
         ("qclp", fr_triples),
         ("influence_cg", 2 * fr_triples),
+        ("influence_hvp", 32),
     ] {
         assert_eq!(count_of(&tree_1, name), expected, "count of `{name}`");
     }

@@ -1,13 +1,12 @@
 //! Exporters: human-readable text report and chrome trace-event JSON.
 //!
-//! Both render the *canonical* merged forms ([`crate::span_tree`],
-//! [`crate::snapshot`]), so structure and counts are identical across thread
-//! counts; only measured durations differ run to run.  The JSON is
+//! The text report renders the *canonical* merged [`crate::span_tree`], so
+//! its structure and counts are identical across thread counts; only
+//! measured durations differ run to run.  The JSON is
 //! hand-rolled (this crate is dependency-free) against the trace-event
 //! format's "complete event" shape — load the file in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
-use crate::metrics::{snapshot, MetricValue};
 use crate::spans::{span_tree, take_trace_events, SpanTree};
 use std::fmt::Write as _;
 
@@ -31,8 +30,8 @@ fn render_node(out: &mut String, node: &SpanTree, depth: usize) {
     }
 }
 
-/// Renders the merged span tree and metric snapshot as an indented text
-/// report (the `exp_trace` stdout format).
+/// Renders the merged span tree as an indented text report (the `exp_trace`
+/// stdout format).
 pub fn report() -> String {
     let mut out = String::new();
     out.push_str("== spans ==\n");
@@ -43,46 +42,11 @@ pub fn report() -> String {
     for root in &roots {
         render_node(&mut out, root, 0);
     }
-    out.push_str("== metrics ==\n");
-    let metrics = snapshot();
-    if metrics.is_empty() {
-        out.push_str("(no metrics recorded)\n");
-    }
-    for (name, value) in &metrics {
-        match value {
-            MetricValue::Counter(n) => {
-                let _ = writeln!(out, "{name} = {n}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{name} = {v}");
-            }
-            MetricValue::Histogram(h) => {
-                let mean = if h.count > 0 {
-                    h.sum as f64 / h.count as f64
-                } else {
-                    0.0
-                };
-                let _ = write!(
-                    out,
-                    "{name}: count={count} sum={sum} mean={mean:.3} buckets=[",
-                    count = h.count,
-                    sum = h.sum,
-                );
-                for (i, (le, n)) in h.buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "le {le}: {n}");
-                }
-                out.push_str("]\n");
-            }
-        }
-    }
     out
 }
 
-/// Escapes a string for inclusion in a JSON string literal.  Span and metric
-/// names are static identifiers, but escape defensively anyway.
+/// Escapes a string for inclusion in a JSON string literal.  Span names are
+/// static identifiers, but escape defensively anyway.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

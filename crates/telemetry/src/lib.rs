@@ -1,18 +1,21 @@
 //! Opt-in observability for the PPFR stack.
 //!
-//! Three facilities, all std-only and dependency-free:
+//! Two facilities, both std-only and dependency-free:
 //!
 //! * **Spans** ([`span!`], [`SpanGuard`]) — RAII wall-time regions that nest
 //!   into a per-thread span tree; [`span_tree`] merges the per-thread trees
 //!   by name in canonical (sorted) order, so the aggregated structure and
 //!   counts are bit-stable across thread counts even when spans run inside
-//!   pool workers (only the measured times vary).
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — a lock-free
-//!   registry accumulated in per-thread shards of atomic slots; [`snapshot`]
-//!   merges the shards in sorted-key order.
+//!   pool workers (only the measured times vary).  A span's count is also
+//!   how often its stage ran: `train_epoch` counts epochs, `influence_hvp`
+//!   Hessian-vector products.
 //! * **Exporters** ([`report`], [`chrome_trace_json`]) — a human-readable
-//!   span-tree/metrics text report and a chrome://tracing trace-event JSON
-//!   document (load via `chrome://tracing` or <https://ui.perfetto.dev>).
+//!   span-tree text report and a chrome://tracing trace-event JSON document
+//!   (load via `chrome://tracing` or <https://ui.perfetto.dev>).
+//!
+//! Every other count lives with the code that owns it: the always-on
+//! `ppfr_resilience::counters()` and runner `ArtifactCache::stats()`, and
+//! the vendored pool's opt-in `rayon::pool_stats()`.
 //!
 //! # Gating — why instrumentation can live on hot paths
 //!
@@ -20,13 +23,13 @@
 //! atomic.  Recording is opt-in: the gate starts off and switches on only
 //! when the `PPFR_TELEMETRY` env var is `1`, `true` or `on` (read once, on
 //! the first call) or a program calls [`set_enabled`]`(true)`.  While it is
-//! off every span and metric site returns after that one load: no clock
-//! read, no lock, no allocation.
+//! off every span site returns after that one load: no clock read, no lock,
+//! no allocation.
 //!
-//! Recording never influences computation: telemetry only reads clocks and
-//! bumps counters, so the golden-metric suite and every forced-thread
-//! bit-identity test pass unchanged with telemetry on or off (pinned in
-//! CI's `obs-layer` and by `crates/runner/tests/span_tree.rs`).
+//! Recording never influences computation: telemetry only reads clocks, so
+//! the golden-metric suite and every forced-thread bit-identity test pass
+//! unchanged with telemetry on or off (pinned in CI's `obs-layer` and by
+//! `crates/runner/tests/span_tree.rs`).
 //!
 //! Trace-event capture (per-span timestamps, for the chrome exporter) is a
 //! second, off-by-default switch ([`set_trace_enabled`]) because it
@@ -38,11 +41,9 @@
 #![forbid(unsafe_code)]
 
 mod export;
-mod metrics;
 mod spans;
 
 pub use export::{chrome_trace_json, report};
-pub use metrics::{snapshot, Counter, Gauge, Histogram, HistogramValue, MetricValue};
 pub use spans::{find_span, span_tree, SpanGuard, SpanTree};
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -69,8 +70,8 @@ fn init_gate_from_env() -> bool {
 /// gate was switched on by [`set_enabled`].  Off by default.
 ///
 /// A single relaxed load after the first call.  Relaxed is enough: the gate
-/// value never orders access to other data; shards and registry entries are
-/// published by their own locks.
+/// value never orders access to other data; span shards are published by
+/// their own locks.
 #[inline]
 pub fn enabled() -> bool {
     match GATE.load(Ordering::Relaxed) {
@@ -93,17 +94,15 @@ pub(crate) fn trace_enabled() -> bool {
 }
 
 /// Turns per-span trace-event capture (for [`chrome_trace_json`]) on or off.
-/// Off by default — events allocate per span exit, which general metric
-/// collection must not.  Captures only while [`enabled`] is also on.
+/// Off by default — events allocate per span exit, which span-tree
+/// recording alone must not.  Captures only while [`enabled`] is also on.
 pub fn set_trace_enabled(on: bool) {
     TRACE.store(on, Ordering::Relaxed);
 }
 
-/// Clears every recorded metric, span and trace event (the metric registry's
-/// name→slot assignments survive, so handles stay valid).  Intended for
-/// tests and for exporters that measure one workload at a time.
+/// Clears every recorded span and trace event.  Intended for tests and for
+/// exporters that measure one workload at a time.
 pub fn reset() {
-    metrics::reset();
     spans::reset();
 }
 

