@@ -83,7 +83,7 @@ impl ThreatAuditor {
         base: AttackTrainConfig,
         shadow_seed: u64,
     ) -> Self {
-        let shadow = ShadowBundle::new(dataset, 1.0, shadow_seed);
+        let shadow = ShadowBundle::new(dataset, shadow_seed);
         Self::new(
             AttackEvaluator::new(sample),
             dataset.features.clone(),

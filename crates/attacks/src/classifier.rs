@@ -1,6 +1,6 @@
-//! The supervised attack classifier: logistic regression or a one-hidden-layer
-//! MLP over per-pair feature rows, trained full-batch with `ppfr_nn`'s
-//! weighted cross-entropy and Adam.
+//! The supervised attack classifier: a two-class logistic regression over
+//! per-pair feature rows, trained full-batch from zero weights with
+//! `ppfr_nn`'s weighted cross-entropy and Adam.
 //!
 //! Channels are z-scored with statistics fitted on the *training* rows (the
 //! shadow pairs, for shadow adversaries) and the same scaler is applied at
@@ -15,26 +15,10 @@ use crate::features::{channel_names, PairFeatureTable};
 use ppfr_linalg::Matrix;
 use ppfr_nn::{weighted_cross_entropy, Adam, Optimizer};
 use ppfr_privacy::auc_from_distances;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Attack-classifier architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClassifierKind {
-    /// Linear (softmax) logistic regression — the LSA default.
-    Logistic,
-    /// One tanh hidden layer of the given width.
-    Mlp {
-        /// Hidden width.
-        hidden: usize,
-    },
-}
 
 /// Hyper-parameters of one supervised attack training run.
 #[derive(Debug, Clone)]
 pub struct AttackTrainConfig {
-    /// Architecture.
-    pub kind: ClassifierKind,
     /// Full-batch Adam epochs.
     pub epochs: usize,
     /// Adam learning rate.
@@ -44,19 +28,15 @@ pub struct AttackTrainConfig {
     /// Cap on the number of training pairs; larger training sets are thinned
     /// by a deterministic stride subsample that preserves the pos:neg ratio.
     pub max_train_pairs: usize,
-    /// RNG seed for parameter initialisation.
-    pub seed: u64,
 }
 
 impl Default for AttackTrainConfig {
     fn default() -> Self {
         Self {
-            kind: ClassifierKind::Logistic,
             epochs: 60,
             lr: 0.05,
             weight_decay: 1e-4,
             max_train_pairs: 4000,
-            seed: 17,
         }
     }
 }
@@ -138,12 +118,9 @@ pub enum AttackScorer {
 /// A trained supervised link-stealing attack, ready to transfer.
 #[derive(Debug, Clone)]
 pub struct TrainedAttack {
-    kind: ClassifierKind,
     scaler: ChannelScaler,
-    w1: Matrix,
-    b1: Vec<f64>,
-    w2: Matrix,
-    b2: Vec<f64>,
+    w: Matrix,
+    b: Vec<f64>,
     /// The scorer model selection picked on the training rows.
     pub scorer: AttackScorer,
     /// Training-set AUC of the picked scorer.
@@ -207,26 +184,8 @@ impl TrainedAttack {
         let n_train = indices.len();
 
         let scaler = ChannelScaler::fit(table, &indices);
-        let hidden = match cfg.kind {
-            ClassifierKind::Logistic => 0,
-            ClassifierKind::Mlp { hidden } => hidden.max(1),
-        };
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xa77a_c0de);
-        let (mut w1, mut b1, mut w2, mut b2) = if hidden == 0 {
-            (
-                Matrix::zeros(d, 2),
-                vec![0.0; 2],
-                Matrix::zeros(0, 0),
-                vec![],
-            )
-        } else {
-            (
-                Matrix::gaussian(d, hidden, 0.0, 0.3, &mut rng),
-                vec![0.0; hidden],
-                Matrix::gaussian(hidden, 2, 0.0, 0.3, &mut rng),
-                vec![0.0; 2],
-            )
-        };
+        let mut w = Matrix::zeros(d, 2);
+        let mut b = vec![0.0; 2];
 
         let degenerate = n_pos == 0 || n_pos == n_train;
         if !degenerate {
@@ -235,43 +194,23 @@ impl TrainedAttack {
             let ids: Vec<usize> = (0..n_train).collect();
             let weights = vec![1.0; n_train];
             let mut adam = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-            let mut params = pack(&w1, &b1, &w2, &b2);
+            let mut params = pack(&w, &b);
             for _ in 0..cfg.epochs {
-                unpack(&params, &mut w1, &mut b1, &mut w2, &mut b2);
-                let grads = if hidden == 0 {
-                    let mut logits = x.matmul(&w1);
-                    logits.add_row_broadcast_inplace(&b1);
-                    let ce = weighted_cross_entropy(&logits, &labels, &ids, &weights);
-                    let g_w1 = x.matmul_at_b(&ce.d_logits);
-                    let g_b1 = ce.d_logits.col_sums();
-                    pack(&g_w1, &g_b1, &w2, &b2)
-                } else {
-                    let mut pre = x.matmul(&w1);
-                    pre.add_row_broadcast_inplace(&b1);
-                    let h = pre.map(f64::tanh);
-                    let mut logits = h.matmul(&w2);
-                    logits.add_row_broadcast_inplace(&b2);
-                    let ce = weighted_cross_entropy(&logits, &labels, &ids, &weights);
-                    let g_w2 = h.matmul_at_b(&ce.d_logits);
-                    let g_b2 = ce.d_logits.col_sums();
-                    let d_h = ce.d_logits.matmul_a_bt(&w2);
-                    let d_pre = d_h.zip_with(&h, |g, t| g * (1.0 - t * t));
-                    let g_w1 = x.matmul_at_b(&d_pre);
-                    let g_b1 = d_pre.col_sums();
-                    pack(&g_w1, &g_b1, &g_w2, &g_b2)
-                };
-                adam.step(&mut params, &grads);
+                unpack(&params, &mut w, &mut b);
+                let mut logits = x.matmul(&w);
+                logits.add_row_broadcast_inplace(&b);
+                let ce = weighted_cross_entropy(&logits, &labels, &ids, &weights);
+                let g_w = x.matmul_at_b(&ce.d_logits);
+                let g_b = ce.d_logits.col_sums();
+                adam.step(&mut params, &pack(&g_w, &g_b));
             }
-            unpack(&params, &mut w1, &mut b1, &mut w2, &mut b2);
+            unpack(&params, &mut w, &mut b);
         }
 
         let mut attack = Self {
-            kind: cfg.kind,
             scaler,
-            w1,
-            b1,
-            w2,
-            b2,
+            w,
+            b,
             scorer: AttackScorer::Classifier,
             train_auc: 0.5,
             n_train,
@@ -320,21 +259,8 @@ impl TrainedAttack {
     /// Raw classifier margins (connected minus unconnected logit).
     fn classifier_scores(&self, table: &PairFeatureTable, indices: &[usize]) -> Vec<f64> {
         let x = self.scaler.design(table, indices);
-        let logits = match self.kind {
-            ClassifierKind::Logistic => {
-                let mut logits = x.matmul(&self.w1);
-                logits.add_row_broadcast_inplace(&self.b1);
-                logits
-            }
-            ClassifierKind::Mlp { .. } => {
-                let mut h = x.matmul(&self.w1);
-                h.add_row_broadcast_inplace(&self.b1);
-                h.map_inplace(f64::tanh);
-                let mut logits = h.matmul(&self.w2);
-                logits.add_row_broadcast_inplace(&self.b2);
-                logits
-            }
-        };
+        let mut logits = x.matmul(&self.w);
+        logits.add_row_broadcast_inplace(&self.b);
         (0..logits.rows())
             .map(|r| logits[(r, 1)] - logits[(r, 0)])
             .collect()
@@ -362,10 +288,7 @@ impl TrainedAttack {
     /// Human-readable description of the picked scorer.
     pub fn scorer_name(&self) -> String {
         match self.scorer {
-            AttackScorer::Classifier => match self.kind {
-                ClassifierKind::Logistic => "logistic".to_string(),
-                ClassifierKind::Mlp { hidden } => format!("mlp[{hidden}]"),
-            },
+            AttackScorer::Classifier => "logistic".to_string(),
             AttackScorer::SingleChannel { channel, sign } => {
                 let names = channel_names(true);
                 let name = names.get(channel).copied().unwrap_or("channel");
@@ -375,23 +298,17 @@ impl TrainedAttack {
     }
 }
 
-fn pack(w1: &Matrix, b1: &[f64], w2: &Matrix, b2: &[f64]) -> Vec<f64> {
-    let mut flat =
-        Vec::with_capacity(w1.as_slice().len() + b1.len() + w2.as_slice().len() + b2.len());
-    flat.extend_from_slice(w1.as_slice());
-    flat.extend_from_slice(b1);
-    flat.extend_from_slice(w2.as_slice());
-    flat.extend_from_slice(b2);
+fn pack(w: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut flat = Vec::with_capacity(w.as_slice().len() + b.len());
+    flat.extend_from_slice(w.as_slice());
+    flat.extend_from_slice(b);
     flat
 }
 
-fn unpack(flat: &[f64], w1: &mut Matrix, b1: &mut [f64], w2: &mut Matrix, b2: &mut [f64]) {
-    let (n1, nb1, n2) = (w1.as_slice().len(), b1.len(), w2.as_slice().len());
-    w1.as_mut_slice().copy_from_slice(&flat[..n1]);
-    b1.copy_from_slice(&flat[n1..n1 + nb1]);
-    w2.as_mut_slice()
-        .copy_from_slice(&flat[n1 + nb1..n1 + nb1 + n2]);
-    b2.copy_from_slice(&flat[n1 + nb1 + n2..]);
+fn unpack(flat: &[f64], w: &mut Matrix, b: &mut [f64]) {
+    let n = w.as_slice().len();
+    w.as_mut_slice().copy_from_slice(&flat[..n]);
+    b.copy_from_slice(&flat[n..]);
 }
 
 #[cfg(test)]
@@ -399,7 +316,8 @@ mod tests {
     use super::*;
     use ppfr_linalg::row_softmax;
     use ppfr_privacy::{AttackEvaluator, PairSample};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A table whose positives have visibly smaller distances.
     fn separable_table() -> PairFeatureTable {
@@ -439,20 +357,6 @@ mod tests {
         let pos: Vec<usize> = (0..table.n_pos()).collect();
         let neg: Vec<usize> = (table.n_pos()..table.n_pairs()).collect();
         assert!(attack.evaluate(&table, &pos, &neg) > 0.8);
-    }
-
-    #[test]
-    fn mlp_attack_also_learns_and_reports_its_name() {
-        let table = separable_table();
-        let all: Vec<usize> = (0..table.n_pairs()).collect();
-        let cfg = AttackTrainConfig {
-            kind: ClassifierKind::Mlp { hidden: 8 },
-            epochs: 80,
-            ..AttackTrainConfig::default()
-        };
-        let attack = TrainedAttack::fit(&table, &all, &cfg);
-        assert!(attack.train_auc > 0.75, "MLP AUC {}", attack.train_auc);
-        assert!(!attack.scorer_name().is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   [`DistanceTable`](ppfr_privacy::DistanceTable), posterior-entropy
 //!   channels, optional input-feature distance channels), parallel over pair
 //!   chunks, bit-identical at any thread count;
-//! * [`classifier`] — the logistic-regression / MLP attack trained with
+//! * [`classifier`] — the logistic-regression attack trained with
 //!   `ppfr_nn`'s cross-entropy and Adam, z-scored channels, and adversarial
 //!   model selection (the deployed scorer is never weaker on training data
 //!   than the best single distance threshold);
@@ -36,9 +36,7 @@ pub mod shadow;
 pub mod threat;
 
 pub use auditor::ThreatAuditor;
-pub use classifier::{
-    auc_from_scores, AttackScorer, AttackTrainConfig, ClassifierKind, TrainedAttack,
-};
+pub use classifier::{auc_from_scores, AttackScorer, AttackTrainConfig, TrainedAttack};
 pub use features::{
     channel_names, n_channels, node_entropies, pair_feature_row, row_entropy, PairFeatureTable,
     N_ENTROPY_CHANNELS, N_FEATURE_CHANNELS,

@@ -59,13 +59,13 @@ pub struct ShadowBundle {
 }
 
 impl ShadowBundle {
-    /// Samples the shadow of `target` and prepares its pair sample with the
-    /// given negative:positive ratio.  Fully deterministic in `seed`.
-    pub fn new(target: &Dataset, neg_per_pos: f64, seed: u64) -> Self {
+    /// Samples the shadow of `target` and prepares its balanced pair sample.
+    /// Fully deterministic in `seed`.
+    pub fn new(target: &Dataset, seed: u64) -> Self {
         let data = shadow_of(target, seed);
         let probs = surrogate_posteriors(&data.graph, &data.labels, data.n_classes);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7e11_5ead);
-        let sample = PairSample::with_ratio(&data.graph, neg_per_pos, &mut rng);
+        let sample = PairSample::balanced(&data.graph, &mut rng);
         Self {
             data,
             probs,
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn bundle_caches_both_channel_sets() {
         let target = sparse_sbm_dataset(300, 2, 6.0, 1.5, 16, 9);
-        let mut bundle = ShadowBundle::new(&target, 1.0, 21);
+        let mut bundle = ShadowBundle::new(&target, 21);
         let plain_channels = bundle.table(false).n_channels();
         let feat_channels = bundle.table(true).n_channels();
         assert_eq!(feat_channels, plain_channels + 2);

@@ -61,19 +61,11 @@ pub struct ThreatModelRegistry {
 }
 
 impl ThreatModelRegistry {
-    /// The standard four-setting grid; every entry shares `base` except for a
-    /// per-entry seed offset, so classifier initialisations are independent.
+    /// The standard four-setting grid; every entry trains with `base`.
     pub fn standard(base: AttackTrainConfig) -> Self {
         let entries = ThreatModel::ALL
             .iter()
-            .enumerate()
-            .map(|(i, &model)| {
-                let cfg = AttackTrainConfig {
-                    seed: base.seed.wrapping_add(i as u64),
-                    ..base.clone()
-                };
-                (model, cfg)
-            })
+            .map(|&model| (model, base.clone()))
             .collect();
         Self { entries }
     }
@@ -180,8 +172,5 @@ mod tests {
                 "posteriors+features+shadow"
             ]
         );
-        // Per-entry seeds differ so initialisations are independent.
-        let seeds: std::collections::HashSet<u64> = reg.iter().map(|(_, c)| c.seed).collect();
-        assert_eq!(seeds.len(), 4);
     }
 }

@@ -395,10 +395,10 @@ fn main() {
     let sample = ev.sample().clone();
 
     // Supervised attack stages: batched pair-feature extraction (serial vs
-    // parallel) and attack-classifier training (logistic and MLP).
+    // parallel) and attack-classifier training.
     let mut attacks = Vec::new();
     {
-        use ppfr_attacks::{AttackTrainConfig, ClassifierKind, PairFeatureTable, TrainedAttack};
+        use ppfr_attacks::{AttackTrainConfig, PairFeatureTable, TrainedAttack};
         ev.distances(&probs);
         let features = &ds.features;
         let size = format!(
@@ -434,15 +434,6 @@ fn main() {
             best_ms(reps, || {
                 TrainedAttack::fit(&table, &all, &AttackTrainConfig::default())
             }),
-        );
-        let mlp = AttackTrainConfig {
-            kind: ClassifierKind::Mlp { hidden: 8 },
-            ..AttackTrainConfig::default()
-        };
-        record(
-            "attack_classifier_train_mlp8",
-            &size,
-            best_ms(reps, || TrainedAttack::fit(&table, &all, &mlp)),
         );
     }
 

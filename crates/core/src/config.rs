@@ -1,7 +1,7 @@
 //! Hyper-parameter configuration for the PPFR pipeline and the experiments.
 
 use ppfr_gnn::TrainConfig;
-use ppfr_influence::{InfluenceConfig, LissaConfig};
+use ppfr_influence::InfluenceConfig;
 use serde::{Deserialize, Serialize};
 
 /// All hyper-parameters of the PPFR pipeline and its baselines.
@@ -35,18 +35,9 @@ pub struct PpfrConfig {
     pub influence_damping: f64,
     /// Conjugate-gradient iterations for influence solves.
     pub influence_cg_iters: usize,
-    /// Per-node neighbour fanout for sampled training; `0` disables sampling
-    /// and trains full-batch on the exact operators (the paper's protocol).
-    pub train_sample_fanout: usize,
-    /// Neumann truncation depth of the stochastic LiSSA influence estimator;
-    /// `0` keeps the exact dense-CG engine (the paper's protocol).
+    /// Neumann truncation depth of the LiSSA influence estimator; `0` keeps
+    /// the exact dense-CG engine (the paper's protocol).
     pub lissa_depth: usize,
-    /// LiSSA spectral scale `c`; `0.0` selects it by power iteration.
-    pub lissa_scale: f64,
-    /// LiSSA mini-batch size per HVP; `0` uses the full training set.
-    pub lissa_batch: usize,
-    /// Independent LiSSA chains averaged into the estimate.
-    pub lissa_samples: usize,
     /// Master RNG seed (models, DP noise, perturbation sampling, pair sampling).
     pub seed: u64,
 }
@@ -66,11 +57,7 @@ impl Default for PpfrConfig {
             qclp_beta: 0.1,
             influence_damping: 0.01,
             influence_cg_iters: 25,
-            train_sample_fanout: 0,
             lissa_depth: 0,
-            lissa_scale: 0.0,
-            lissa_batch: 0,
-            lissa_samples: 1,
             seed: 7,
         }
     }
@@ -109,21 +96,6 @@ impl PpfrConfig {
             cg_iters: self.influence_cg_iters,
             cg_tol: 1e-6,
             fd_step: 1e-4,
-        }
-    }
-
-    /// Stochastic-estimator configuration derived from this config, used when
-    /// [`PpfrConfig::lissa_depth`] is non-zero.  Shares the exact engine's
-    /// damping and FD step so the two estimators solve the same damped system.
-    pub fn lissa_config(&self) -> LissaConfig {
-        LissaConfig {
-            damping: self.influence_damping,
-            fd_step: 1e-4,
-            depth: self.lissa_depth.max(1),
-            scale: self.lissa_scale,
-            batch: self.lissa_batch,
-            samples: self.lissa_samples.max(1),
-            seed: self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         }
     }
 
@@ -218,37 +190,12 @@ mod tests {
         let back: PpfrConfig = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back.hidden, cfg.hidden);
         assert_eq!(back.vanilla_epochs, cfg.vanilla_epochs);
-        assert_eq!(back.train_sample_fanout, cfg.train_sample_fanout);
         assert_eq!(back.lissa_depth, cfg.lissa_depth);
     }
 
     #[test]
     fn defaults_keep_the_exact_full_batch_protocol() {
         let cfg = PpfrConfig::default();
-        assert_eq!(cfg.train_sample_fanout, 0, "sampling must be opt-in");
         assert_eq!(cfg.lissa_depth, 0, "LiSSA must be opt-in");
-    }
-
-    #[test]
-    fn lissa_config_shares_the_exact_engines_damped_system() {
-        let cfg = PpfrConfig {
-            lissa_depth: 150,
-            lissa_batch: 8,
-            lissa_samples: 3,
-            ..Default::default()
-        };
-        let lissa = cfg.lissa_config();
-        assert_eq!(lissa.damping, cfg.influence_config().damping);
-        assert_eq!(lissa.fd_step, cfg.influence_config().fd_step);
-        assert_eq!(lissa.depth, 150);
-        assert_eq!(lissa.batch, 8);
-        assert_eq!(lissa.samples, 3);
-        // Degenerate values are clamped to runnable ones.
-        let zero = PpfrConfig {
-            lissa_samples: 0,
-            ..Default::default()
-        };
-        assert_eq!(zero.lissa_config().depth, 1);
-        assert_eq!(zero.lissa_config().samples, 1);
     }
 }

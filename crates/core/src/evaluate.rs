@@ -76,14 +76,10 @@ pub fn attack_sample(dataset: &Dataset, cfg: &PpfrConfig) -> PairSample {
 /// cached feature tables are all reused; posteriors are the only thing
 /// recomputed per method.
 pub fn threat_auditor(dataset: &Dataset, cfg: &PpfrConfig) -> ThreatAuditor {
-    let base = AttackTrainConfig {
-        seed: cfg.seed ^ 0x5ead_f00d,
-        ..AttackTrainConfig::default()
-    };
     ThreatAuditor::for_dataset(
         dataset,
         attack_sample(dataset, cfg),
-        base,
+        AttackTrainConfig::default(),
         cfg.seed ^ 0x51ab,
     )
 }

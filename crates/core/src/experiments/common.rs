@@ -22,7 +22,9 @@ use std::collections::BTreeMap;
 
 /// Scales a dataset spec for the requested experiment scale: the smoke
 /// variant shrinks node counts and splits proportionally so every experiment
-/// runs in seconds.
+/// runs in seconds.  It caps `train_per_class` so the labelled nodes leave
+/// room for the whole validation and test splits, which the Planetoid split
+/// draws from the nodes left over.
 pub fn scaled_spec(mut spec: DatasetSpec, scale: ExperimentScale) -> DatasetSpec {
     let scaled_nodes = scale.scale_nodes(spec.n_nodes);
     if scaled_nodes != spec.n_nodes {
@@ -30,6 +32,9 @@ pub fn scaled_spec(mut spec: DatasetSpec, scale: ExperimentScale) -> DatasetSpec
         spec.n_val = ((spec.n_val as f64 * ratio).round() as usize).max(20);
         spec.n_test = ((spec.n_test as f64 * ratio).round() as usize).max(40);
         spec.n_nodes = scaled_nodes;
+        let unlabelled = spec.n_val + spec.n_test;
+        let room_per_class = scaled_nodes.saturating_sub(unlabelled) / spec.n_classes;
+        spec.train_per_class = spec.train_per_class.min(room_per_class);
     }
     spec
 }
@@ -255,6 +260,18 @@ mod tests {
             };
             assert!(spec.n_nodes < full.n_nodes, "{} not scaled", spec.name);
             assert!(spec.n_val >= 20 && spec.n_test >= 40);
+        }
+    }
+
+    #[test]
+    fn smoke_presets_fill_their_validation_and_test_splits() {
+        for spec in high_homophily_specs(ExperimentScale::Smoke)
+            .into_iter()
+            .chain(weak_homophily_specs(ExperimentScale::Smoke))
+        {
+            let ds = generate(&spec, 7);
+            assert_eq!(ds.splits.val.len(), spec.n_val, "{} validation", spec.name);
+            assert_eq!(ds.splits.test.len(), spec.n_test, "{} test", spec.name);
         }
     }
 

@@ -53,14 +53,15 @@ pub fn fairness_weights(
         ]
     };
     let grads = grads.each_ref().map(Vec::as_slice);
-    // Estimator ladder: configured LiSSA (opt-in fast path) > budget-degraded
+    // Estimator ladder: configured LiSSA (opt-in) > budget-degraded
     // shallow LiSSA > exact dense CG (the paper's protocol).  The degraded
     // rung only engages when the ambient cell budget is already exhausted —
     // an exact solve would be truncated mid-CG anyway, so a shallow LiSSA
     // estimate is the better use of the remaining work; the downgrade is
     // recorded as a DegradationEvent so reports always flag approximation.
     let [util, bias] = if cfg.lissa_depth > 0 {
-        compute_influences_lissa(model, ctx, labels, train_ids, grads, &cfg.lissa_config())
+        let lissa = LissaConfig::from_influence(&cfg.influence_config(), cfg.lissa_depth);
+        compute_influences_lissa(model, ctx, labels, train_ids, grads, &lissa)
     } else if ppfr_resilience::budget_exhausted() {
         ppfr_resilience::note_degradation("influence", "cg", "lissa");
         let degraded = LissaConfig::from_influence(&cfg.influence_config(), DEGRADED_LISSA_DEPTH);

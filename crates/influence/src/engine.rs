@@ -90,7 +90,7 @@ pub fn influence_from_s_f(
     influence
 }
 
-/// The adjoint-trick tail shared by the exact CG solve and the stochastic
+/// The adjoint-trick tail shared by the exact CG solve and the truncated
 /// LiSSA estimator: given solved adjoints `s_f = (H+λI)⁻¹ ∇_θ f`, returns
 /// `I_f(w_v) = −s_f · ∇_θ L(v)` for every adjoint and every training node,
 /// each vector in `train_ids` order.
@@ -176,13 +176,12 @@ pub fn compute_influences<const K: usize>(
     )
 }
 
-/// [`compute_influences`] with the stochastic LiSSA estimator in place of the
-/// exact CG solve — the degraded rung of the resilience ladder (and the
-/// opt-in fast path when `lissa_depth` is configured).  Only the
-/// inverse-Hessian solve differs, and each chain's batches depend only on
-/// the seed, the chain and the iteration; callers must flag results as
-/// approximate (the runner records a [`ppfr_resilience::DegradationEvent`]
-/// per downgrade).
+/// [`compute_influences`] with the truncated-Neumann LiSSA estimator in
+/// place of the exact CG solve — the degraded rung of the resilience ladder
+/// (and the opt-in estimator when `lissa_depth` is configured).  Only the
+/// inverse-Hessian solve differs: one full-batch Neumann chain per gradient,
+/// with no random draws.  Callers must flag results as approximate (the
+/// runner records a [`ppfr_resilience::DegradationEvent`] per downgrade).
 pub fn compute_influences_lissa<const K: usize>(
     model: &AnyModel,
     ctx: &GraphContext,
@@ -493,10 +492,9 @@ mod tests {
         }
     }
 
-    // Each solve has its own scratch, LiSSA's batches depend only on
-    // (seed, chain, iteration) and the tail dots each adjoint on its own, so
-    // an influence does not depend on which others are asked with it: a
-    // K-gradient call equals K separate K = 1 calls, bit for bit.
+    // Each solve has its own scratch and the tail dots each adjoint on its
+    // own, so an influence does not depend on which others are asked with
+    // it: a K-gradient call equals K separate K = 1 calls, bit for bit.
 
     #[test]
     fn compute_influences_equals_three_single_adjoint_calls() {
@@ -524,11 +522,9 @@ mod tests {
     fn compute_influences_lissa_equals_three_single_adjoint_calls() {
         let s = trained_setup();
         let cfg = LissaConfig {
+            damping: 0.5,
+            fd_step: 1e-4,
             depth: 3,
-            batch: 8,
-            samples: 2,
-            seed: 9,
-            ..Default::default()
         };
         for model in every_kind(&s.ctx, s.model.n_classes()) {
             let (ctx, labels, ids) = (&s.ctx, &s.labels, &s.train_ids);

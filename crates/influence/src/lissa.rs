@@ -1,47 +1,38 @@
-//! LiSSA — stochastic inverse-Hessian-vector products (Agarwal et al., 2017).
+//! LiSSA — inverse-Hessian-vector products by a truncated Neumann series
+//! (Agarwal et al., 2017).
 //!
 //! The exact engine ([`crate::compute_influences`]) solves
-//! `s_f = (H + λI)⁻¹ ∇_θ f` with conjugate gradient over *full-batch*
-//! Hessian-vector products: every CG iteration touches all labelled nodes.
-//! At large `n` that is the dominant influence cost, so this module provides
-//! the standard stochastic alternative — a truncated Neumann series with
-//! mini-batch HVPs:
+//! `s_f = (H + λI)⁻¹ ∇_θ f` with conjugate gradient.  This module solves the
+//! same damped system with a truncated Neumann series of full-batch
+//! Hessian-vector products:
 //!
 //! ```text
-//! x_0 = g,   x_{j+1} = g + (I − A_j / c) x_j,   A_j = H_{B_j} + λI
+//! x_0 = g,   x_{j+1} = g + (I − A / c) x_j,   A = H + λI
 //! s_f ≈ x_T / c
 //! ```
 //!
-//! where `B_j` is a per-iteration mini-batch of training nodes, `c` a scale
-//! chosen so every eigenvalue of `A/c` lies in `(0, 2)` (estimated by
-//! deterministic power iteration when not given), and the final estimate is
-//! averaged over [`LissaConfig::samples`] independent chains.  Each HVP runs
-//! through the same persistent [`HvpScratch`] the CG path uses, and
+//! where `c` is a scale chosen so every eigenvalue of `A/c` lies in `(0, 2)`,
+//! estimated by deterministic power iteration.  Each HVP runs through the
+//! same persistent [`HvpScratch`] the CG path uses, and
 //! [`crate::compute_influences_lissa`] ends in the shared tail
 //! `influences_from_adjoints` — one forward pass, then one backward pass per
 //! training node for every adjoint the caller asked for — so the two
-//! estimators differ only in how they solve the linear system.
-//!
-//! Everything is deterministic in `(LissaConfig::seed, chain, iteration)` —
-//! the batch draws use seeded `StdRng` streams, never ambient randomness.
+//! estimators differ only in how they solve the linear system.  The
+//! estimator draws no random numbers: its output is a pure function of the
+//! model, the graph and [`LissaConfig`].
 //!
 //! # Accuracy (documented tolerance)
 //!
-//! With full batches (`batch = 0`), damping large enough that `H + λI` is
-//! positive definite, and depth `T` in the hundreds, LiSSA agrees with the
-//! exact CG solve to a few percent relative error and preserves the top-k
-//! influence ranking — pinned by this crate's `lissa_pinning` proptest at
-//! relative ℓ2 error ≤ 5·10⁻² and identical top-3 rankings.  Mini-batch
-//! estimates (`batch > 0`) trade that tolerance for per-iteration cost
-//! `O(batch)`; they remain strongly rank-correlated with the exact scores
-//! but are *not* within the pinned tolerance — the deviation from the
-//! paper's exact protocol is documented in PAPER.md.
+//! With damping large enough that `H + λI` is positive definite and depth
+//! `T` in the hundreds, LiSSA agrees with the exact CG solve to a few
+//! percent relative error and preserves the top-k influence ranking —
+//! pinned by this crate's `lissa_pinning` proptest at relative ℓ2 error
+//! ≤ 5·10⁻² and identical top-3 rankings.  Shallow depths (the
+//! re-weighting's budget-degraded rung uses 8) trade that tolerance for a
+//! small fixed cost.
 
 use crate::{hessian_vector_product_with, HvpScratch, InfluenceConfig};
 use ppfr_gnn::{AnyModel, GraphContext};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Hyper-parameters of the LiSSA estimator.
 #[derive(Debug, Clone)]
@@ -53,29 +44,6 @@ pub struct LissaConfig {
     pub fd_step: f64,
     /// Truncation depth `T` of the Neumann recursion.
     pub depth: usize,
-    /// Spectral scale `c`; `0.0` selects it automatically via deterministic
-    /// power iteration (`1.3 ×` the dominant-eigenvalue estimate).
-    pub scale: f64,
-    /// Mini-batch size of each HVP; `0` uses the full training set.
-    pub batch: usize,
-    /// Number of independent chains averaged into the final estimate.
-    pub samples: usize,
-    /// Master seed of the batch-draw streams.
-    pub seed: u64,
-}
-
-impl Default for LissaConfig {
-    fn default() -> Self {
-        Self {
-            damping: 0.5,
-            fd_step: 1e-4,
-            depth: 120,
-            scale: 0.0,
-            batch: 0,
-            samples: 1,
-            seed: 0,
-        }
-    }
 }
 
 impl LissaConfig {
@@ -86,28 +54,8 @@ impl LissaConfig {
             damping: cfg.damping,
             fd_step: cfg.fd_step,
             depth,
-            ..Self::default()
         }
     }
-}
-
-/// The per-iteration mini-batch `B_j` of chain `chain`: a seeded shuffle of
-/// the training ids, truncated to `batch` and re-sorted (ascending node id)
-/// so the mean-loss gradient sums in a canonical order.  `batch = 0` (or
-/// `batch ≥ n`) returns the full set.
-fn draw_batch(train_ids: &[usize], batch: usize, seed: u64, chain: u64, iter: u64) -> Vec<usize> {
-    if batch == 0 || batch >= train_ids.len() {
-        return train_ids.to_vec();
-    }
-    // Distinct, well-separated stream per (chain, iteration).
-    let stream =
-        seed ^ chain.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ iter.wrapping_mul(0xd1b5_4a32_d192_ed03);
-    let mut rng = StdRng::seed_from_u64(stream);
-    let mut pool: Vec<usize> = train_ids.to_vec();
-    pool.shuffle(&mut rng);
-    pool.truncate(batch);
-    pool.sort_unstable();
-    pool
 }
 
 /// Deterministic power-iteration estimate of the spectral scale `c`: the
@@ -145,8 +93,8 @@ fn auto_scale(
     (1.3 * lambda).max(cfg.damping.max(1e-6))
 }
 
-/// The LiSSA estimate of the adjoint `s_f ≈ (H + λI)⁻¹ ∇_θ f`: the averaged
-/// truncated Neumann chains, scaled by `1/c`.
+/// The LiSSA estimate of the adjoint `s_f ≈ (H + λI)⁻¹ ∇_θ f`: the
+/// truncated Neumann chain, scaled by `1/c`.
 pub(crate) fn lissa_adjoint(
     model: &AnyModel,
     ctx: &GraphContext,
@@ -159,66 +107,30 @@ pub(crate) fn lissa_adjoint(
     assert!(cfg.depth > 0, "LiSSA depth must be positive");
     let dim = grad_f.len();
     let mut scratch = HvpScratch::new(model);
-    let scale = if cfg.scale > 0.0 {
-        cfg.scale
-    } else {
-        auto_scale(&mut scratch, ctx, labels, train_ids, dim, cfg)
-    };
-    let samples = cfg.samples.max(1);
-    let mut avg = vec![0.0; dim];
-    for chain in 0..samples as u64 {
-        let mut x: Vec<f64> = grad_f.to_vec();
-        for j in 0..cfg.depth as u64 {
-            // Cooperative deadline: truncating the Neumann series early still
-            // yields a finite (coarser) estimate.
-            if !ppfr_resilience::checkpoint(1) {
-                break;
-            }
-            let batch = draw_batch(train_ids, cfg.batch, cfg.seed, chain, j);
-            let hx = hessian_vector_product_with(
-                &mut scratch,
-                ctx,
-                labels,
-                &batch,
-                &x,
-                cfg.fd_step,
-                cfg.damping,
-            );
-            for ((xi, &gi), &hxi) in x.iter_mut().zip(grad_f.iter()).zip(hx.iter()) {
-                *xi = gi + *xi - hxi / scale;
-            }
+    let scale = auto_scale(&mut scratch, ctx, labels, train_ids, dim, cfg);
+    let mut x: Vec<f64> = grad_f.to_vec();
+    for _ in 0..cfg.depth {
+        // Cooperative deadline: truncating the Neumann series early still
+        // yields a finite (coarser) estimate.
+        if !ppfr_resilience::checkpoint(1) {
+            break;
         }
-        for (a, &xi) in avg.iter_mut().zip(x.iter()) {
-            *a += xi;
-        }
-    }
-    let inv = 1.0 / (samples as f64 * scale);
-    for a in avg.iter_mut() {
-        *a *= inv;
-    }
-    avg
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn draw_batch_is_deterministic_sorted_and_sized() {
-        let ids: Vec<usize> = (0..20).map(|i| i * 3).collect();
-        let a = draw_batch(&ids, 5, 7, 0, 3);
-        let b = draw_batch(&ids, 5, 7, 0, 3);
-        assert_eq!(a, b, "same (seed, chain, iter) must draw the same batch");
-        assert_eq!(a.len(), 5);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        assert!(a.iter().all(|v| ids.contains(v)));
-        let c = draw_batch(&ids, 5, 7, 0, 4);
-        assert_ne!(a, c, "different iterations should draw different batches");
-        assert_eq!(draw_batch(&ids, 0, 7, 0, 0), ids, "batch=0 is full-batch");
-        assert_eq!(
-            draw_batch(&ids, 99, 7, 0, 0),
-            ids,
-            "oversized batch is full"
+        let hx = hessian_vector_product_with(
+            &mut scratch,
+            ctx,
+            labels,
+            train_ids,
+            &x,
+            cfg.fd_step,
+            cfg.damping,
         );
+        for ((xi, &gi), &hxi) in x.iter_mut().zip(grad_f.iter()).zip(hx.iter()) {
+            *xi = gi + *xi - hxi / scale;
+        }
     }
+    let inv = 1.0 / scale;
+    for xi in x.iter_mut() {
+        *xi *= inv;
+    }
+    x
 }

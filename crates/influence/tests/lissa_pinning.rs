@@ -1,15 +1,14 @@
-//! Pins the stochastic LiSSA estimator against the exact dense-CG engine at
-//! small `n`: full-batch LiSSA must agree with CG within the documented
-//! tolerance (relative ℓ2 error ≤ 5e-2) and preserve the top-k influence
-//! ranking, across seeds, damping and depth; mini-batch LiSSA must stay
-//! strongly rank-correlated; and the estimator must be bit-identical across
-//! forced thread counts.
+//! Pins the LiSSA estimator against the exact dense-CG engine at small `n`:
+//! LiSSA must agree with CG within the documented tolerance (relative ℓ2
+//! error ≤ 5e-2) and preserve the top-k influence ranking across damping and
+//! depth, and the estimator must be bit-identical across forced thread
+//! counts.
 
 use ppfr_datasets::{generate, two_block_synthetic};
 use ppfr_gnn::{train, AnyModel, GraphContext, ModelKind, TrainConfig};
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_influence::{
-    bias_grad_wrt_params, compute_influences, compute_influences_lissa, pearson, InfluenceConfig,
+    bias_grad_wrt_params, compute_influences, compute_influences_lissa, InfluenceConfig,
     LissaConfig,
 };
 use proptest::prelude::*;
@@ -115,7 +114,6 @@ proptest! {
     fn full_batch_lissa_matches_cg_within_tolerance_and_preserves_topk(
         damping in 0.6f64..1.5,
         depth in 150usize..250,
-        seed in 0u64..u64::MAX,
     ) {
         let s = setup();
         let exact = exact_influences(s, damping);
@@ -123,10 +121,6 @@ proptest! {
             damping,
             fd_step: 1e-4,
             depth,
-            scale: 0.0,
-            batch: 0,
-            samples: 1,
-            seed,
         };
         let approx = lissa_influences(s, &lissa_cfg);
         prop_assert!(approx.iter().all(|v| v.is_finite()), "non-finite LiSSA scores");
@@ -150,39 +144,12 @@ proptest! {
 }
 
 #[test]
-fn mini_batch_lissa_stays_rank_correlated_with_the_exact_engine() {
-    let s = setup();
-    let damping = 1.0;
-    let exact = exact_influences(s, damping);
-    let lissa_cfg = LissaConfig {
-        damping,
-        fd_step: 1e-4,
-        depth: 200,
-        scale: 0.0,
-        batch: s.train_ids.len().div_ceil(2),
-        samples: 4,
-        seed: 17,
-    };
-    let approx = lissa_influences(s, &lissa_cfg);
-    assert!(approx.iter().all(|v| v.is_finite()));
-    let r = pearson(&approx, &exact);
-    assert!(
-        r > 0.8,
-        "mini-batch LiSSA lost the influence signal: pearson {r}"
-    );
-}
-
-#[test]
 fn lissa_is_deterministic_and_bit_identical_across_thread_counts() {
     let s = setup();
     let lissa_cfg = LissaConfig {
         damping: 1.0,
         fd_step: 1e-4,
         depth: 40,
-        scale: 0.0,
-        batch: 5,
-        samples: 2,
-        seed: 23,
     };
     let run = || lissa_influences(s, &lissa_cfg);
     let baseline = ppfr_linalg::parallel::with_forced_threads(1, run);

@@ -35,27 +35,8 @@ impl PairSample {
     /// fewer non-edges than edges.  [`PairSample::counts`] exposes the
     /// achieved sizes.
     pub fn balanced<R: Rng + ?Sized>(graph: &Graph, rng: &mut R) -> Self {
-        Self::with_ratio(graph, 1.0, rng)
-    }
-
-    /// [`PairSample::balanced`] with a configurable negative:positive ratio —
-    /// `neg_per_pos` negatives are targeted per positive (rounded), so threat
-    /// models can evaluate the attack on imbalanced pair sets (real attackers
-    /// face far more non-edges than edges).  Sampling follows the same
-    /// rejection-then-enumeration scheme as the balanced sampler; the achieved
-    /// ratio (via [`PairSample::counts`]) only falls short when the graph has
-    /// fewer distinct non-edges than the target.
-    ///
-    /// # Panics
-    /// Panics when `neg_per_pos` is negative or non-finite.
-    pub fn with_ratio<R: Rng + ?Sized>(graph: &Graph, neg_per_pos: f64, rng: &mut R) -> Self {
-        assert!(
-            neg_per_pos.is_finite() && neg_per_pos >= 0.0,
-            "negative:positive ratio must be finite and non-negative"
-        );
         let positives: Vec<(usize, usize)> = graph.edges().collect();
-        let target = (positives.len() as f64 * neg_per_pos).round() as usize;
-        let negatives = sample_negatives(graph, target, rng);
+        let negatives = sample_negatives(graph, positives.len(), rng);
         Self {
             positives,
             negatives,
@@ -113,9 +94,8 @@ impl PairSample {
         self.len() == 0
     }
 
-    /// Achieved `(positives, negatives)` counts.  They differ from the
-    /// targeted ratio only when the graph has fewer distinct non-edges than
-    /// the negative target.
+    /// Achieved `(positives, negatives)` counts.  They differ only when the
+    /// graph has fewer distinct non-edges than sampled positives.
     pub fn counts(&self) -> (usize, usize) {
         (self.positives.len(), self.negatives.len())
     }
@@ -468,22 +448,14 @@ mod tests {
     fn pair_sampling_is_deterministic_for_a_fixed_seed() {
         // Pins the sampler's order-independence: the negative dedup structure
         // carries no hash-iteration order, so the sample is a pure function of
-        // (graph, ratio, seed) — including the enumeration fallback, which a
-        // dense graph with a high ratio forces.
+        // (graph, seed).  The dense-graph test below pins the enumeration
+        // fallback the same way.
         let (g, _, _) = separable_setup();
-        for ratio in [1.0, 4.0] {
-            let draw = || PairSample::with_ratio(&g, ratio, &mut StdRng::seed_from_u64(42));
-            let a = draw();
-            let b = draw();
-            assert_eq!(
-                a.positives, b.positives,
-                "positives differ at ratio {ratio}"
-            );
-            assert_eq!(
-                a.negatives, b.negatives,
-                "negatives differ at ratio {ratio}"
-            );
-        }
+        let draw = || PairSample::balanced(&g, &mut StdRng::seed_from_u64(42));
+        let a = draw();
+        let b = draw();
+        assert_eq!(a.positives, b.positives);
+        assert_eq!(a.negatives, b.negatives);
     }
 
     #[test]
@@ -525,44 +497,11 @@ mod tests {
         for &(u, v) in &sample.negatives {
             assert!(missing.contains(&(u, v)));
         }
-    }
-
-    #[test]
-    fn with_ratio_reports_the_achieved_ratio_through_counts() {
-        // A sparse ring has plenty of non-edges, so every target is met.
-        let n = 40;
-        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let g = Graph::from_edges(n, &edges);
-        for (ratio, expected_neg) in [(0.5, 20), (1.0, 40), (3.0, 120)] {
-            let mut rng = StdRng::seed_from_u64(9);
-            let sample = PairSample::with_ratio(&g, ratio, &mut rng);
-            let (n_pos, n_neg) = sample.counts();
-            assert_eq!(n_pos, g.n_edges());
-            assert_eq!(n_neg, expected_neg, "ratio {ratio} missed its target");
-            let unique: std::collections::HashSet<_> = sample.negatives.iter().collect();
-            assert_eq!(unique.len(), n_neg, "ratio {ratio} duplicated negatives");
-            for &(u, v) in &sample.negatives {
-                assert!(!g.has_edge(u, v));
-            }
-        }
-        // Zero ratio: positives only.
-        let mut rng = StdRng::seed_from_u64(9);
-        let sample = PairSample::with_ratio(&g, 0.0, &mut rng);
-        assert_eq!(sample.counts(), (g.n_edges(), 0));
-        // Balanced is exactly ratio 1.
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        let a = PairSample::balanced(&g, &mut rng_a);
-        let b = PairSample::with_ratio(&g, 1.0, &mut rng_b);
-        assert_eq!(a.negatives, b.negatives);
-    }
-
-    #[test]
-    #[should_panic(expected = "ratio must be finite")]
-    fn with_ratio_rejects_nan_ratios() {
-        let g = Graph::from_edges(3, &[(0, 1)]);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = PairSample::with_ratio(&g, f64::NAN, &mut rng);
+        let again = PairSample::balanced(&g, &mut StdRng::seed_from_u64(3));
+        assert_eq!(
+            again.negatives, sample.negatives,
+            "fallback must be deterministic"
+        );
     }
 
     #[test]

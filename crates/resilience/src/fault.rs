@@ -108,6 +108,9 @@ struct InstalledPlan {
 /// is installed.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<InstalledPlan>> = Mutex::new(None);
+/// Held for the whole of a [`with_fault_plan`] scope, so two scopes never
+/// interleave their plans.
+static SCOPE: Mutex<()> = Mutex::new(());
 
 /// `true` while a [`FaultPlan`] is installed.  The only cost fault injection
 /// adds to a production run is this relaxed load returning `false`.
@@ -117,16 +120,15 @@ pub fn armed() -> bool {
 }
 
 /// Installs `plan` process-wide (replacing any previous plan) and arms the
-/// gate.  Prefer [`with_fault_plan`] in tests — it serialises access to the
-/// global plan across threads.
-pub fn install(plan: FaultPlan) {
+/// gate.  Only [`with_fault_plan`] calls it, under [`SCOPE`].
+fn install(plan: FaultPlan) {
     let seen = (0..plan.faults.len()).map(|_| AtomicU32::new(0)).collect();
     *PLAN.lock().unwrap_or_else(|p| p.into_inner()) = Some(InstalledPlan { plan, seen });
     ARMED.store(true, Ordering::Relaxed);
 }
 
 /// Removes the installed plan and disarms the gate.
-pub fn clear() {
+fn clear() {
     ARMED.store(false, Ordering::Relaxed);
     *PLAN.lock().unwrap_or_else(|p| p.into_inner()) = None;
 }
@@ -190,7 +192,6 @@ pub fn fault_at(site: &str, key: &str) -> Option<FaultKind> {
 /// so concurrent tests cannot interleave their plans.  This is the API the
 /// chaos suite uses.
 pub fn with_fault_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
-    static SCOPE: Mutex<()> = Mutex::new(());
     let _scope = SCOPE.lock().unwrap_or_else(|p| p.into_inner());
     struct ClearOnDrop;
     impl Drop for ClearOnDrop {
@@ -209,7 +210,9 @@ mod tests {
 
     #[test]
     fn disarmed_gate_fires_nothing() {
-        clear();
+        // Outside every scope no plan is installed; holding the scope lock
+        // keeps a concurrent test's plan out while this one checks.
+        let _scope = SCOPE.lock().unwrap_or_else(|p| p.into_inner());
         assert!(!armed());
         assert_eq!(fault_at("cell", "anything"), None);
     }
@@ -232,6 +235,7 @@ mod tests {
                 );
             },
         );
+        let _scope = SCOPE.lock().unwrap_or_else(|p| p.into_inner());
         assert!(!armed(), "scope clears the plan");
     }
 

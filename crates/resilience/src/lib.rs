@@ -42,9 +42,7 @@ pub use budget::{
     with_budget, Budget, DegradationEvent,
 };
 pub use error::{panic_message, RunError};
-pub use fault::{
-    armed, clear, fault_at, install, with_fault_plan, FaultKind, FaultPlan, FaultSpec,
-};
+pub use fault::{armed, fault_at, with_fault_plan, FaultKind, FaultPlan, FaultSpec};
 pub use retry::{run_with_retry, RetryPolicy};
 
 use std::sync::atomic::{AtomicU64, Ordering};

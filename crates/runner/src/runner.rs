@@ -354,11 +354,10 @@ mod tests {
         // logits NaN, and a non-finite fairness strength every Reg/DPReg
         // cell's: each would panic in the accuracy's argmax.  An infinite
         // fine-tuning fraction would panic every DPFR/PPFR fine-tune, and a
-        // NaN or negative one would fine-tune for one epoch; a NaN or
-        // negative LiSSA scale would fall back to power iteration, and an
-        // infinite one would zero every LiSSA influence.
+        // NaN or negative one would fine-tune for one epoch.  A zero hidden
+        // width fits a constant model in every cell.
         type Spoil = fn(&mut PpfrConfig);
-        let knobs: [(&str, Spoil); 10] = [
+        let knobs: [(&str, Spoil); 8] = [
             ("lr", |c| c.lr = f64::NAN),
             ("lr", |c| c.lr = f64::INFINITY),
             ("weight_decay", |c| c.weight_decay = f64::NAN),
@@ -366,9 +365,7 @@ mod tests {
             ("finetune_fraction", |c| c.finetune_fraction = f64::INFINITY),
             ("finetune_fraction", |c| c.finetune_fraction = f64::NAN),
             ("finetune_fraction", |c| c.finetune_fraction = -1.0),
-            ("lissa_scale", |c| c.lissa_scale = f64::INFINITY),
-            ("lissa_scale", |c| c.lissa_scale = f64::NAN),
-            ("lissa_scale", |c| c.lissa_scale = -1.0),
+            ("hidden", |c| c.hidden = 0),
         ];
         for (knob, spoil) in knobs {
             let mut bad = tiny_scenario().with_seeds(&[7]);
@@ -383,9 +380,11 @@ mod tests {
         // dataset would be quarantined.  A non-finite degree, homophily or
         // skew generates the complete graph, a negative degree no edges, and
         // a homophily outside [0, 1] no inter- or no intra-class edges:
-        // every cell would report numbers for the wrong graph.
+        // every cell would report numbers for the wrong graph.  No training
+        // label, no test node (also when the splits outgrow the graph) or
+        // no feature column makes every cell's numbers meaningless.
         type SpoilData = fn(&mut DatasetSpec);
-        let fields: [(&str, SpoilData); 8] = [
+        let fields: [(&str, SpoilData); 12] = [
             ("n_classes", |d| d.n_classes = 0),
             ("n_classes", |d| d.n_classes = d.n_nodes + 1),
             ("feature_signal", |d| d.feature_signal = f64::NAN),
@@ -394,6 +393,12 @@ mod tests {
             ("avg_degree", |d| d.avg_degree = -4.0),
             ("target_homophily", |d| d.target_homophily = 1.5),
             ("degree_skew", |d| d.degree_skew = f64::NAN),
+            ("train_per_class", |d| d.train_per_class = 0),
+            ("n_test", |d| d.n_test = 0),
+            ("n_classes · train_per_class + n_val + n_test", |d| {
+                d.n_val = 10_000
+            }),
+            ("feat_dim", |d| d.feat_dim = 0),
         ];
         for (field, spoil) in fields {
             let mut bad = tiny_scenario().with_seeds(&[7]);

@@ -139,7 +139,11 @@ impl ScenarioSpec {
     /// whose `target_homophily` lies outside [0, 1], whose `avg_degree` is
     /// negative or non-finite, or whose `degree_skew` is non-finite (each
     /// silently generates a graph with no edges, no intra- or no
-    /// inter-class edges, or every edge), a zero
+    /// inter-class edges, or every edge), a dataset with no training label
+    /// per class, no test node, splits that need more than `n_nodes` nodes
+    /// or no feature column, and a config with `hidden = 0` (each trains on
+    /// nothing, scores on nothing or fits a constant model, and reports
+    /// numbers for that degenerate experiment), a zero
     /// attempt count, a negative or non-finite `lr`,
     /// `weight_decay` or `fairness_lambda` (a non-finite one makes the
     /// logits of every cell, or of every Reg/DPReg cell, NaN and panics
@@ -149,9 +153,7 @@ impl ScenarioSpec {
     /// would panic every PPFR cell, or `influence_damping`, which can leave
     /// that QCLP with non-finite influences, a negative or non-finite
     /// `finetune_fraction` (∞ panics every DPFR and PPFR fine-tune, NaN or a
-    /// negative value silently fine-tunes one epoch) or `lissa_scale` (NaN
-    /// or a negative value silently selects the scale by power iteration,
-    /// ∞ zeroes every LiSSA influence), a DP budget `dp_epsilon`
+    /// negative value silently fine-tunes one epoch), a DP budget `dp_epsilon`
     /// that is not finite and positive, which would fail every DPReg and DPFR
     /// cell, and an empty or unknown `threat_models` entry, which would
     /// silently audit a smaller grid.
@@ -208,6 +210,30 @@ impl ScenarioSpec {
                     self.name, d.name, d.degree_skew
                 ));
             }
+            for (field, value) in [
+                ("train_per_class", d.train_per_class),
+                ("n_test", d.n_test),
+                ("feat_dim", d.feat_dim),
+            ] {
+                if value == 0 {
+                    return Err(format!(
+                        "scenario '{}' dataset '{}' has {field} = 0; it must be positive",
+                        self.name, d.name
+                    ));
+                }
+            }
+            let needed = d
+                .n_classes
+                .saturating_mul(d.train_per_class)
+                .saturating_add(d.n_val)
+                .saturating_add(d.n_test);
+            if needed > d.n_nodes {
+                return Err(format!(
+                    "scenario '{}' dataset '{}' has n_classes · train_per_class + n_val + \
+                     n_test = {needed}; it must be at most n_nodes = {}",
+                    self.name, d.name, d.n_nodes
+                ));
+            }
             for (field, p) in [
                 ("target_homophily", d.target_homophily),
                 ("feature_signal", d.feature_signal),
@@ -228,6 +254,12 @@ impl ScenarioSpec {
             ));
         }
         let c = &self.config;
+        if c.hidden == 0 {
+            return Err(format!(
+                "scenario '{}' has hidden width hidden = 0; it must be positive",
+                self.name
+            ));
+        }
         for (what, knob, value) in [
             ("learning rate", "lr", c.lr),
             ("weight decay", "weight_decay", c.weight_decay),
@@ -241,7 +273,6 @@ impl ScenarioSpec {
                 "finetune_fraction",
                 c.finetune_fraction,
             ),
-            ("LiSSA scale", "lissa_scale", c.lissa_scale),
         ] {
             if !(value.is_finite() && value >= 0.0) {
                 return Err(format!(
@@ -417,10 +448,14 @@ mod tests {
 
     #[test]
     fn registry_resolves_every_advertised_name() {
-        for name in ScenarioRegistry::NAMES {
-            let spec = ScenarioRegistry::get(name, ExperimentScale::Smoke)
-                .unwrap_or_else(|| panic!("{name} not resolvable"));
-            spec.validate().expect("stock scenarios validate");
+        for scale in [ExperimentScale::Smoke, ExperimentScale::Full] {
+            for name in ScenarioRegistry::NAMES {
+                let spec = ScenarioRegistry::get(name, scale)
+                    .unwrap_or_else(|| panic!("{name} not resolvable"));
+                if let Err(err) = spec.validate() {
+                    panic!("stock scenario {name} at {scale:?} is invalid: {err}");
+                }
+            }
         }
         assert!(ScenarioRegistry::get("nope", ExperimentScale::Smoke).is_none());
     }
