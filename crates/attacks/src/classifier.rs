@@ -1,6 +1,14 @@
 //! The supervised attack classifier: a two-class logistic regression over
-//! per-pair feature rows, trained full-batch from zero weights with
-//! `ppfr_nn`'s weighted cross-entropy and Adam.
+//! per-pair feature rows, trained full-batch from zero weights with Adam on
+//! the mean softmax cross-entropy of the training rows.
+//!
+//! An epoch is one pass over the standardised training rows that allocates
+//! nothing: each row's two logits (`row_logits`, which scoring shares),
+//! its two-way softmax and logit gradient, then its rank-1 contribution to
+//! one reused gradient buffer laid out like the flat parameters `[w, b]`.
+//! The pass adds every sum in the order the dense `X·W`, bias broadcast,
+//! softmax, `Xᵀ·G` and column-sum kernels did, so the fit is bit-identical
+//! to theirs (pinned against them in this module's tests).
 //!
 //! Channels are z-scored with statistics fitted on the *training* rows (the
 //! shadow pairs, for shadow adversaries) and the same scaler is applied at
@@ -13,7 +21,7 @@
 
 use crate::features::{channel_names, PairFeatureTable};
 use ppfr_linalg::Matrix;
-use ppfr_nn::{weighted_cross_entropy, Adam, Optimizer};
+use ppfr_nn::{Adam, Optimizer};
 use ppfr_privacy::auc_from_distances;
 
 /// Hyper-parameters of one supervised attack training run.
@@ -83,21 +91,92 @@ impl ChannelScaler {
         Self { means, inv_stds }
     }
 
-    /// Standardised design matrix of the selected rows.  Non-finite inputs
-    /// (a NaN posterior upstream) are zeroed so one bad pair degrades the
-    /// attack instead of poisoning the whole fit.
+    /// Writes the standardised `row` into `out`.  Non-finite inputs (a NaN
+    /// posterior upstream) are zeroed so one bad pair degrades the attack
+    /// instead of poisoning the whole fit.
+    fn standardise_into(&self, row: &[f64], out: &mut [f64]) {
+        for (c, z_out) in out.iter_mut().enumerate() {
+            let z = (row[c] - self.means[c]) * self.inv_stds[c];
+            *z_out = if z.is_finite() { z } else { 0.0 };
+        }
+    }
+
+    /// Standardised design matrix of the selected rows.
     fn design(&self, table: &PairFeatureTable, indices: &[usize]) -> Matrix {
-        let d = table.n_channels();
-        let mut x = Matrix::zeros(indices.len(), d);
+        let mut x = Matrix::zeros(indices.len(), table.n_channels());
         for (r, &i) in indices.iter().enumerate() {
-            let row = table.pair(i);
-            let out = x.row_mut(r);
-            for c in 0..d {
-                let z = (row[c] - self.means[c]) * self.inv_stds[c];
-                out[c] = if z.is_finite() { z } else { 0.0 };
-            }
+            self.standardise_into(table.pair(i), x.row_mut(r));
         }
         x
+    }
+}
+
+/// The two logits of one standardised row `x` under the flat parameters
+/// `[w, b]` (`w` row-major `d × 2`, then `b`): `l_c = Σ_k x_k·w_kc + b_c`,
+/// the sum taken over ascending `k` from `0.0` and `b_c` added last.
+///
+/// Every term is added, zeros included.  With finite weights a `±0` product
+/// cannot move a sum that starts at `+0.0`, so this equals the dense
+/// kernel's zero-skip; with a NaN or ±∞ weight it is the IEEE-exact sum.
+#[inline]
+fn row_logits(x: &[f64], params: &[f64]) -> [f64; 2] {
+    let (w, b) = params.split_at(2 * x.len());
+    let mut logits = [0.0; 2];
+    for (&xk, wk) in x.iter().zip(w.chunks_exact(2)) {
+        logits[0] += xk * wk[0];
+        logits[1] += xk * wk[1];
+    }
+    [logits[0] + b[0], logits[1] + b[1]]
+}
+
+/// `exp(t)` for a logit shifted by its row's maximum.  One of the two is the
+/// maximum itself, `t == 0.0`, where `exp` returns exactly `1.0`.
+#[inline]
+fn exp_shifted(t: f64) -> f64 {
+    if t == 0.0 {
+        1.0
+    } else {
+        t.exp()
+    }
+}
+
+/// Writes the gradient of the mean cross-entropy over the rows of `x` at
+/// `params` into `grad`, in the `[w, b]` layout of `params`.  Rows `..n_pos`
+/// are connected pairs (class 1), the rest unconnected (class 0).
+///
+/// One pass over the rows, with no allocation: a row's logits, its two-way
+/// softmax (`max` over both logits, `sum = 0 + e₀ + e₁`, normalised only
+/// when `sum > 0`), its logit gradient `1·(p_c − [c = y]) / n`, then its
+/// rank-1 contribution `x_k·g_c` to every `w` entry and `g_c` to `b`.  Each
+/// gradient entry sums over ascending rows from `0.0`, as `Xᵀ·G` and the
+/// column sums of `G` did.
+fn loss_gradient(x: &Matrix, n_pos: usize, params: &[f64], grad: &mut [f64]) {
+    assert!(
+        params.len() == 2 * x.cols() + 2 && grad.len() == params.len(),
+        "parameters and gradient must hold `[w, b]` for the design's channels"
+    );
+    grad.fill(0.0);
+    let norm = x.rows().max(1) as f64;
+    let (g_w, g_b) = grad.split_at_mut(2 * x.cols());
+    for r in 0..x.rows() {
+        let row = x.row(r);
+        let [l0, l1] = row_logits(row, params);
+        let max = f64::NEG_INFINITY.max(l0).max(l1);
+        let (mut p0, mut p1) = (exp_shifted(l0 - max), exp_shifted(l1 - max));
+        let sum = 0.0 + p0 + p1;
+        if sum > 0.0 {
+            p0 /= sum;
+            p1 /= sum;
+        }
+        let (y0, y1) = if r < n_pos { (0.0, 1.0) } else { (1.0, 0.0) };
+        let d0 = 1.0 * (p0 - y0) / norm;
+        let d1 = 1.0 * (p1 - y1) / norm;
+        for (&xk, gk) in row.iter().zip(g_w.chunks_exact_mut(2)) {
+            gk[0] += xk * d0;
+            gk[1] += xk * d1;
+        }
+        g_b[0] += d0;
+        g_b[1] += d1;
     }
 }
 
@@ -119,8 +198,8 @@ pub enum AttackScorer {
 #[derive(Debug, Clone)]
 pub struct TrainedAttack {
     scaler: ChannelScaler,
-    w: Matrix,
-    b: Vec<f64>,
+    /// The classifier's parameters `[w, b]`: `w` row-major `d × 2`, then `b`.
+    params: Vec<f64>,
     /// The scorer model selection picked on the training rows.
     pub scorer: AttackScorer,
     /// Training-set AUC of the picked scorer.
@@ -149,6 +228,63 @@ fn stride_subsample(indices: Vec<usize>, cap: usize) -> Vec<usize> {
         .collect()
 }
 
+/// The rows a fit trains on, positives first, and the number of positives:
+/// `train_indices` split by [`PairFeatureTable::is_positive`] and capped at
+/// `max_pairs` *proportionally*, so the training set keeps the caller's
+/// pos:neg ratio (imbalanced threat models stay imbalanced after thinning).
+fn training_rows(
+    table: &PairFeatureTable,
+    train_indices: &[usize],
+    max_pairs: usize,
+) -> (Vec<usize>, usize) {
+    let (pos, neg): (Vec<usize>, Vec<usize>) =
+        train_indices.iter().partition(|&&i| table.is_positive(i));
+    let total = pos.len() + neg.len();
+    let cap = max_pairs.min(total.max(1));
+    let cap_pos = if total == 0 {
+        0
+    } else {
+        ((cap * pos.len()) as f64 / total as f64).round() as usize
+    };
+    let cap_neg = cap - cap_pos.min(cap);
+    let mut indices = stride_subsample(pos, cap_pos.max(1));
+    let n_pos = indices.len();
+    indices.extend(stride_subsample(neg, cap_neg.max(1)));
+    (indices, n_pos)
+}
+
+/// Adversarial model selection on the training rows: the classifier's
+/// margins on the positive and negative rows compete against every single
+/// sign-oriented channel.  Returns the picked scorer and its training AUC.
+fn select_scorer(
+    table: &PairFeatureTable,
+    pos_idx: &[usize],
+    neg_idx: &[usize],
+    pos_margins: &[f64],
+    neg_margins: &[f64],
+) -> (AttackScorer, f64) {
+    let mut best_auc = auc_from_scores(pos_margins, neg_margins);
+    let mut best = AttackScorer::Classifier;
+    for channel in 0..table.n_channels() {
+        let auc_up = auc_from_scores(
+            &table.column(channel, pos_idx),
+            &table.column(channel, neg_idx),
+        );
+        // Midrank AUC obeys the mirror identity, so the flipped
+        // orientation is 1 − auc_up exactly.
+        let (auc, sign) = if auc_up >= 1.0 - auc_up {
+            (auc_up, 1.0)
+        } else {
+            (1.0 - auc_up, -1.0)
+        };
+        if auc > best_auc {
+            best_auc = auc;
+            best = AttackScorer::SingleChannel { channel, sign };
+        }
+    }
+    (best, best_auc)
+}
+
 impl TrainedAttack {
     /// Trains the attack on the rows of `table` selected by `train_indices`
     /// (their connected/unconnected label comes from
@@ -156,113 +292,55 @@ impl TrainedAttack {
     /// class or empty) yield a chance-level scorer instead of panicking.
     pub fn fit(table: &PairFeatureTable, train_indices: &[usize], cfg: &AttackTrainConfig) -> Self {
         let _span = ppfr_telemetry::span!("attack_classifier");
-        let d = table.n_channels();
-        let pos: Vec<usize> = train_indices
-            .iter()
-            .copied()
-            .filter(|&i| table.is_positive(i))
-            .collect();
-        let neg: Vec<usize> = train_indices
-            .iter()
-            .copied()
-            .filter(|&i| !table.is_positive(i))
-            .collect();
-        // Cap positives and negatives *proportionally* so the training set
-        // keeps the caller's pos:neg ratio (imbalanced threat models stay
-        // imbalanced after thinning).
-        let total = pos.len() + neg.len();
-        let cap = cfg.max_train_pairs.min(total.max(1));
-        let cap_pos = if total == 0 {
-            0
-        } else {
-            ((cap * pos.len()) as f64 / total as f64).round() as usize
-        };
-        let cap_neg = cap - cap_pos.min(cap);
-        let mut indices = stride_subsample(pos, cap_pos.max(1));
-        let n_pos = indices.len();
-        indices.extend(stride_subsample(neg, cap_neg.max(1)));
+        let (indices, n_pos) = training_rows(table, train_indices, cfg.max_train_pairs);
         let n_train = indices.len();
-
         let scaler = ChannelScaler::fit(table, &indices);
-        let mut w = Matrix::zeros(d, 2);
-        let mut b = vec![0.0; 2];
+        let mut params = vec![0.0; 2 * table.n_channels() + 2];
 
         let degenerate = n_pos == 0 || n_pos == n_train;
         if !degenerate {
             let x = scaler.design(table, &indices);
-            let labels: Vec<usize> = (0..n_train).map(|i| usize::from(i < n_pos)).collect();
-            let ids: Vec<usize> = (0..n_train).collect();
-            let weights = vec![1.0; n_train];
+            let mut grad = vec![0.0; params.len()];
             let mut adam = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-            let mut params = pack(&w, &b);
             for _ in 0..cfg.epochs {
-                unpack(&params, &mut w, &mut b);
-                let mut logits = x.matmul(&w);
-                logits.add_row_broadcast_inplace(&b);
-                let ce = weighted_cross_entropy(&logits, &labels, &ids, &weights);
-                let g_w = x.matmul_at_b(&ce.d_logits);
-                let g_b = ce.d_logits.col_sums();
-                adam.step(&mut params, &pack(&g_w, &g_b));
+                loss_gradient(&x, n_pos, &params, &mut grad);
+                adam.step(&mut params, &grad);
             }
-            unpack(&params, &mut w, &mut b);
         }
 
         let mut attack = Self {
             scaler,
-            w,
-            b,
+            params,
             scorer: AttackScorer::Classifier,
             train_auc: 0.5,
             n_train,
         };
-        attack.select_scorer(table, &indices, n_pos, degenerate);
+        if !degenerate {
+            let (pos, neg) = indices.split_at(n_pos);
+            let pos_margins = attack.classifier_scores(table, pos);
+            let neg_margins = attack.classifier_scores(table, neg);
+            (attack.scorer, attack.train_auc) =
+                select_scorer(table, pos, neg, &pos_margins, &neg_margins);
+        }
         attack
-    }
-
-    /// Adversarial model selection on the training rows: the classifier
-    /// competes against every single sign-oriented channel.
-    fn select_scorer(
-        &mut self,
-        table: &PairFeatureTable,
-        indices: &[usize],
-        n_pos: usize,
-        degenerate: bool,
-    ) {
-        if degenerate {
-            return;
-        }
-        let (pos_idx, neg_idx) = (&indices[..n_pos], &indices[n_pos..]);
-        let margin = |idx: &[usize]| -> Vec<f64> { self.classifier_scores(table, idx) };
-        let mut best_auc = auc_from_scores(&margin(pos_idx), &margin(neg_idx));
-        let mut best = AttackScorer::Classifier;
-        for channel in 0..table.n_channels() {
-            let auc_up = auc_from_scores(
-                &table.column(channel, pos_idx),
-                &table.column(channel, neg_idx),
-            );
-            // Midrank AUC obeys the mirror identity, so the flipped
-            // orientation is 1 − auc_up exactly.
-            let (auc, sign) = if auc_up >= 1.0 - auc_up {
-                (auc_up, 1.0)
-            } else {
-                (1.0 - auc_up, -1.0)
-            };
-            if auc > best_auc {
-                best_auc = auc;
-                best = AttackScorer::SingleChannel { channel, sign };
-            }
-        }
-        self.train_auc = best_auc;
-        self.scorer = best;
     }
 
     /// Raw classifier margins (connected minus unconnected logit).
     fn classifier_scores(&self, table: &PairFeatureTable, indices: &[usize]) -> Vec<f64> {
-        let x = self.scaler.design(table, indices);
-        let mut logits = x.matmul(&self.w);
-        logits.add_row_broadcast_inplace(&self.b);
-        (0..logits.rows())
-            .map(|r| logits[(r, 1)] - logits[(r, 0)])
+        let d = table.n_channels();
+        assert_eq!(
+            self.params.len(),
+            2 * d + 2,
+            "the table's channel layout must match the trained attack's"
+        );
+        let mut z = vec![0.0; d];
+        indices
+            .iter()
+            .map(|&i| {
+                self.scaler.standardise_into(table.pair(i), &mut z);
+                let [l0, l1] = row_logits(&z, &self.params);
+                l1 - l0
+            })
             .collect()
     }
 
@@ -298,24 +376,14 @@ impl TrainedAttack {
     }
 }
 
-fn pack(w: &Matrix, b: &[f64]) -> Vec<f64> {
-    let mut flat = Vec::with_capacity(w.as_slice().len() + b.len());
-    flat.extend_from_slice(w.as_slice());
-    flat.extend_from_slice(b);
-    flat
-}
-
-fn unpack(flat: &[f64], w: &mut Matrix, b: &mut [f64]) {
-    let n = w.as_slice().len();
-    w.as_mut_slice().copy_from_slice(&flat[..n]);
-    b.copy_from_slice(&flat[n..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppfr_linalg::parallel::with_forced_threads;
     use ppfr_linalg::row_softmax;
+    use ppfr_nn::weighted_cross_entropy_into;
     use ppfr_privacy::{AttackEvaluator, PairSample};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -409,6 +477,240 @@ mod tests {
         assert!(picked.windows(2).all(|w| w[0] < w[1]));
         let untouched = stride_subsample(vec![3, 1, 2], 10);
         assert_eq!(untouched, vec![3, 1, 2]);
+    }
+
+    /// The epoch `fit` ran before its fused pass, kept as the pin's oracle:
+    /// `X·W` through the pooled dense kernel, the bias broadcast, `ppfr_nn`'s
+    /// weighted cross-entropy (unit weights), `Xᵀ·G` through the pooled
+    /// kernel and the column sums of `G`, packed as `[g_w, g_b]`.
+    fn oracle_gradient(x: &Matrix, n_pos: usize, params: &[f64]) -> Vec<f64> {
+        let (n, d) = x.shape();
+        let w = Matrix::from_vec(d, 2, params[..2 * d].to_vec());
+        let b = &params[2 * d..];
+        let mut logits = x.matmul(&w);
+        for r in 0..n {
+            for (l, &bc) in logits.row_mut(r).iter_mut().zip(b) {
+                *l += bc;
+            }
+        }
+        let labels: Vec<usize> = (0..n).map(|i| usize::from(i < n_pos)).collect();
+        let ids: Vec<usize> = (0..n).collect();
+        let (mut probs, mut d_logits) = (Matrix::default(), Matrix::default());
+        weighted_cross_entropy_into(
+            &logits,
+            &labels,
+            &ids,
+            &vec![1.0; n],
+            &mut probs,
+            &mut d_logits,
+        );
+        let mut grad = x.matmul_at_b(&d_logits).as_slice().to_vec();
+        let mut g_b = vec![0.0; 2];
+        for r in 0..n {
+            for (s, &g) in g_b.iter_mut().zip(d_logits.row(r)) {
+                *s += g;
+            }
+        }
+        grad.extend(g_b);
+        grad
+    }
+
+    /// The margins `classifier_scores` computed before it shared
+    /// [`row_logits`]: the design matrix, the dense product, the bias.
+    fn oracle_margins(
+        scaler: &ChannelScaler,
+        params: &[f64],
+        table: &PairFeatureTable,
+        indices: &[usize],
+    ) -> Vec<f64> {
+        let d = table.n_channels();
+        let logits =
+            scaler
+                .design(table, indices)
+                .matmul(&Matrix::from_vec(d, 2, params[..2 * d].to_vec()));
+        let b = &params[2 * d..];
+        (0..indices.len())
+            .map(|r| (logits[(r, 1)] + b[1]) - (logits[(r, 0)] + b[0]))
+            .collect()
+    }
+
+    /// What the old `fit` returned: its parameters `[w, b]`, scorer and
+    /// training AUC, plus the scaler to score held-out rows with.
+    struct OracleFit {
+        scaler: ChannelScaler,
+        params: Vec<f64>,
+        scorer: AttackScorer,
+        train_auc: f64,
+    }
+
+    fn oracle_fit(
+        table: &PairFeatureTable,
+        train_indices: &[usize],
+        cfg: &AttackTrainConfig,
+    ) -> OracleFit {
+        let (indices, n_pos) = training_rows(table, train_indices, cfg.max_train_pairs);
+        let scaler = ChannelScaler::fit(table, &indices);
+        let mut params = vec![0.0; 2 * table.n_channels() + 2];
+        if n_pos == 0 || n_pos == indices.len() {
+            return OracleFit {
+                scaler,
+                params,
+                scorer: AttackScorer::Classifier,
+                train_auc: 0.5,
+            };
+        }
+        let x = scaler.design(table, &indices);
+        let mut adam = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        for _ in 0..cfg.epochs {
+            let grad = oracle_gradient(&x, n_pos, &params);
+            adam.step(&mut params, &grad);
+        }
+        let (pos, neg) = indices.split_at(n_pos);
+        let pos_margins = oracle_margins(&scaler, &params, table, pos);
+        let neg_margins = oracle_margins(&scaler, &params, table, neg);
+        let (scorer, train_auc) = select_scorer(table, pos, neg, &pos_margins, &neg_margins);
+        OracleFit {
+            scaler,
+            params,
+            scorer,
+            train_auc,
+        }
+    }
+
+    /// Bit-for-bit equality, except that every NaN equals every NaN: IEEE-754
+    /// leaves the payload of a NaN result to the hardware and the compiler.
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: lengths differ");
+        for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{k}]: {g:e} ({:#x}) vs oracle {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// A random value whose magnitude spans six decades, exactly `±0.0`
+    /// about one time in five.
+    fn spread_value(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-3.0..3.0) * 10f64.powi(rng.gen_range(0..6) - 3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused fit equals the old epoch loop bit for bit: parameters,
+        /// scorer, training AUC and held-out scores, at forced threads 1, 2
+        /// and 4.  Cases cover 1–9 training rows, 10 and 12 channels, a
+        /// constant channel (z-scores ±0.0), a NaN-poisoned channel, the
+        /// all-zero first epoch (equal logits), and a learning rate large
+        /// enough to saturate the softmax to exactly 0 and 1.
+        #[test]
+        fn fused_fit_matches_the_old_epoch_oracle_bit_for_bit(
+            n_train in 1usize..10,
+            with_features in 0usize..2,
+            quirks in 0u32..16,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = crate::features::n_channels(with_features == 1);
+            let n_rows = n_train + 5;
+            let mut values: Vec<f64> = (0..n_rows * d).map(|_| spread_value(&mut rng)).collect();
+            if quirks & 1 != 0 {
+                let (c, v) = (rng.gen_range(0..d), rng.gen_range(-2.0..2.0));
+                (0..n_rows).for_each(|r| values[r * d + c] = v);
+            }
+            if quirks & 2 != 0 {
+                let (r, c) = (rng.gen_range(0..n_rows), rng.gen_range(0..d));
+                values[r * d + c] = f64::NAN;
+            }
+            let cfg = AttackTrainConfig {
+                lr: if quirks & 4 != 0 { 5.0 } else { 0.05 },
+                max_train_pairs: if quirks & 8 != 0 { 4 } else { 4000 },
+                ..AttackTrainConfig::default()
+            };
+            let table = PairFeatureTable::from_rows(values, d, rng.gen_range(0..=n_rows));
+            let mut order: Vec<usize> = (0..n_rows).collect();
+            for i in (1..n_rows).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let (train, held_out) = order.split_at(n_train);
+
+            let oracle = with_forced_threads(1, || oracle_fit(&table, train, &cfg));
+            let oracle_held = oracle_margins(&oracle.scaler, &oracle.params, &table, held_out);
+            let oracle_scores = match oracle.scorer {
+                AttackScorer::Classifier => oracle_held.clone(),
+                AttackScorer::SingleChannel { channel, sign } => {
+                    table.column(channel, held_out).iter().map(|&v| sign * v).collect()
+                }
+            };
+            for threads in [1, 2, 4] {
+                let attack = with_forced_threads(threads, || TrainedAttack::fit(&table, train, &cfg));
+                let ctx = format!("{threads} thread(s), {n_train} rows, {d} channels, quirks {quirks:#06b}");
+                assert_bits(&attack.params[..2 * d], &oracle.params[..2 * d], &format!("w at {ctx}"));
+                assert_bits(&attack.params[2 * d..], &oracle.params[2 * d..], &format!("b at {ctx}"));
+                prop_assert_eq!(&attack.scorer, &oracle.scorer, "scorer at {}", ctx);
+                assert_bits(&[attack.train_auc], &[oracle.train_auc], &format!("train AUC at {ctx}"));
+                assert_bits(
+                    &attack.classifier_scores(&table, held_out),
+                    &oracle_held,
+                    &format!("held-out margins at {ctx}"),
+                );
+                assert_bits(
+                    &attack.scores(&table, held_out),
+                    &oracle_scores,
+                    &format!("held-out scores at {ctx}"),
+                );
+            }
+        }
+
+        /// One fused epoch equals one old epoch bit for bit from any
+        /// parameters: zero (equal logits), ordinary, huge (a softmax entry
+        /// of exactly 0 or 1), equal columns (equal logits again), or
+        /// holding a NaN or ±∞, where the old kernels took their IEEE-exact
+        /// path.  The design holds `±0.0` entries, which the old kernels
+        /// skipped.
+        #[test]
+        fn fused_epoch_matches_the_old_epoch_from_any_parameters(
+            n in 1usize..10,
+            with_features in 0usize..2,
+            start in 0usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = crate::features::n_channels(with_features == 1);
+            let x = Matrix::from_vec(n, d, (0..n * d).map(|_| spread_value(&mut rng)).collect());
+            let n_pos = rng.gen_range(0..=n);
+            let mut params: Vec<f64> = match start {
+                0 => vec![0.0; 2 * d + 2],
+                1 => (0..2 * d + 2).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                2 => (0..2 * d + 2).map(|_| rng.gen_range(-1e3..1e3)).collect(),
+                3 => (0..d + 1).map(|_| rng.gen_range(-1.0..1.0)).flat_map(|v| [v, v]).collect(),
+                _ => (0..2 * d + 2).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            };
+            if start >= 4 {
+                let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                let k = rng.gen_range(0..params.len());
+                params[k] = poison;
+            }
+            let want = with_forced_threads(1, || oracle_gradient(&x, n_pos, &params));
+            let mut want_params = params.clone();
+            Adam::new(0.05).step(&mut want_params, &want);
+            for threads in [1, 2, 4] {
+                let mut grad = vec![f64::NAN; params.len()];
+                with_forced_threads(threads, || loss_gradient(&x, n_pos, &params, &mut grad));
+                let ctx = format!("{threads} thread(s), {n}x{d}, start {start}");
+                assert_bits(&grad, &want, &format!("gradient at {ctx}"));
+                let mut got_params = params.clone();
+                Adam::new(0.05).step(&mut got_params, &grad);
+                assert_bits(&got_params, &want_params, &format!("parameters at {ctx}"));
+            }
+        }
     }
 
     #[test]

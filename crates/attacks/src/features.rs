@@ -208,6 +208,22 @@ impl PairFeatureTable {
             .map(|&i| self.values[i * self.n_channels + channel])
             .collect()
     }
+
+    /// A table over given row-major rows, the first `n_pos` of them
+    /// positive: arbitrary (constant, NaN-poisoned) channels for the
+    /// classifier's pins.
+    #[cfg(test)]
+    pub(crate) fn from_rows(values: Vec<f64>, n_channels: usize, n_pos: usize) -> Self {
+        assert_eq!(values.len() % n_channels, 0, "whole rows only");
+        let n_pairs = values.len() / n_channels;
+        assert!(n_pos <= n_pairs, "more positives than rows");
+        Self {
+            values,
+            n_channels,
+            n_pos,
+            n_neg: n_pairs - n_pos,
+        }
+    }
 }
 
 #[cfg(test)]

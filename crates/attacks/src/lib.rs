@@ -17,10 +17,11 @@
 //!   [`DistanceTable`](ppfr_privacy::DistanceTable), posterior-entropy
 //!   channels, optional input-feature distance channels), parallel over pair
 //!   chunks, bit-identical at any thread count;
-//! * [`classifier`] — the logistic-regression attack trained with
-//!   `ppfr_nn`'s cross-entropy and Adam, z-scored channels, and adversarial
-//!   model selection (the deployed scorer is never weaker on training data
-//!   than the best single distance threshold);
+//! * [`classifier`] — the logistic-regression attack, trained with
+//!   `ppfr_nn`'s Adam in one allocation-free pass over the rows per epoch,
+//!   z-scored channels, and adversarial model selection (the deployed
+//!   scorer is never weaker on training data than the best single distance
+//!   threshold);
 //! * [`shadow`] — shadow-dataset construction ([`ppfr_datasets::shadow_of`])
 //!   plus an SGC-style posterior surrogate, cached per dataset;
 //! * [`ThreatAuditor`] — one object per (dataset, config) auditing arbitrary

@@ -428,12 +428,13 @@ fn main() {
         );
         let table = extract(true);
         let all: Vec<usize> = (0..table.n_pairs()).collect();
+        let fit = || TrainedAttack::fit(&table, &all, &AttackTrainConfig::default());
+        // The fit trains on at most `max_train_pairs` of the table's rows.
+        let size = format!("train={} of {} ch=12", fit().n_train, table.n_pairs());
         record(
             "attack_classifier_train_logistic",
             &size,
-            best_ms(reps, || {
-                TrainedAttack::fit(&table, &all, &AttackTrainConfig::default())
-            }),
+            best_ms(reps, fit),
         );
     }
 

@@ -9,7 +9,7 @@
 //! gradients, run one solve per gradient and then the tail once;
 //! [`influence_from_s_f`] is the tail's one-adjoint case.
 
-use crate::lissa::lissa_adjoint;
+use crate::lissa::{lissa_adjoint, lissa_scale};
 use crate::{conjugate_gradient, hessian_vector_product_with, HvpScratch, LissaConfig};
 use ppfr_gnn::{AnyModel, GnnModel, GraphContext, TrainWorkspace};
 use ppfr_linalg::{par_rows, row_softmax_into, Matrix};
@@ -179,8 +179,11 @@ pub fn compute_influences<const K: usize>(
 /// [`compute_influences`] with the truncated-Neumann LiSSA estimator in
 /// place of the exact CG solve — the degraded rung of the resilience ladder
 /// (and the opt-in estimator when `lissa_depth` is configured).  Only the
-/// inverse-Hessian solve differs: one full-batch Neumann chain per gradient,
-/// with no random draws.  Callers must flag results as approximate (the
+/// inverse-Hessian solve differs: one spectral-scale estimate, then one
+/// full-batch Neumann chain per gradient, all through one [`HvpScratch`],
+/// with no random draws.  Each HVP depends only on the base point and its
+/// direction, so an influence is bit-identical whichever other gradients
+/// are passed with it.  Callers must flag results as approximate (the
 /// runner records a [`ppfr_resilience::DegradationEvent`] per downgrade).
 pub fn compute_influences_lissa<const K: usize>(
     model: &AnyModel,
@@ -191,7 +194,13 @@ pub fn compute_influences_lissa<const K: usize>(
     cfg: &LissaConfig,
 ) -> [Vec<f64>; K] {
     let _span = ppfr_telemetry::span!("influence");
-    let adjoints = grads.map(|grad_f| lissa_adjoint(model, ctx, labels, train_ids, grad_f, cfg));
+    let mut scratch = HvpScratch::new(model);
+    // The scale reads no gradient, so one estimate serves every chain.
+    let scale = grads.first().map_or(1.0, |g| {
+        lissa_scale(&mut scratch, ctx, labels, train_ids, g.len(), cfg)
+    });
+    let adjoints =
+        grads.map(|grad_f| lissa_adjoint(&mut scratch, ctx, labels, train_ids, grad_f, scale, cfg));
     influences_from_adjoints(
         model,
         ctx,

@@ -12,8 +12,8 @@
 //! ```
 //!
 //! where `c` is a scale chosen so every eigenvalue of `A/c` lies in `(0, 2)`,
-//! estimated by deterministic power iteration.  Each HVP runs through the
-//! same persistent [`HvpScratch`] the CG path uses, and
+//! estimated once per call by deterministic power iteration.  Each HVP runs
+//! through the same persistent [`HvpScratch`] the CG path uses, and
 //! [`crate::compute_influences_lissa`] ends in the shared tail
 //! `influences_from_adjoints` — one forward pass, then one backward pass per
 //! training node for every adjoint the caller asked for — so the two
@@ -32,7 +32,7 @@
 //! small fixed cost.
 
 use crate::{hessian_vector_product_with, HvpScratch, InfluenceConfig};
-use ppfr_gnn::{AnyModel, GraphContext};
+use ppfr_gnn::GraphContext;
 
 /// Hyper-parameters of the LiSSA estimator.
 #[derive(Debug, Clone)]
@@ -60,8 +60,10 @@ impl LissaConfig {
 
 /// Deterministic power-iteration estimate of the spectral scale `c`: the
 /// dominant eigenvalue of `H + λI` (full-batch HVPs from a fixed uniform
-/// start vector), inflated by 1.3× so `‖A/c‖ < 1` holds with margin.
-fn auto_scale(
+/// start vector of length `dim`), inflated by 1.3× so `‖A/c‖ < 1` holds with
+/// margin.  It reads no gradient, so one estimate serves every Neumann chain
+/// at the scratch's base point.  Records one `influence_lissa` span.
+pub(crate) fn lissa_scale(
     scratch: &mut HvpScratch,
     ctx: &GraphContext,
     labels: &[usize],
@@ -69,6 +71,7 @@ fn auto_scale(
     dim: usize,
     cfg: &LissaConfig,
 ) -> f64 {
+    let _span = ppfr_telemetry::span!("influence_lissa");
     let mut v = vec![1.0 / (dim as f64).sqrt(); dim];
     let mut lambda = cfg.damping.max(1e-6);
     for _ in 0..8 {
@@ -94,20 +97,19 @@ fn auto_scale(
 }
 
 /// The LiSSA estimate of the adjoint `s_f ≈ (H + λI)⁻¹ ∇_θ f`: the
-/// truncated Neumann chain, scaled by `1/c`.
+/// truncated Neumann chain at the scratch's base point, scaled by `1/c`
+/// with `c` from [`lissa_scale`].  Records one `influence_lissa` span.
 pub(crate) fn lissa_adjoint(
-    model: &AnyModel,
+    scratch: &mut HvpScratch,
     ctx: &GraphContext,
     labels: &[usize],
     train_ids: &[usize],
     grad_f: &[f64],
+    scale: f64,
     cfg: &LissaConfig,
 ) -> Vec<f64> {
     let _span = ppfr_telemetry::span!("influence_lissa");
     assert!(cfg.depth > 0, "LiSSA depth must be positive");
-    let dim = grad_f.len();
-    let mut scratch = HvpScratch::new(model);
-    let scale = auto_scale(&mut scratch, ctx, labels, train_ids, dim, cfg);
     let mut x: Vec<f64> = grad_f.to_vec();
     for _ in 0..cfg.depth {
         // Cooperative deadline: truncating the Neumann series early still
@@ -116,7 +118,7 @@ pub(crate) fn lissa_adjoint(
             break;
         }
         let hx = hessian_vector_product_with(
-            &mut scratch,
+            scratch,
             ctx,
             labels,
             train_ids,

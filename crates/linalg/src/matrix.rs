@@ -610,31 +610,9 @@ impl Matrix {
         self.map(|v| v * s)
     }
 
-    /// Adds `row` (length `cols`) to every row of the matrix in place (bias
-    /// add, e.g. right after a matmul).
-    pub fn add_row_broadcast_inplace(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "broadcast row length mismatch");
-        for r in 0..self.rows {
-            for (v, &b) in self.row_mut(r).iter_mut().zip(row.iter()) {
-                *v += b;
-            }
-        }
-    }
-
     /// Sum of every element.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Per-column sums (length `cols`).
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r).iter()) {
-                *o += v;
-            }
-        }
-        out
     }
 
     /// Index of the maximum entry in each row (`argmax`), used for predictions.
@@ -698,17 +676,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Allocating oracle of [`Matrix::add_row_broadcast_inplace`].
-    fn add_row_broadcast(a: &Matrix, row: &[f64]) -> Matrix {
-        let mut out = a.clone();
-        for r in 0..a.rows() {
-            for (c, &b) in row.iter().enumerate() {
-                out[(r, c)] = a[(r, c)] + b;
-            }
-        }
-        out
-    }
-
     #[test]
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
@@ -753,9 +720,8 @@ mod tests {
     }
 
     #[test]
-    fn col_and_row_sums() {
+    fn sum_adds_every_element() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.col_sums(), vec![4.0, 6.0]);
         assert_eq!(a.sum(), 10.0);
     }
 
@@ -907,16 +873,6 @@ mod tests {
             a.col_into(c, &mut buf);
             assert_eq!(buf, a.col(c));
         }
-    }
-
-    #[test]
-    fn add_row_broadcast_inplace_matches_allocating_version() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let bias = [0.5, -1.5];
-        let want = add_row_broadcast(&a, &bias);
-        let mut got = a.clone();
-        got.add_row_broadcast_inplace(&bias);
-        assert_eq!(got.as_slice(), want.as_slice());
     }
 
     #[test]

@@ -97,7 +97,11 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
     // share it; one perturbation, and one context over its graph, per run
     // that deploys on a perturbed graph.  One HVP per CG iteration: the four
     // solves run 32 iterations, the sum the `influence.cg_iters` histogram
-    // recorded for this run before the HVP span replaced it.
+    // recorded for this run before the HVP span replaced it.  24 attack
+    // fits: two per run for the partial-knowledge settings (2 · 10), plus
+    // one per shadow entry of each (dataset, seed) group's auditor, which
+    // the group's runs share (2 · 2).  A broken shadow-attack cache or an
+    // extra fit in the audit moves this count.
     let n_runs = spec.n_runs() as u64;
     let n_perturbed = untraced
         .runs
@@ -128,6 +132,7 @@ fn bench_small_span_tree_is_pinned_and_recording_changes_no_result() {
         ("qclp", fr_triples),
         ("influence_cg", 2 * fr_triples),
         ("influence_hvp", 32),
+        ("attack_classifier", 24),
     ] {
         assert_eq!(count_of(&tree_1, name), expected, "count of `{name}`");
     }
