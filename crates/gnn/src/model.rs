@@ -297,6 +297,25 @@ mod tests {
             let want = x.matmul_at_b(g);
             assert!(want.row(0).iter().any(|v| v.is_nan()), "{name}");
             assert_same_values(d_w1, &want, &format!("{name} Xᵀ·G"));
+
+            let AnyModel::GraphSage(sage) = &model else {
+                continue;
+            };
+            // GraphSAGE's neighbour branch: column 0 of `M·X` is zero too.
+            let mx = sage.aggregator(&ctx).matmul_dense(&x);
+            let want = mx.matmul_at_b(&ws.sage.d_pre1);
+            assert!(want.row(0).iter().any(|v| v.is_nan()));
+            assert_same_values(&ws.sage.d_w1_neigh, &want, "(M·X)ᵀ·d_pre1");
+
+            // W₁ⁿᵉⁱᵍʰ follows W₁ˢᵉˡᶠ in the parameters.
+            let mut model = fresh();
+            let mut p = model.params();
+            p[d * h] = f64::NAN;
+            model.set_params(&p);
+            model.forward_ws(&ctx, &mut ws);
+            let want = mx.matmul(&Matrix::from_vec(d, h, p[d * h..2 * d * h].to_vec()));
+            assert!(want.col(0).iter().all(|v| v.is_nan()));
+            assert_same_values(&ws.sage.t_neigh, &want, "(M·X)·W₁ⁿᵉⁱᵍʰ");
         }
     }
 

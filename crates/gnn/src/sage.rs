@@ -60,7 +60,8 @@ impl GraphSage {
         self
     }
 
-    fn aggregator<'a>(&'a self, ctx: &'a GraphContext) -> &'a SparseMatrix {
+    /// The neighbour-mean operator `M` of the forward and backward passes.
+    pub(crate) fn aggregator<'a>(&'a self, ctx: &'a GraphContext) -> &'a SparseMatrix {
         self.sampled_agg.as_ref().unwrap_or(&ctx.mean_agg)
     }
 }
@@ -177,7 +178,10 @@ impl GnnModel for GraphSage {
 mod tests {
     use super::*;
     use crate::model::workspace_grad;
+    use crate::{AnyModel, ModelKind};
+    use ppfr_datasets::{cora, generate, DatasetSpec};
     use ppfr_graph::Graph;
+    use ppfr_linalg::parallel::with_forced_threads;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -277,6 +281,121 @@ mod tests {
             let want = SparseMatrix::from_triplets(8, 8, &triplets);
             let got = sage.sampled_agg.as_ref().expect("sampling is on");
             assert_eq!(bits(got), bits(&want), "fan-out {k}");
+        }
+    }
+
+    /// The forward and backward passes as they ran when the workspace held
+    /// `M·X` dense: the oracle of the CSR neighbour mean.  Returns the
+    /// logits and the flat gradient of `sum(d_logits ⊙ logits)`.
+    fn dense_mx_passes(
+        sage: &GraphSage,
+        ctx: &GraphContext,
+        x: &Matrix,
+        d_logits: &Matrix,
+    ) -> (Matrix, Vec<f64>) {
+        let agg = sage.aggregator(ctx);
+        let mx = agg.matmul_dense(x);
+        let mut t_self = Matrix::default();
+        ctx.features_matmul_into(&sage.w1_self, &mut t_self);
+        let pre1 = t_self.zip_with(&mx.matmul(&sage.w1_neigh), |a, b| a + b);
+        let mut h1 = Matrix::default();
+        relu_into(&pre1, &mut h1);
+        let mh1 = agg.matmul_dense(&h1);
+        let logits = h1
+            .matmul(&sage.w2_self)
+            .zip_with(&mh1.matmul(&sage.w2_neigh), |a, b| a + b);
+
+        let mut d_h1_agg = Matrix::default();
+        agg.transpose_matmul_dense_into(&d_logits.matmul_a_bt(&sage.w2_neigh), &mut d_h1_agg);
+        let d_h1 = d_logits
+            .matmul_a_bt(&sage.w2_self)
+            .zip_with(&d_h1_agg, |a, b| a + b);
+        let mut d_pre1 = Matrix::default();
+        relu_grad_into(&pre1, &d_h1, &mut d_pre1);
+        let mut d_w1_self = Matrix::default();
+        ctx.features_t_matmul_into(&d_pre1, &mut d_w1_self);
+        let grads = [
+            d_w1_self,
+            mx.matmul_at_b(&d_pre1),
+            h1.matmul_at_b(d_logits),
+            mh1.matmul_at_b(d_logits),
+        ]
+        .iter()
+        .flat_map(|m| m.as_slice().to_vec())
+        .collect();
+        (logits, grads)
+    }
+
+    #[test]
+    fn csr_neighbour_mean_passes_equal_the_dense_mx_oracle() {
+        // The Cora smoke analogue (`scaled_spec(cora(), Smoke)`), and
+        // sparse synthetic features whose row 0 and column 0 are empty.
+        let spec = DatasetSpec {
+            n_nodes: 350,
+            n_val: 75,
+            n_test: 125,
+            ..cora()
+        };
+        let cora_ds = generate(&spec, 7);
+        let (n, d) = (90, 40);
+        let edges: Vec<_> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i * 7 + 3) % n)])
+            .collect();
+        let mut x = Matrix::zeros(n, d);
+        for i in 1..n {
+            for k in 1..d {
+                if (i * 7 + k * 3) % 5 == 0 {
+                    x[(i, k)] = 1.0 + (i + k) as f64 / 8.0;
+                }
+            }
+        }
+        let cases = [
+            (
+                GraphContext::new(cora_ds.graph.clone(), cora_ds.features.clone()),
+                cora_ds.features.clone(),
+            ),
+            (
+                GraphContext::new(Graph::from_edges(n, &edges), x.clone()),
+                x,
+            ),
+        ];
+
+        // One workspace across datasets, samplers, thread counts and, in
+        // between, the other architectures on the other dataset's shape.
+        let mut ws = TrainWorkspace::new();
+        let mut rng = StdRng::seed_from_u64(31);
+        for (case, (ctx, x)) in cases.iter().enumerate() {
+            let (other_ctx, _) = &cases[1 - case];
+            for sampling in [None, Some(3)] {
+                let mut sage = GraphSage::new(x.cols(), 8, 3, &mut rng);
+                sage.sample_size = sampling;
+                sage.resample(ctx, 11);
+                let d_logits = Matrix::gaussian(ctx.n_nodes(), 3, 0.0, 1.0, &mut rng);
+                let (want_logits, want_grads) = dense_mx_passes(&sage, ctx, x, &d_logits);
+                for (threads, other) in [
+                    (1, ModelKind::Gcn),
+                    (2, ModelKind::Gat),
+                    (4, ModelKind::Gcn),
+                ] {
+                    let other = AnyModel::new(other, other_ctx.feat_dim(), 5, 2, 9);
+                    other.forward_ws(other_ctx, &mut ws);
+                    ws.d_logits.copy_from(&ws.logits);
+                    other.backward_ws(other_ctx, &mut ws);
+
+                    with_forced_threads(threads, || {
+                        sage.forward_ws(ctx, &mut ws);
+                        ws.d_logits.copy_from(&d_logits);
+                        sage.backward_ws(ctx, &mut ws);
+                    });
+                    let what = format!("case {case}, sampling {sampling:?}, {threads} threads");
+                    assert_eq!(
+                        ws.logits.as_slice(),
+                        want_logits.as_slice(),
+                        "{what}: logits"
+                    );
+                    assert_eq!(ws.grads, want_grads, "{what}: gradient");
+                }
+            }
         }
     }
 

@@ -63,6 +63,25 @@ pub fn spmm_row_kernel(cols: &[usize], vals: &[f64], dense: &Matrix, out_row: &m
     }
 }
 
+/// Moves the entries of the dense row `row` that are not `±0.0` (NaN and
+/// `±∞` included) to its front, in ascending column order, writes their
+/// columns to the front of `cols`, and returns how many there are.
+///
+/// No per-entry branch: every entry is written to the slot after the kept
+/// ones, and the count moves past it only when it is non-zero.  The slot
+/// never lies after the entry read, so the row compacts in place.
+#[inline]
+fn compact_non_zeros(row: &mut [f64], cols: &mut [usize]) -> usize {
+    let mut kept = 0;
+    for c in 0..row.len() {
+        let v = row[c];
+        row[kept] = v;
+        cols[kept] = c;
+        kept += usize::from(v != 0.0);
+    }
+    kept
+}
+
 /// Sparse matrix in CSR format with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
@@ -72,6 +91,14 @@ pub struct SparseMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+}
+
+impl Default for SparseMatrix {
+    /// An empty `0 × 0` matrix: the initial state of a reusable buffer,
+    /// which [`SparseMatrix::matmul_dense_csr_into`] refills.
+    fn default() -> Self {
+        Self::zeros(0, 0)
+    }
 }
 
 impl SparseMatrix {
@@ -122,26 +149,62 @@ impl SparseMatrix {
     /// to `Matrix::matmul_at_b_into`.  Both sides add the same non-zero
     /// terms in ascending index order onto a `+0.0` start.
     pub fn from_dense(dense: &Matrix) -> Self {
-        let mut row_ptr = Vec::with_capacity(dense.rows() + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for r in 0..dense.rows() {
-            for (c, &v) in dense.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
+        let mut out = Self::default();
+        out.refill_from_dense_rows(dense.rows(), dense.cols(), |r, row| {
+            row.copy_from_slice(dense.row(r));
+        });
+        out
+    }
+
+    /// The product `self · dense` as CSR into `out`, whose buffers are
+    /// reused (allocation-free once they are large enough): equal to
+    /// `SparseMatrix::from_dense(&self.matmul_dense(dense))`.
+    ///
+    /// Each row is computed by [`spmm_row_kernel`], the kernel of
+    /// [`SparseMatrix::matmul_dense_into`], so every stored value is the same
+    /// floating-point chain as that product's dense entry, and then
+    /// compacted; only its `±0.0` entries are dropped.  Serial.
+    pub fn matmul_dense_csr_into(&self, dense: &Matrix, out: &mut SparseMatrix) {
+        self.spmm_check(dense);
+        out.refill_from_dense_rows(self.n_rows, dense.cols(), |r, row| {
+            row.fill(0.0);
+            self.spmm_row_into(r, dense, row);
+        });
+    }
+
+    /// Refills `self` as the `n_rows × n_cols` CSR of the dense rows that
+    /// `fill_row(r, row)` writes, keeping each row's non-zero entries: the
+    /// one row compaction of [`SparseMatrix::from_dense`] and
+    /// [`SparseMatrix::matmul_dense_csr_into`].
+    ///
+    /// Row `r` is written into the `n_cols` value slots after the entries
+    /// kept so far and compacted in place there, so no row buffer is needed
+    /// and the value and column buffers only grow.
+    fn refill_from_dense_rows(
+        &mut self,
+        n_rows: usize,
+        n_cols: usize,
+        mut fill_row: impl FnMut(usize, &mut [f64]),
+    ) {
+        self.n_rows = n_rows;
+        self.n_cols = n_cols;
+        self.row_ptr.clear();
+        self.row_ptr.reserve(n_rows + 1);
+        self.row_ptr.push(0);
+        let mut nnz = 0;
+        for r in 0..n_rows {
+            let end = nnz + n_cols;
+            if self.values.len() < end {
+                self.values.resize(end, 0.0);
+                self.col_idx.resize(end, 0);
             }
-            row_ptr.push(col_idx.len());
+            let row = &mut self.values[nnz..end];
+            fill_row(r, row);
+            nnz += compact_non_zeros(row, &mut self.col_idx[nnz..end]);
+            self.row_ptr.push(nnz);
         }
-        Self {
-            n_rows: dense.rows(),
-            n_cols: dense.cols(),
-            row_ptr,
-            col_idx,
-            values,
-        }
+        self.values.truncate(nnz);
+        self.col_idx.truncate(nnz);
     }
 
     /// Builds a CSR matrix directly from its raw parts.
@@ -507,6 +570,149 @@ mod tests {
         // Buffer reuse across calls must not leak previous contents.
         m.matmul_dense_into(&d, &mut buf);
         assert_eq!(buf.as_slice(), want.as_slice());
+    }
+
+    /// Equal shape and CSR structure, and equal value bits or NaN on both
+    /// sides.
+    fn assert_same_csr(got: &SparseMatrix, want: &SparseMatrix, what: &str) {
+        assert_eq!(
+            (got.n_rows, got.n_cols),
+            (want.n_rows, want.n_cols),
+            "{what}: shape"
+        );
+        assert_eq!(got.row_ptr, want.row_ptr, "{what}: row_ptr");
+        assert_eq!(got.col_idx, want.col_idx, "{what}: col_idx");
+        for (k, (a, b)) in got.values.iter().zip(&want.values).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{what}: value {k} is {a:e}, want {b:e}"
+            );
+        }
+    }
+
+    /// The per-entry loop `from_dense` ran before its rows shared the
+    /// branch-free compaction: the oracle of the compaction.
+    fn per_entry_from_dense(dense: &Matrix) -> SparseMatrix {
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for r in 0..dense.rows() {
+            for (c, &v) in dense.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        SparseMatrix::from_csr_parts(dense.rows(), dense.cols(), row_ptr, col_idx, values)
+    }
+
+    /// A `rows × cols` matrix cycling through `±0.0`, NaN, `±∞`, the
+    /// smallest subnormal and ordinary values, so whole rows and columns
+    /// are zero at some shapes.
+    fn special_values(rows: usize, cols: usize) -> Matrix {
+        let cycle = [
+            0.0,
+            1.5,
+            -0.0,
+            f64::NAN,
+            0.0,
+            f64::INFINITY,
+            -2.25,
+            f64::NEG_INFINITY,
+            5e-324,
+            -0.0,
+            0.0,
+        ];
+        let data = (0..rows * cols)
+            .map(|i| cycle[(i * 7 + i / 5) % cycle.len()])
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn from_dense_equals_the_per_entry_loop() {
+        for (rows, cols) in [(0, 3), (3, 0), (1, 1), (4, 9), (6, 4), (11, 13)] {
+            let m = special_values(rows, cols);
+            assert_same_csr(
+                &SparseMatrix::from_dense(&m),
+                &per_entry_from_dense(&m),
+                &format!("{rows}x{cols}"),
+            );
+        }
+        let zeros = Matrix::from_vec(2, 3, vec![0.0, -0.0, 0.0, -0.0, -0.0, 0.0]);
+        assert_eq!(SparseMatrix::from_dense(&zeros), SparseMatrix::zeros(2, 3));
+    }
+
+    /// An `n_rows × n_cols` operator with empty rows (every sixth), columns
+    /// no row reaches at the wider shapes, summed duplicates, explicit
+    /// `+0.0` and `-0.0` entries, and rows long enough for the 4-wide
+    /// kernel groups.
+    fn operator_with_zeros(n_rows: usize, n_cols: usize) -> SparseMatrix {
+        let mut triplets = Vec::new();
+        for r in 0..n_rows {
+            for s in 0..r % 6 * 2 {
+                let v = match s {
+                    2 => 0.0,
+                    4 => -0.0,
+                    _ => 0.5 + (r * 3 + s) as f64 / 7.0,
+                };
+                triplets.push((r, (r * 3 + s * 5) % n_cols, v));
+            }
+        }
+        SparseMatrix::from_triplets(n_rows, n_cols, &triplets)
+    }
+
+    /// Features whose odd rows hold a NaN, `+∞` or `-∞`, some of them
+    /// reached only through an explicit zero of the operator.
+    fn features_with_non_finite(rows: usize, cols: usize) -> Matrix {
+        let mut x = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        (i as f64 * 0.37).sin()
+                    }
+                })
+                .collect(),
+        );
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for r in (1..rows).step_by(4) {
+            if cols > 0 {
+                x[(r, r % cols)] = special[r % 3];
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn matmul_dense_csr_into_equals_from_dense_of_the_product() {
+        // One `out` across growing, shrinking and degenerate shapes.
+        let mut out = SparseMatrix::from_dense(&special_values(9, 9));
+        for (n_rows, n_cols, d) in [
+            (17, 13, 5),
+            (4, 9, 3),
+            (40, 31, 8),
+            (0, 5, 2),
+            (6, 6, 0),
+            (25, 7, 11),
+            (3, 2, 1),
+            (30, 30, 6),
+        ] {
+            let op = operator_with_zeros(n_rows, n_cols);
+            for x in [
+                features_with_non_finite(n_cols, d),
+                Matrix::zeros(n_cols, d),
+            ] {
+                op.matmul_dense_csr_into(&x, &mut out);
+                let want = SparseMatrix::from_dense(&op.matmul_dense(&x));
+                assert_same_csr(&out, &want, &format!("{n_rows}x{n_cols} · d={d}"));
+            }
+        }
     }
 
     #[test]
