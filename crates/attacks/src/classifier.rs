@@ -597,7 +597,7 @@ mod tests {
         match rng.gen_range(0..10) {
             0 => 0.0,
             1 => -0.0,
-            _ => rng.gen_range(-3.0..3.0) * 10f64.powi(rng.gen_range(0..6) - 3),
+            _ => rng.gen_range(-3.0..3.0) * 10f64.powi(rng.gen_range(-3..3)),
         }
     }
 

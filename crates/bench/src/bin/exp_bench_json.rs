@@ -306,7 +306,9 @@ fn main() {
     });
 
     // End-to-end GNN training through the TrainWorkspace path, per
-    // architecture, with a cold and a warm workspace.
+    // architecture, with a cold and a warm workspace, on the Cora smoke
+    // analogue the paper matrix trains on.  GraphSAGE samples ten
+    // neighbours per node, as the pipeline's `build_model` sets it.
     let training = {
         use ppfr_gnn::{train_with_workspace, TrainConfig, TrainWorkspace};
         let epochs = match scale {
@@ -319,18 +321,34 @@ fn main() {
             weight_decay: 5e-4,
             seed: 1,
         };
+        let (ds, ctx) = (&cora_ds, &cora_ctx);
         let weights = vec![1.0; ds.splits.train.len()];
-        let size = format!("n={} d={} h=16 e={}", ds.n_nodes(), ctx.feat_dim(), epochs);
+        let fanout = 10;
+        let size = format!(
+            "cora-smoke n={} d={} h=16 e={epochs}",
+            ds.n_nodes(),
+            ctx.feat_dim()
+        );
         let mut rows = Vec::new();
         for kind in ModelKind::ALL {
-            let fresh = || AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1);
+            let fresh = || {
+                let mut model = AnyModel::new(kind, ctx.feat_dim(), 16, ds.n_classes, 1);
+                if let AnyModel::GraphSage(sage) = &mut model {
+                    sage.sample_size = Some(fanout);
+                }
+                model
+            };
+            let size = match kind {
+                ModelKind::GraphSage => format!("{size} fanout={fanout}"),
+                _ => size.clone(),
+            };
             // Cold: a fresh workspace per run (first-call warm-up included).
             let cold_ms = best_ms(reps, || {
                 let mut model = fresh();
                 let mut ws = TrainWorkspace::new();
                 train_with_workspace(
                     &mut model,
-                    &ctx,
+                    ctx,
                     &ds.labels,
                     &ds.splits.train,
                     &weights,
@@ -345,7 +363,7 @@ fn main() {
                 let mut model = fresh();
                 train_with_workspace(
                     &mut model,
-                    &ctx,
+                    ctx,
                     &ds.labels,
                     &ds.splits.train,
                     &weights,
@@ -356,7 +374,7 @@ fn main() {
             });
             let row = TrainingBench {
                 model: kind.name().to_string(),
-                size: size.clone(),
+                size,
                 workspace_epoch_ms: warm_ms / epochs as f64,
                 cold_epochs_per_s: epochs as f64 / (cold_ms / 1e3),
                 warm_epochs_per_s: epochs as f64 / (warm_ms / 1e3),

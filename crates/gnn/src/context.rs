@@ -4,18 +4,20 @@
 //! its non-zero entries, built once in [`GraphContext::new`].  The products
 //! `X·W` and `Xᵀ·G` of every model go through
 //! [`GraphContext::features_matmul_into`] and
-//! [`GraphContext::features_t_matmul_into`], which read the CSR.  The
-//! generated datasets' features are sparse and binary, so the CSR kernels
-//! skip the zeros the dense kernels scan.  Both give bit-identical
+//! [`GraphContext::features_t_matmul_into`], which read the CSR, and
+//! GraphSAGE's neighbour mean `M·X` is built as CSR straight from the dense
+//! `X`.  The generated datasets' features are sparse and binary, so the CSR
+//! kernels skip the zeros the dense kernels scan.  Both give bit-identical
 //! results with a finite right-hand side: they add the same non-zero terms
 //! in ascending index order.  When the right-hand side holds a NaN or `±∞`,
 //! the product falls back to the dense kernel's IEEE-exact path, where
-//! `0 × NaN` is NaN in every row.  GraphSAGE's neighbour mean `M·X` reads
-//! the dense copy.  No transposed copy is built: `Xᵀ·G` runs on the
+//! `0 × NaN` is NaN in every row; one function makes that choice for `X`
+//! and `M·X`.  No transposed copy is built: `Xᵀ·G` runs on the
 //! transpose-free kernels.
 
 use ppfr_graph::{Graph, SparseMatrix};
 use ppfr_linalg::Matrix;
+use std::borrow::Cow;
 
 /// A graph plus its node features and the propagation operators the three
 /// models need.  Built once per (graph, features) pair; rebuilt whenever the
@@ -24,8 +26,8 @@ use ppfr_linalg::Matrix;
 pub struct GraphContext {
     /// The underlying graph.
     pub graph: Graph,
-    /// Node features `X` (one row per node), read only by the non-finite
-    /// fallback and GraphSAGE's neighbour mean `M·X`.
+    /// Node features `X` (one row per node), read by the build of
+    /// GraphSAGE's neighbour mean `M·X` and by the non-finite fallback.
     features: Matrix,
     /// The CSR of `features`, read by every other product with `X`.
     features_csr: SparseMatrix,
@@ -100,31 +102,78 @@ impl GraphContext {
 
     /// `X · w` into `out` (resized as needed).
     pub fn features_matmul_into(&self, w: &Matrix, out: &mut Matrix) {
-        if w.has_non_finite() {
-            self.features.matmul_into(w, out);
-        } else {
-            self.features_csr.matmul_dense_into(w, out);
-        }
+        let dense = || Cow::Borrowed(&self.features);
+        sparse_operand_product_into(&self.features_csr, dense, false, w, out);
     }
 
     /// `Xᵀ · g` into `out` (resized as needed).
     pub fn features_t_matmul_into(&self, g: &Matrix, out: &mut Matrix) {
-        if g.has_non_finite() {
-            self.features.matmul_at_b_into(g, out);
-        } else {
-            self.features_csr.transpose_matmul_dense_into(g, out);
-        }
+        let dense = || Cow::Borrowed(&self.features);
+        sparse_operand_product_into(&self.features_csr, dense, true, g, out);
     }
 
-    /// `op · X` into `out` (resized as needed): GraphSAGE's neighbour mean
-    /// of the features.
-    pub(crate) fn propagate_features_into(&self, op: &SparseMatrix, out: &mut Matrix) {
-        op.matmul_dense_into(&self.features, out);
+    /// `op · X` as CSR into `mx`: GraphSAGE's neighbour mean of the
+    /// features, whose products run through
+    /// [`GraphContext::neighbour_mean_matmul_into`] and
+    /// [`GraphContext::neighbour_mean_t_matmul_into`].
+    pub(crate) fn neighbour_mean_into(&self, op: &SparseMatrix, mx: &mut SparseMatrix) {
+        op.matmul_dense_csr_into(&self.features, mx);
+    }
+
+    /// `(op · X) · w` into `out` (resized as needed), where `mx` is the CSR
+    /// of `op · X` that [`GraphContext::neighbour_mean_into`] built.
+    pub(crate) fn neighbour_mean_matmul_into(
+        &self,
+        op: &SparseMatrix,
+        mx: &SparseMatrix,
+        w: &Matrix,
+        out: &mut Matrix,
+    ) {
+        let dense = || Cow::Owned(op.matmul_dense(&self.features));
+        sparse_operand_product_into(mx, dense, false, w, out);
+    }
+
+    /// `(op · X)ᵀ · g` into `out` (resized as needed), where `mx` is the CSR
+    /// of `op · X` that [`GraphContext::neighbour_mean_into`] built.
+    pub(crate) fn neighbour_mean_t_matmul_into(
+        &self,
+        op: &SparseMatrix,
+        mx: &SparseMatrix,
+        g: &Matrix,
+        out: &mut Matrix,
+    ) {
+        let dense = || Cow::Owned(op.matmul_dense(&self.features));
+        sparse_operand_product_into(mx, dense, true, g, out);
     }
 
     /// Returns a new context with the same features over a perturbed graph.
     pub fn with_graph(&self, graph: Graph) -> Self {
         Self::from_parts(graph, self.features.clone(), self.features_csr.clone())
+    }
+}
+
+/// `A · b`, or `Aᵀ · b` when `transposed`, into `out` (resized as needed),
+/// for a first-layer operand `A` (`X`, or GraphSAGE's `M·X`) held as the
+/// CSR `a`: the one choice between the CSR kernels and the dense
+/// kernels' IEEE-exact path.
+///
+/// A finite `b` takes the CSR kernel, which adds the dense zero-skip
+/// kernel's non-zero terms in the same ascending order, so the bits are
+/// equal.  A `b` holding a NaN or `±∞` takes the dense kernel on `dense()`,
+/// the dense `A`, whose exact path makes `0 × NaN` NaN in every row;
+/// `dense` runs only then.
+fn sparse_operand_product_into<'a>(
+    a: &SparseMatrix,
+    dense: impl FnOnce() -> Cow<'a, Matrix>,
+    transposed: bool,
+    b: &Matrix,
+    out: &mut Matrix,
+) {
+    match (b.has_non_finite(), transposed) {
+        (false, false) => a.matmul_dense_into(b, out),
+        (false, true) => a.transpose_matmul_dense_into(b, out),
+        (true, false) => dense().matmul_into(b, out),
+        (true, true) => dense().matmul_at_b_into(b, out),
     }
 }
 

@@ -19,6 +19,7 @@
 //!
 //! [`GnnModel::forward`]: crate::GnnModel::forward
 
+use ppfr_graph::SparseMatrix;
 use ppfr_linalg::Matrix;
 
 /// Resizes a scratch vector, leaving its contents unspecified (every user
@@ -103,8 +104,11 @@ pub struct GcnBufs {
 /// Forward/backward intermediates of the two-layer GraphSAGE.
 #[derive(Debug, Clone, Default)]
 pub struct SageBufs {
-    /// Aggregated input features `M X`.
-    pub mx: Matrix,
+    /// Aggregated input features `M X`, held as CSR: on the generated
+    /// datasets most of its entries are zero, and its two products skip
+    /// them.  A non-finite right-hand side rebuilds it dense for that
+    /// product only.
+    pub mx: SparseMatrix,
     /// Layer-1 pre-activation.
     pub pre1: Matrix,
     /// `ReLU(pre1)`.
