@@ -178,8 +178,8 @@ impl SparseMatrix {
     /// [`SparseMatrix::matmul_dense_csr_into`].
     ///
     /// Row `r` is written into the `n_cols` value slots after the entries
-    /// kept so far and compacted in place there, so no row buffer is needed
-    /// and the value and column buffers only grow.
+    /// kept so far and compacted in place there, so no row buffer is needed;
+    /// the value and column buffers keep their capacity across refills.
     fn refill_from_dense_rows(
         &mut self,
         n_rows: usize,
@@ -646,9 +646,9 @@ mod tests {
     }
 
     /// An `n_rows × n_cols` operator with empty rows (every sixth), columns
-    /// no row reaches at the wider shapes, summed duplicates, explicit
-    /// `+0.0` and `-0.0` entries, and rows long enough for the 4-wide
-    /// kernel groups.
+    /// no row reaches at some shapes, summed duplicates, explicit `+0.0`
+    /// and `-0.0` entries, and rows long enough for the 4-wide kernel
+    /// groups.
     fn operator_with_zeros(n_rows: usize, n_cols: usize) -> SparseMatrix {
         let mut triplets = Vec::new();
         for r in 0..n_rows {
