@@ -257,7 +257,10 @@ impl GnnModel for Gat {
 mod tests {
     use super::*;
     use crate::model::workspace_grad;
+    use crate::{AnyModel, ModelKind};
+    use ppfr_datasets::{cora, generate, DatasetSpec};
     use ppfr_graph::Graph;
+    use ppfr_linalg::parallel::with_forced_threads;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -286,15 +289,17 @@ mod tests {
         let gat = Gat::new(4, 5, 3, &mut rng);
         let mut ws = TrainWorkspace::new();
         gat.forward_ws(&ctx, &mut ws);
+        let mut start = 0;
         for v in 0..ctx.n_nodes() {
-            let sum: f64 = (ctx.att_ptr[v]..ctx.att_ptr[v + 1])
-                .map(|e| ws.gat.l1.alpha[e])
-                .sum();
+            let end = start + 1 + ctx.graph.degree(v);
+            let sum: f64 = ws.gat.l1.alpha[start..end].iter().sum();
             assert!(
                 (sum - 1.0).abs() < 1e-12,
                 "attention of node {v} sums to {sum}"
             );
+            start = end;
         }
+        assert_eq!(start, ws.gat.l1.alpha.len(), "one group per node");
     }
 
     #[test]
@@ -325,5 +330,168 @@ mod tests {
         let mut clone = gat.clone();
         clone.set_params(&gat.params());
         assert_eq!(gat.forward(&ctx).as_slice(), clone.forward(&ctx).as_slice());
+    }
+
+    /// One layer's forward pass as it ran over an explicit attention edge
+    /// list: `(dst, src)` pairs grouped by destination, the node itself and
+    /// then its neighbours in ascending order, `ptr[v]..ptr[v + 1]` the
+    /// group of `v`.
+    fn edge_list_forward(
+        l: &GatLayer,
+        edges: &[(usize, usize)],
+        ptr: &[usize],
+        b: &mut GatLayerBufs,
+    ) {
+        let n = ptr.len() - 1;
+        let s: Vec<f64> = (0..n).map(|i| dot(b.h.row(i), &l.a_src)).collect();
+        let t: Vec<f64> = (0..n).map(|j| dot(b.h.row(j), &l.a_dst)).collect();
+        b.pre = edges.iter().map(|&(dst, src)| s[dst] + t[src]).collect();
+        b.alpha = b.pre.iter().map(|&p| leaky_relu(p, LEAKY_SLOPE)).collect();
+        for v in 0..n {
+            let group = &mut b.alpha[ptr[v]..ptr[v + 1]];
+            let max = group.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let mut sum = 0.0;
+            for a in group.iter_mut() {
+                *a = (*a - max).exp();
+                sum += *a;
+            }
+            group.iter_mut().for_each(|a| *a /= sum);
+        }
+        b.out = Matrix::zeros(n, l.out_dim);
+        for (&(dst, src), &a) in edges.iter().zip(&b.alpha) {
+            for (o, &x) in b.out.row_mut(dst).iter_mut().zip(b.h.row(src)) {
+                *o += a * x;
+            }
+        }
+    }
+
+    /// The backward pass matching [`edge_list_forward`].
+    fn edge_list_backward(
+        l: &GatLayer,
+        edges: &[(usize, usize)],
+        ptr: &[usize],
+        b: &mut GatLayerBufs,
+        d_out: &Matrix,
+    ) {
+        let n = ptr.len() - 1;
+        b.d_h = Matrix::zeros(n, l.out_dim);
+        b.d_alpha = vec![0.0; edges.len()];
+        for (e, &(dst, src)) in edges.iter().enumerate() {
+            b.d_alpha[e] = dot(d_out.row(dst), b.h.row(src));
+            for (g, &d) in b.d_h.row_mut(src).iter_mut().zip(d_out.row(dst)) {
+                *g += b.alpha[e] * d;
+            }
+        }
+        let (mut d_s, mut d_t) = (vec![0.0; n], vec![0.0; n]);
+        for v in 0..n {
+            let inner: f64 = (ptr[v]..ptr[v + 1])
+                .map(|e| b.alpha[e] * b.d_alpha[e])
+                .sum();
+            for e in ptr[v]..ptr[v + 1] {
+                let d_e = b.alpha[e] * (b.d_alpha[e] - inner);
+                let d_pre = d_e * leaky_relu_grad(b.pre[e], LEAKY_SLOPE);
+                d_s[edges[e].0] += d_pre;
+                d_t[edges[e].1] += d_pre;
+            }
+        }
+        (b.d_a_src, b.d_a_dst) = (vec![0.0; l.out_dim], vec![0.0; l.out_dim]);
+        for i in 0..n {
+            for (c, &hv) in b.h.row(i).iter().enumerate() {
+                b.d_a_src[c] += d_s[i] * hv;
+                b.d_a_dst[c] += d_t[i] * hv;
+            }
+            for (c, r) in b.d_h.row_mut(i).iter_mut().enumerate() {
+                *r += d_s[i] * l.a_src[c] + d_t[i] * l.a_dst[c];
+            }
+        }
+    }
+
+    /// The logits and the flat gradient of `sum(d_logits ⊙ logits)` from
+    /// both layers' passes over the explicit edge list of `ctx.graph`.
+    fn edge_list_passes(gat: &Gat, ctx: &GraphContext, d_logits: &Matrix) -> (Matrix, Vec<f64>) {
+        let (mut edges, mut ptr) = (Vec::new(), vec![0]);
+        for v in 0..ctx.n_nodes() {
+            edges.push((v, v));
+            edges.extend(ctx.graph.neighbors(v).iter().map(|&u| (v, u)));
+            ptr.push(edges.len());
+        }
+        let (l1, l2) = (&gat.layer1, &gat.layer2);
+        let (mut b1, mut b2, mut h1): (GatLayerBufs, GatLayerBufs, Matrix) = Default::default();
+        ctx.features_matmul_into(&l1.w, &mut b1.h);
+        edge_list_forward(l1, &edges, &ptr, &mut b1);
+        relu_into(&b1.out, &mut h1);
+        b2.h = h1.matmul(&l2.w);
+        edge_list_forward(l2, &edges, &ptr, &mut b2);
+        edge_list_backward(l2, &edges, &ptr, &mut b2, d_logits);
+        let (mut d_pre1, mut d_w1) = Default::default();
+        relu_grad_into(&b1.out, &b2.d_h.matmul_a_bt(&l2.w), &mut d_pre1);
+        edge_list_backward(l1, &edges, &ptr, &mut b1, &d_pre1);
+        ctx.features_t_matmul_into(&b1.d_h, &mut d_w1);
+        let d_w2 = h1.matmul_at_b(&b2.d_h);
+        let grads = [
+            d_w1.as_slice(),
+            &b1.d_a_src,
+            &b1.d_a_dst,
+            d_w2.as_slice(),
+            &b2.d_a_src,
+            &b2.d_a_dst,
+        ]
+        .concat();
+        (b2.out, grads)
+    }
+
+    #[test]
+    fn attention_passes_equal_the_edge_list_oracle() {
+        // A hub of degree 5, a triangle, a pendant path and isolated nodes
+        // 7 and 9; the Cora smoke analogue (`scaled_spec(cora(), Smoke)`);
+        // and a neighbour sample of it.
+        let mut rng = StdRng::seed_from_u64(41);
+        let hub_edges: Vec<_> = (1..6)
+            .map(|u| (0, u))
+            .chain([(5, 6), (1, 2), (6, 8)])
+            .collect();
+        let hub = Graph::from_edges(10, &hub_edges);
+        let spec = DatasetSpec {
+            n_nodes: 350,
+            n_val: 75,
+            n_test: 125,
+            ..cora()
+        };
+        let ds = generate(&spec, 7);
+        let cases = [
+            GraphContext::new(hub, Matrix::gaussian(10, 6, 0.0, 1.0, &mut rng)),
+            GraphContext::new(ds.graph.clone(), ds.features.clone()),
+            GraphContext::new(crate::sample_subgraph(&ds.graph, 3, 5), ds.features),
+        ];
+        // One workspace across graphs, thread counts and, in between, the
+        // other architectures on the next graph's shape.
+        let mut ws = TrainWorkspace::new();
+        for (case, ctx) in cases.iter().enumerate() {
+            let other_ctx = &cases[(case + 1) % cases.len()];
+            let gat = Gat::new(ctx.feat_dim(), 8, 3, &mut rng);
+            let d_logits = Matrix::gaussian(ctx.n_nodes(), 3, 0.0, 1.0, &mut rng);
+            let (logits, grads) = edge_list_passes(&gat, ctx, &d_logits);
+            for (threads, other) in [
+                (1, ModelKind::Gcn),
+                (2, ModelKind::GraphSage),
+                (4, ModelKind::Gcn),
+            ] {
+                let other = AnyModel::new(other, other_ctx.feat_dim(), 5, 2, 9);
+                other.forward_ws(other_ctx, &mut ws);
+                ws.d_logits.copy_from(&ws.logits);
+                other.backward_ws(other_ctx, &mut ws);
+                with_forced_threads(threads, || {
+                    gat.forward_ws(ctx, &mut ws);
+                    ws.d_logits.copy_from(&d_logits);
+                    gat.backward_ws(ctx, &mut ws);
+                });
+                assert_eq!(
+                    ws.logits.as_slice(),
+                    logits.as_slice(),
+                    "case {case}, {threads} threads"
+                );
+                assert_eq!(ws.grads, grads, "case {case}, {threads} threads");
+            }
+        }
     }
 }

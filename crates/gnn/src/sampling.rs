@@ -185,7 +185,7 @@ pub fn train_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{train_with_workspace, AnyModel, ModelKind};
+    use crate::{train, AnyModel, ModelKind};
     use ppfr_datasets::{generate, two_block_synthetic};
 
     fn setup() -> (Graph, Matrix, Vec<usize>, Vec<usize>) {
@@ -244,9 +244,8 @@ mod tests {
             let full_ctx = GraphContext::new(g.clone(), x.clone());
             let mut full_model = AnyModel::new(kind, x.cols(), 8, 2, 1);
             let mut sampled_model = full_model.clone();
-            let mut ws_full = TrainWorkspace::new();
             let mut ws_sampled = TrainWorkspace::new();
-            let full = train_with_workspace(
+            let full = train(
                 &mut full_model,
                 &full_ctx,
                 &labels,
@@ -254,7 +253,6 @@ mod tests {
                 &weights,
                 None,
                 &cfg,
-                &mut ws_full,
             );
             let mut sctx = SampledContext::new(g.clone(), x.clone(), fanout);
             let sampled = train_sampled(

@@ -8,8 +8,8 @@
 
 use ppfr_datasets::{generate, two_block_synthetic};
 use ppfr_gnn::{
-    train, train_with_workspace, AnyModel, FairnessReg, GnnModel, GraphContext, GraphSage,
-    ModelKind, TrainConfig, TrainWorkspace,
+    train, train_sampled, AnyModel, FairnessReg, GnnModel, GraphContext, GraphSage, ModelKind,
+    SampledContext, TrainConfig, TrainWorkspace,
 };
 use ppfr_graph::{jaccard_similarity, similarity_laplacian};
 use ppfr_linalg::parallel::with_forced_threads;
@@ -163,8 +163,17 @@ fn fairness_regularised_train_is_thread_count_invariant() {
 
 #[test]
 fn workspace_reuse_across_runs_and_architectures_leaks_no_state() {
-    let (ctx, labels, train_ids) = setup();
+    // `train_sampled` is the entry point that takes a caller's workspace; at
+    // full fan-out it trains on the full graph every epoch.
+    let ds = generate(&two_block_synthetic(), 7);
+    let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
+    let (labels, train_ids) = (&ds.labels, &ds.splits.train);
     let weights = vec![1.0; train_ids.len()];
+    let fanout = (0..ds.n_nodes())
+        .map(|v| ds.graph.degree(v))
+        .max()
+        .unwrap_or(1);
+    let mut sctx = SampledContext::new(ds.graph.clone(), ds.features.clone(), fanout);
     let mut ws = TrainWorkspace::new();
     // Same workspace reused across all three architectures and twice per
     // architecture: every run must equal a fresh-workspace run.
@@ -173,19 +182,19 @@ fn workspace_reuse_across_runs_and_architectures_leaks_no_state() {
         let fresh = train(
             &mut fresh_model,
             &ctx,
-            &labels,
-            &train_ids,
+            labels,
+            train_ids,
             &weights,
             None,
             &cfg(),
         );
         for run in 0..2 {
             let mut model = AnyModel::new(kind, ctx.feat_dim(), 8, 2, 13);
-            let report = train_with_workspace(
+            let report = train_sampled(
                 &mut model,
-                &ctx,
-                &labels,
-                &train_ids,
+                &mut sctx,
+                labels,
+                train_ids,
                 &weights,
                 None,
                 &cfg(),

@@ -204,7 +204,7 @@ fn assert_graph_matches_oracles(n: usize, edges: &[(usize, usize)], seed: u64) {
         "mean aggregation"
     );
     let max_degree = rows.iter().map(Vec::len).max().unwrap_or(0);
-    for fanout in [1, 3, max_degree.max(1)] {
+    for fanout in [1, 2, 3, max_degree.max(1), max_degree + 1] {
         let sampled = sample_subgraph(&graph, fanout, seed);
         let want = oracle_sample(&graph, fanout, seed);
         assert_eq!(sampled.n_nodes(), n);
