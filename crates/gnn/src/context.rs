@@ -1,5 +1,10 @@
 //! Pre-computed per-graph operators shared by every model.
 //!
+//! A context holds GCN's `Â` and GraphSAGE's neighbour mean `M`, built from
+//! the graph by [`GraphContext::new`], [`GraphContext::with_graph`] and each
+//! epoch of [`SampledContext`](crate::SampledContext).  GAT reads the
+//! graph's CSR rows directly, so no attention edge list is built.
+//!
 //! The context holds the node features `X` twice: dense, and as the CSR of
 //! its non-zero entries, built once in [`GraphContext::new`].  The products
 //! `X·W` and `Xᵀ·G` of every model go through
@@ -35,34 +40,32 @@ pub struct GraphContext {
     pub a_hat: SparseMatrix,
     /// Row-normalised neighbour-mean operator (GraphSAGE).
     pub mean_agg: SparseMatrix,
-    /// Directed attention edges `(dst, src)` including self loops, grouped by
-    /// destination (GAT).
-    pub att_edges: Vec<(usize, usize)>,
-    /// `att_ptr[v]..att_ptr[v+1]` indexes the attention edges whose
-    /// destination is `v`.
-    pub att_ptr: Vec<usize>,
 }
 
 impl GraphContext {
     /// Builds the context, pre-computing every operator and the CSR of the
     /// features.
     pub fn new(graph: Graph, features: Matrix) -> Self {
-        let features_csr = SparseMatrix::from_dense(&features);
-        Self::from_parts(graph, features, features_csr)
+        let mut ctx = Self::without_graph(features);
+        ctx.install_graph(graph);
+        ctx
     }
 
-    fn from_parts(graph: Graph, features: Matrix, features_csr: SparseMatrix) -> Self {
-        let mut ctx = Self {
+    /// The features and their CSR over an empty graph with no operators:
+    /// [`GraphContext::install_graph`] supplies those.
+    pub(crate) fn without_graph(features: Matrix) -> Self {
+        let features_csr = SparseMatrix::from_dense(&features);
+        Self::from_parts(features, features_csr)
+    }
+
+    fn from_parts(features: Matrix, features_csr: SparseMatrix) -> Self {
+        Self {
             graph: Graph::empty(0),
             features,
             features_csr,
             a_hat: SparseMatrix::zeros(0, 0),
             mean_agg: SparseMatrix::zeros(0, 0),
-            att_edges: Vec::new(),
-            att_ptr: Vec::new(),
-        };
-        ctx.install_graph(graph);
-        ctx
+        }
     }
 
     /// Swaps `graph` and the operators derived from it into the context,
@@ -76,17 +79,6 @@ impl GraphContext {
         );
         self.a_hat = graph.normalized_adjacency();
         self.mean_agg = graph.mean_aggregation();
-        self.att_edges = graph.attention_edges();
-        self.att_ptr.clear();
-        self.att_ptr.reserve(graph.n_nodes() + 1);
-        self.att_ptr.push(0);
-        let mut cursor = 0usize;
-        for v in 0..graph.n_nodes() {
-            // attention_edges lists (v, v) then (v, each neighbour of v).
-            cursor += 1 + graph.degree(v);
-            self.att_ptr.push(cursor);
-        }
-        debug_assert_eq!(cursor, self.att_edges.len());
         self.graph = graph;
     }
 
@@ -148,7 +140,9 @@ impl GraphContext {
 
     /// Returns a new context with the same features over a perturbed graph.
     pub fn with_graph(&self, graph: Graph) -> Self {
-        Self::from_parts(graph, self.features.clone(), self.features_csr.clone())
+        let mut ctx = Self::from_parts(self.features.clone(), self.features_csr.clone());
+        ctx.install_graph(graph);
+        ctx
     }
 }
 
@@ -180,28 +174,8 @@ fn sparse_operand_product_into<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SampledContext;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn attention_pointers_cover_every_edge() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
-        let x = Matrix::zeros(4, 3);
-        let ctx = GraphContext::new(g, x);
-        assert_eq!(*ctx.att_ptr.last().unwrap(), ctx.att_edges.len());
-        for v in 0..4 {
-            let span = &ctx.att_edges[ctx.att_ptr[v]..ctx.att_ptr[v + 1]];
-            assert!(
-                span.iter().all(|&(dst, _)| dst == v),
-                "edges grouped by destination"
-            );
-            assert!(
-                span.iter().any(|&(_, src)| src == v),
-                "self loop present for node {v}"
-            );
-        }
-    }
 
     #[test]
     #[should_panic(expected = "one feature row per node")]
@@ -220,7 +194,8 @@ mod tests {
         let ctx2 = ctx.with_graph(g2);
         assert_eq!(ctx2.features.as_slice(), ctx.features.as_slice());
         assert!(ctx2.graph.has_edge(1, 2));
-        assert_ne!(ctx2.att_edges.len(), ctx.att_edges.len());
+        assert_ne!(ctx2.a_hat, ctx.a_hat);
+        assert_ne!(ctx2.mean_agg, ctx.mean_agg);
     }
 
     /// Sparse features whose row 0 and column 0 are empty.
@@ -264,10 +239,12 @@ mod tests {
             &GraphContext::new(base.clone(), x.clone()).with_graph(perturbed),
             "with_graph",
         );
-        let mut sctx = SampledContext::new(base, x, 1);
-        sctx.resample(3);
-        same(sctx.ctx(), "SampledContext::resample");
-        sctx.restore_full();
-        same(sctx.ctx(), "SampledContext::restore_full");
+        // SampledContext's path: the features alone, then one graph after
+        // another installed.
+        let mut rebuilt = GraphContext::without_graph(x);
+        rebuilt.install_graph(crate::sample_subgraph(&base, 1, 3));
+        same(&rebuilt, "installing a neighbour sample");
+        rebuilt.install_graph(base);
+        same(&rebuilt, "installing the full graph");
     }
 }

@@ -3,6 +3,11 @@
 //! Attention over the closed neighbourhood (self loop included):
 //! `e_{ij} = LeakyReLU(a_srcᵀ W h_i + a_dstᵀ W h_j)`,
 //! `α_{ij} = softmax_j(e_{ij})`, `h'_i = Σ_j α_{ij} W h_j`.
+//!
+//! Both layer passes walk each node's attention group straight off the
+//! graph's CSR rows: the node itself, then its neighbours in ascending
+//! order.  No edge list is built; the per-edge caches (`pre`, `alpha`,
+//! `d_alpha`) hold the groups in node order.
 
 use crate::workspace::{ensure_len, GatLayerBufs};
 use crate::{GnnModel, GraphContext, TrainWorkspace};
@@ -41,83 +46,93 @@ impl GatLayer {
     /// `b.h = x W`, which the caller computes: every other intermediate lands
     /// in `b`, fully overwritten.
     fn forward_ws(&self, ctx: &GraphContext, b: &mut GatLayerBufs) {
-        let n = ctx.n_nodes();
+        let (n, graph) = (ctx.n_nodes(), &ctx.graph);
         // s_i = h_i · a_src, t_j = h_j · a_dst: independent per node.
         ensure_len(&mut b.s, n);
         ensure_len(&mut b.t, n);
         par_fill(&mut b.s, |i| dot(b.h.row(i), &self.a_src));
         par_fill(&mut b.t, |j| dot(b.h.row(j), &self.a_dst));
-        let m = ctx.att_edges.len();
-        ensure_len(&mut b.pre, m);
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            b.pre[e] = b.s[dst] + b.t[src];
-        }
-        // Softmax of LeakyReLU(pre) within each destination group.
-        ensure_len(&mut b.alpha, m);
+        ensure_len(&mut b.pre, n + 2 * graph.n_edges());
+        ensure_len(&mut b.alpha, b.pre.len());
+        b.out.resize_to(n, self.out_dim);
+        b.out.as_mut_slice().fill(0.0);
+        let mut start = 0;
         for v in 0..n {
-            let range = ctx.att_ptr[v]..ctx.att_ptr[v + 1];
-            let max = b.pre[range.clone()]
-                .iter()
-                .map(|&p| leaky_relu(p, LEAKY_SLOPE))
+            let neighbors = graph.neighbors(v);
+            let end = start + 1 + neighbors.len();
+            let (pre, alpha) = (&mut b.pre[start..end], &mut b.alpha[start..end]);
+            // The group's pre-activations, and the largest LeakyReLU of them.
+            pre[0] = b.s[v] + b.t[v];
+            let mut max = f64::NEG_INFINITY.max(leaky_relu(pre[0], LEAKY_SLOPE));
+            for (p, &u) in pre[1..].iter_mut().zip(neighbors) {
+                *p = b.s[v] + b.t[u];
+                max = max.max(leaky_relu(*p, LEAKY_SLOPE));
+            }
+            // Softmax of LeakyReLU(pre) within the group, normalised while
+            // out_v = Σ_j α_vj h_j accumulates.
+            let mut sum = 0.0;
+            for (a, &p) in alpha.iter_mut().zip(pre.iter()) {
+                *a = (leaky_relu(p, LEAKY_SLOPE) - max).exp();
                 // lint: allow(par-float-reduction) — serial per-destination
                 // post-pass after the par_fill projections; forward_ws is
                 // pinned by gnn/tests/workspace_equivalence.rs
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for e in range.clone() {
-                let a = (leaky_relu(b.pre[e], LEAKY_SLOPE) - max).exp();
-                b.alpha[e] = a;
-                sum += a;
+                sum += *a;
             }
-            for e in range {
-                b.alpha[e] /= sum;
+            let out = b.out.row_mut(v);
+            alpha[0] /= sum;
+            axpy(out, alpha[0], b.h.row(v));
+            for (a, &u) in alpha[1..].iter_mut().zip(neighbors) {
+                *a /= sum;
+                axpy(out, *a, b.h.row(u));
             }
-        }
-        // out_i = Σ_j α_ij h_j
-        b.out.resize_to(n, self.out_dim);
-        b.out.as_mut_slice().fill(0.0);
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            let a = b.alpha[e];
-            for (o, &hv) in b.out.row_mut(dst).iter_mut().zip(b.h.row(src).iter()) {
-                *o += a * hv;
-            }
+            start = end;
         }
     }
 
     /// Attention backward pass of the layer, reusing the activations that
-    /// [`GatLayer::forward_ws`] cached in `b`.  Leaves the gradients w.r.t.
-    /// `h` and the attention vectors in `b.d_h` / `b.d_a_src` / `b.d_a_dst`;
-    /// the caller turns `b.d_h` into the gradients w.r.t. `W` and the layer
-    /// input.
+    /// [`GatLayer::forward_ws`] cached in `b`, group by group in the same
+    /// order.  Leaves the gradients w.r.t. `h` and the attention vectors in
+    /// `b.d_h` / `b.d_a_src` / `b.d_a_dst`; the caller turns `b.d_h` into
+    /// the gradients w.r.t. `W` and the layer input.
     fn backward_ws(&self, ctx: &GraphContext, b: &mut GatLayerBufs, d_out: &Matrix) {
-        let n = ctx.n_nodes();
-        let m = ctx.att_edges.len();
+        let (n, graph) = (ctx.n_nodes(), &ctx.graph);
         b.d_h.resize_to(n, self.out_dim);
         b.d_h.as_mut_slice().fill(0.0);
-        ensure_len(&mut b.d_alpha, m);
-        // dα_e = d_out[dst] · h[src]; accumulate dH[src] += α_e d_out[dst].
-        for (e, &(dst, src)) in ctx.att_edges.iter().enumerate() {
-            b.d_alpha[e] = dot(d_out.row(dst), b.h.row(src));
-            let a = b.alpha[e];
-            for (t_v, &d_v) in b.d_h.row_mut(src).iter_mut().zip(d_out.row(dst).iter()) {
-                *t_v += a * d_v;
-            }
-        }
-        // Softmax backward within each destination group, then LeakyReLU.
+        ensure_len(&mut b.d_alpha, b.alpha.len());
         ensure_len(&mut b.d_s, n);
         ensure_len(&mut b.d_t, n);
-        b.d_s.fill(0.0);
         b.d_t.fill(0.0);
+        let mut start = 0;
         for v in 0..n {
-            let range = ctx.att_ptr[v]..ctx.att_ptr[v + 1];
-            let inner: f64 = range.clone().map(|e| b.alpha[e] * b.d_alpha[e]).sum();
-            for e in range {
-                let d_e = b.alpha[e] * (b.d_alpha[e] - inner);
-                let d_pre = d_e * leaky_relu_grad(b.pre[e], LEAKY_SLOPE);
-                let (dst, src) = ctx.att_edges[e];
-                b.d_s[dst] += d_pre;
-                b.d_t[src] += d_pre;
+            let neighbors = graph.neighbors(v);
+            let end = start + 1 + neighbors.len();
+            let (pre, alpha) = (&b.pre[start..end], &b.alpha[start..end]);
+            let d_alpha = &mut b.d_alpha[start..end];
+            // dα_e = d_out[v] · h[src]; accumulate dH[src] += α_e d_out[v].
+            let d_out_v = d_out.row(v);
+            d_alpha[0] = dot(d_out_v, b.h.row(v));
+            axpy(b.d_h.row_mut(v), alpha[0], d_out_v);
+            for ((d_a, &a), &u) in d_alpha[1..].iter_mut().zip(&alpha[1..]).zip(neighbors) {
+                *d_a = dot(d_out_v, b.h.row(u));
+                axpy(b.d_h.row_mut(u), a, d_out_v);
             }
+            // Softmax backward within the group, then LeakyReLU; only this
+            // group reaches d_s[v].
+            let inner: f64 = alpha.iter().zip(d_alpha.iter()).map(|(a, d)| a * d).sum();
+            let d_pre =
+                |a: f64, d_a: f64, p: f64| a * (d_a - inner) * leaky_relu_grad(p, LEAKY_SLOPE);
+            let d_self = d_pre(alpha[0], d_alpha[0], pre[0]);
+            let mut d_s = 0.0;
+            d_s += d_self;
+            b.d_t[v] += d_self;
+            let rest = alpha[1..].iter().zip(&d_alpha[1..]).zip(&pre[1..]);
+            for (((&a, &d_a), &p), &u) in rest.zip(neighbors) {
+                let d = d_pre(a, d_a, p);
+                d_s += d;
+                b.d_t[u] += d;
+            }
+            b.d_s[v] = d_s;
+            start = end;
         }
         // s_i = h_i · a_src, t_j = h_j · a_dst.
         ensure_len(&mut b.d_a_src, self.out_dim);
@@ -146,6 +161,14 @@ impl GatLayer {
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
+}
+
+/// `y += a · x`, entry by entry.
+#[inline]
+fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += a * x;
+    }
 }
 
 /// Two-layer single-head GAT: attention layer → ReLU → attention layer.

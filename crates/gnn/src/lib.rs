@@ -27,5 +27,5 @@ pub use gcn::Gcn;
 pub use model::{AnyModel, GnnModel, ModelKind};
 pub use sage::GraphSage;
 pub use sampling::{sample_subgraph, train_sampled, SampledContext};
-pub use train::{train, train_with_workspace, FairnessReg, TrainConfig, TrainReport};
+pub use train::{train, FairnessReg, TrainConfig, TrainReport};
 pub use workspace::{GatBufs, GatLayerBufs, GcnBufs, SageBufs, TrainWorkspace};

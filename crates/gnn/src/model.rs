@@ -266,12 +266,10 @@ mod tests {
         let ctx = GraphContext::new(g, x.clone());
         for kind in ModelKind::ALL {
             let fresh = || {
-                let mut model = match kind {
-                    ModelKind::GraphSage => AnyModel::GraphSage(
-                        GraphSage::new(d, h, c, &mut StdRng::seed_from_u64(3)).with_sampling(1),
-                    ),
-                    _ => AnyModel::new(kind, d, h, c, 3),
-                };
+                let mut model = AnyModel::new(kind, d, h, c, 3);
+                if let AnyModel::GraphSage(sage) = &mut model {
+                    sage.sample_size = Some(1);
+                }
                 model.resample(&ctx, 5);
                 model
             };

@@ -7,13 +7,12 @@
 //! Sampling matters for the paper's Table IV discussion: it dilutes the
 //! effectiveness of edge-DP noise.
 
+use crate::sampling::draw_neighbours;
 use crate::workspace::ensure_len;
 use crate::{GnnModel, GraphContext, TrainWorkspace};
 use ppfr_graph::SparseMatrix;
 use ppfr_linalg::{relu_grad_into, relu_into, Matrix};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Two-layer GraphSAGE with mean aggregation.
 #[derive(Debug, Clone)]
@@ -50,14 +49,6 @@ impl GraphSage {
             sample_size: None,
             sampled_agg: None,
         }
-    }
-
-    /// Enables neighbour sampling with the given fan-out.
-    // lint: allow(uncalled-pub) — pins sampling GraphSAGE in ppfr_gnn's workspace_equivalence
-    // and ppfr_influence's HVP tests until SampledContext replaces it
-    pub fn with_sampling(mut self, sample_size: usize) -> Self {
-        self.sample_size = Some(sample_size);
-        self
     }
 
     /// The neighbour-mean operator `M` of the forward and backward passes.
@@ -146,30 +137,17 @@ impl GnnModel for GraphSage {
             self.sampled_agg = None;
             return;
         };
-        // Each row is written straight into CSR: the drawn neighbours,
-        // sorted, each weighted by one over their count.  The shuffle buffer
-        // is reused across nodes and draws the RNG stream a fresh copy of
-        // the neighbour row would.
-        let mut rng = StdRng::seed_from_u64(seed);
+        // Each drawn row, already sorted, weights its entries by one over
+        // their count.
+        let (row_ptr, col_idx) = draw_neighbours(&ctx.graph, k, seed);
+        let values = row_ptr
+            .windows(2)
+            .flat_map(|row| {
+                let count = row[1] - row[0];
+                std::iter::repeat_n(1.0 / count as f64, count)
+            })
+            .collect();
         let n = ctx.n_nodes();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        let mut pool = Vec::new();
-        row_ptr.push(0);
-        for v in 0..n {
-            let neighbors = ctx.graph.neighbors(v);
-            if !neighbors.is_empty() {
-                pool.clear();
-                pool.extend_from_slice(neighbors);
-                pool.shuffle(&mut rng);
-                let drawn = &mut pool[..neighbors.len().min(k)];
-                drawn.sort_unstable();
-                col_idx.extend_from_slice(drawn);
-                values.extend(std::iter::repeat_n(1.0 / drawn.len() as f64, drawn.len()));
-            }
-            row_ptr.push(col_idx.len());
-        }
         self.sampled_agg = Some(SparseMatrix::from_csr_parts(n, n, row_ptr, col_idx, values));
     }
 }
@@ -184,6 +162,7 @@ mod tests {
     use ppfr_linalg::parallel::with_forced_threads;
     use ppfr_nn::{central_difference, max_relative_error};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn tiny_ctx() -> GraphContext {
@@ -227,7 +206,8 @@ mod tests {
     fn sampling_limits_fanout_and_is_resampled() {
         let ctx = tiny_ctx();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut sage = GraphSage::new(4, 3, 2, &mut rng).with_sampling(1);
+        let mut sage = GraphSage::new(4, 3, 2, &mut rng);
+        sage.sample_size = Some(1);
         sage.resample(&ctx, 100);
         let agg = sage
             .sampled_agg
@@ -260,7 +240,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         for (k, seed) in [(1, 3), (2, 4), (3, 5), (6, 6)] {
-            let mut sage = GraphSage::new(2, 2, 2, &mut StdRng::seed_from_u64(1)).with_sampling(k);
+            let mut sage = GraphSage::new(2, 2, 2, &mut StdRng::seed_from_u64(1));
+            sage.sample_size = Some(k);
             sage.resample(&ctx, seed);
             // Oracle: each row's fresh copy shuffled, its draw bucketed and
             // sorted by `from_triplets`.

@@ -1,59 +1,75 @@
 //! Neighbour-sampled mini-batch operators for large-graph training.
 //!
-//! GraphSAGE already re-draws a per-epoch sampled aggregation operator
-//! ([`GnnModel::resample`]).  This module generalises that idea to the whole
-//! [`GraphContext`]: a [`SampledContext`] keeps the full graph plus one
-//! *sampled* context whose graph and propagation operators (`Â`, mean
-//! aggregation, attention edges) are rebuilt from a per-`(seed, epoch)`
-//! neighbour-sampled edge subset, so **all three** models — GCN, GAT and
-//! GraphSAGE — train through the existing
-//! [`GnnModel::forward_ws`]/[`GnnModel::backward_ws`] workspace path on
-//! `O(n · fanout)` operators instead of `O(|E|)`.
+//! One neighbour draw, [`draw_neighbours`], serves both samplers: every
+//! epoch GraphSAGE rebuilds its sampled mean from it ([`GnnModel::resample`]),
+//! and a [`SampledContext`] builds [`sample_subgraph`] from it and swaps
+//! that graph and its operators (`Â` and the neighbour mean `M`) into its
+//! context, so **all three** models — GCN, GAT and GraphSAGE — train through
+//! the existing [`GnnModel::forward_ws`]/[`GnnModel::backward_ws`] workspace
+//! path on `O(n · fanout)` operators instead of `O(|E|)`.  GAT walks the
+//! sampled graph's rows directly.
 //!
 //! The sampled edge subset is symmetrised (an edge survives when either
 //! endpoint draws it), which keeps `Â` symmetric — GCN's hand-derived
 //! backward pass relies on that.  With `fanout ≥ max degree` the sampled
 //! graph *is* the full graph, so [`train_sampled`] degenerates to a
-//! bit-identical replay of [`train_with_workspace`](crate::train_with_workspace)
-//! — the pinning tests lean on this.
+//! bit-identical replay of [`train`](crate::train) — the pinning tests lean
+//! on this.
 //!
 //! An epoch's rebuild is linear in the sampled edges: the shuffle reuses one
 //! buffer across nodes, [`Graph::from_edges`] builds the sampled graph by a
 //! counting sort, and its `Â` and mean-aggregation operators are written
 //! straight into CSR from the graph's sorted neighbour rows.
 
+use crate::train::TrainingRun;
 use crate::{FairnessReg, GnnModel, GraphContext, TrainConfig, TrainReport, TrainWorkspace};
 use ppfr_graph::Graph;
 use ppfr_linalg::Matrix;
-use ppfr_nn::{accuracy, weighted_cross_entropy_into, Adam, Optimizer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Draws up to `fanout` neighbours per node (the GraphSAGE shuffle idiom,
-/// deterministic in `seed`) and returns the symmetrised union as a graph over
-/// the same node set.
+/// Draws up to `k` neighbours of every node of `graph`, deterministic in
+/// `seed`, and returns the drawn rows as CSR parts `(row_ptr, col_idx)`.
 ///
-/// Each node's neighbours are shuffled in one buffer reused across nodes;
-/// the shuffle sees the same slice as a fresh copy would, so it draws the
-/// same RNG stream.
+/// Each node with neighbours copies its row into one buffer reused across
+/// nodes, shuffles it with one `StdRng::seed_from_u64(seed)` stream, and
+/// keeps the first `min(degree, k)` entries, sorted ascending.  The shuffle
+/// sees the same slice as a fresh copy of the row would, so it draws the
+/// same stream; nodes without neighbours draw nothing.
+pub(crate) fn draw_neighbours(graph: &Graph, k: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = graph.n_nodes();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    // Node `v` keeps `min(degree(v), k)` entries, and the degrees sum to
+    // `2·|E|`, so this bound holds every draw.
+    let mut col_idx = Vec::with_capacity((2 * graph.n_edges()).min(n.saturating_mul(k)));
+    let mut pool = Vec::new();
+    row_ptr.push(0);
+    for v in 0..n {
+        let neighbors = graph.neighbors(v);
+        if !neighbors.is_empty() {
+            pool.clear();
+            pool.extend_from_slice(neighbors);
+            pool.shuffle(&mut rng);
+            let drawn = &mut pool[..neighbors.len().min(k)];
+            drawn.sort_unstable();
+            col_idx.extend_from_slice(drawn);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    (row_ptr, col_idx)
+}
+
+/// Draws up to `fanout` neighbours per node ([`draw_neighbours`], the
+/// stream GraphSAGE's sampler draws too) and returns the symmetrised union
+/// as a graph over the same node set.
 pub fn sample_subgraph(base: &Graph, fanout: usize, seed: u64) -> Graph {
     assert!(fanout > 0, "fanout must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Node `v` pushes `min(degree(v), fanout)` edges, and the degrees sum to
-    // `2·|E|`, so this bound holds every push.
-    let mut edges =
-        Vec::with_capacity((2 * base.n_edges()).min(base.n_nodes().saturating_mul(fanout)));
-    let mut pool = Vec::new();
+    let (row_ptr, col_idx) = draw_neighbours(base, fanout, seed);
+    let mut edges = Vec::with_capacity(col_idx.len());
     for v in 0..base.n_nodes() {
-        let neighbors = base.neighbors(v);
-        if neighbors.is_empty() {
-            continue;
-        }
-        pool.clear();
-        pool.extend_from_slice(neighbors);
-        pool.shuffle(&mut rng);
-        edges.extend(pool.iter().take(fanout).map(|&u| (v, u)));
+        edges.extend(col_idx[row_ptr[v]..row_ptr[v + 1]].iter().map(|&u| (v, u)));
     }
     // `from_edges` dedups and symmetrises: (v,u) and (u,v) collapse into one
     // undirected edge, so an edge survives when either endpoint drew it.
@@ -61,10 +77,12 @@ pub fn sample_subgraph(base: &Graph, fanout: usize, seed: u64) -> Graph {
 }
 
 /// A full graph plus a per-epoch neighbour-sampled [`GraphContext`] that any
-/// [`GnnModel`] can train on.
+/// [`GnnModel`] can train on through [`train_sampled`].
 ///
-/// Features are built once and never touched by resampling; only the graph
-/// and its operators are swapped in place.
+/// The features and their CSR are built once, by [`SampledContext::new`],
+/// and never touched by resampling; only the graph and its operators are
+/// swapped in place.  No operator exists before the first epoch's draw, and
+/// the full graph's are built once, for the final report.
 #[derive(Debug, Clone)]
 pub struct SampledContext {
     base: Graph,
@@ -73,49 +91,37 @@ pub struct SampledContext {
 }
 
 impl SampledContext {
-    /// Builds the context over the full graph; call
-    /// [`SampledContext::resample`] to switch to a sampled epoch operator.
+    /// Holds `graph` and `features` for [`train_sampled`] with `fanout`
+    /// neighbours per node.
     pub fn new(graph: Graph, features: Matrix, fanout: usize) -> Self {
         assert!(fanout > 0, "fanout must be positive");
-        let ctx = GraphContext::new(graph.clone(), features);
         Self {
             base: graph,
             fanout,
-            ctx,
+            ctx: GraphContext::without_graph(features),
         }
     }
 
-    /// The current (full or sampled) context.
-    pub fn ctx(&self) -> &GraphContext {
-        &self.ctx
-    }
-
-    /// Per-node neighbour fan-out of the sampled operators.
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Rebuilds the context's graph and operators from a fresh
-    /// `(seed)`-keyed neighbour sample.  Deterministic: the same seed always
-    /// installs the same operators.
-    pub fn resample(&mut self, seed: u64) {
+    /// Installs the graph and operators of a fresh `seed`-keyed neighbour
+    /// sample.  Deterministic: the same seed always installs the same
+    /// operators.
+    fn resample(&mut self, seed: u64) {
         let sampled = sample_subgraph(&self.base, self.fanout, seed);
         self.ctx.install_graph(sampled);
     }
 
-    /// Restores the full-graph operators (used for the final evaluation after
-    /// sampled training).
-    pub fn restore_full(&mut self) {
+    /// Installs the full graph and its operators, for the final report.
+    fn restore_full(&mut self) {
         self.ctx.install_graph(self.base.clone());
     }
 }
 
-/// [`train_with_workspace`](crate::train_with_workspace) over per-epoch
-/// neighbour-sampled operators: every epoch re-draws the sampled context
-/// (deterministic in `(cfg.seed, epoch)`), trains one step through the
-/// workspace path, and the final report is evaluated on the **full** graph.
+/// [`train`](crate::train) over per-epoch neighbour-sampled operators: every
+/// epoch re-draws the sampled context (deterministic in `(cfg.seed, epoch)`)
+/// and trains one step through the caller's workspace, and the final report
+/// is evaluated on the **full** graph.
 ///
-/// With `fanout ≥ max degree` this is bit-identical to the full-batch loop
+/// With `fanout ≥ max degree` this is bit-identical to [`train`](crate::train)
 /// for every model (the sampled graph equals the base graph each epoch).
 #[allow(clippy::too_many_arguments)]
 pub fn train_sampled(
@@ -128,15 +134,8 @@ pub fn train_sampled(
     cfg: &TrainConfig,
     ws: &mut TrainWorkspace,
 ) -> TrainReport {
-    assert_eq!(
-        train_ids.len(),
-        weights.len(),
-        "one weight per training node"
-    );
     let _span = ppfr_telemetry::span!("train_sampled");
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut params = model.params();
-    let mut loss_history = Vec::with_capacity(cfg.epochs);
+    let mut run = TrainingRun::new(model, labels, train_ids, weights, fairness, cfg);
     for epoch in 0..cfg.epochs {
         // Cooperative deadline, mirroring `train`: stop early under an
         // exhausted ambient budget and report on what was learned so far.
@@ -144,42 +143,12 @@ pub fn train_sampled(
             break;
         }
         let _epoch_span = ppfr_telemetry::span!("train_sampled_epoch");
-        let epoch_seed = cfg.seed.wrapping_add(epoch as u64);
-        sctx.resample(epoch_seed);
-        model.resample(&sctx.ctx, epoch_seed);
-        model.forward_ws(&sctx.ctx, ws);
-        let loss = weighted_cross_entropy_into(
-            &ws.logits,
-            labels,
-            train_ids,
-            weights,
-            &mut ws.probs,
-            &mut ws.d_logits,
-        );
-        if let Some(reg) = fairness {
-            reg.grad_wrt_probs_into(&ws.probs, &mut ws.d_probs);
-            ppfr_linalg::row_softmax_backward_into(&ws.probs, &ws.d_probs, &mut ws.d_reg);
-            ws.d_logits.add_inplace(&ws.d_reg);
-        }
-        model.backward_ws(&sctx.ctx, ws);
-        opt.step(&mut params, &ws.grads);
-        model.set_params(&params);
-        loss_history.push(loss);
+        let seed = cfg.seed.wrapping_add(epoch as u64);
+        sctx.resample(seed);
+        run.step(model, &sctx.ctx, seed, ws);
     }
-    // Final report on the full graph, mirroring the full-batch loop's
-    // warm-workspace evaluation.
     sctx.restore_full();
-    model.forward_ws(&sctx.ctx, ws);
-    let train_accuracy = accuracy(&ws.logits, labels, train_ids);
-    let final_bias = fairness.map(|reg| {
-        ppfr_linalg::row_softmax_into(&ws.logits, &mut ws.probs);
-        reg.bias(&ws.probs)
-    });
-    TrainReport {
-        loss_history,
-        train_accuracy,
-        final_bias,
-    }
+    run.report(model, &sctx.ctx, ws)
 }
 
 #[cfg(test)]
@@ -350,17 +319,15 @@ mod tests {
             );
             assert_eq!(got.a_hat, want.a_hat, "a_hat after {after}");
             assert_eq!(got.mean_agg, want.mean_agg, "mean_agg after {after}");
-            assert_eq!(got.att_edges, want.att_edges, "att_edges after {after}");
-            assert_eq!(got.att_ptr, want.att_ptr, "att_ptr after {after}");
         }
         let (g, x, _, _) = setup();
         let full_ctx = GraphContext::new(g.clone(), x.clone());
         let sampled_ctx = GraphContext::new(sample_subgraph(&g, 2, 77), x.clone());
         let mut sctx = SampledContext::new(g, x, 2);
         sctx.resample(77);
-        assert!(sctx.ctx().graph.n_edges() < full_ctx.graph.n_edges());
-        assert_same_operators(sctx.ctx(), &sampled_ctx, "resample(77)");
+        assert!(sctx.ctx.graph.n_edges() < full_ctx.graph.n_edges());
+        assert_same_operators(&sctx.ctx, &sampled_ctx, "resample(77)");
         sctx.restore_full();
-        assert_same_operators(sctx.ctx(), &full_ctx, "restore_full");
+        assert_same_operators(&sctx.ctx, &full_ctx, "restore_full");
     }
 }

@@ -84,7 +84,7 @@ pub struct TrainReport {
 ///   `1 + w_v` for PPFR fine-tuning);
 /// * `fairness` — optional InFoRM regulariser (the Reg baseline).
 ///
-/// Every epoch runs through a [`TrainWorkspace`] of preallocated buffers
+/// Every epoch runs through one [`TrainWorkspace`] of preallocated buffers
 /// (zero heap allocations per epoch after warm-up, unless neighbour
 /// resampling is active) and the backward pass reuses the cached forward
 /// activations.  The result is bit-identical across worker-thread counts,
@@ -98,35 +98,9 @@ pub fn train(
     fairness: Option<&FairnessReg>,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    let mut ws = TrainWorkspace::new();
-    train_with_workspace(
-        model, ctx, labels, train_ids, weights, fairness, cfg, &mut ws,
-    )
-}
-
-/// [`train`] reusing a caller-owned [`TrainWorkspace`], so repeated training
-/// runs over same-shaped problems (multi-seed scenario matrices, fine-tuning
-/// sweeps, HVP gradient evaluations) skip even the warm-up allocations.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_workspace(
-    model: &mut dyn GnnModel,
-    ctx: &GraphContext,
-    labels: &[usize],
-    train_ids: &[usize],
-    weights: &[f64],
-    fairness: Option<&FairnessReg>,
-    cfg: &TrainConfig,
-    ws: &mut TrainWorkspace,
-) -> TrainReport {
-    assert_eq!(
-        train_ids.len(),
-        weights.len(),
-        "one weight per training node"
-    );
     let _span = ppfr_telemetry::span!("train");
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut params = model.params();
-    let mut loss_history = Vec::with_capacity(cfg.epochs);
+    let mut run = TrainingRun::new(model, labels, train_ids, weights, fairness, cfg);
+    let mut ws = TrainWorkspace::new();
     for epoch in 0..cfg.epochs {
         // Cooperative deadline: under an exhausted ambient budget the model
         // keeps whatever it has learned so far instead of panicking mid-run.
@@ -134,37 +108,100 @@ pub fn train_with_workspace(
             break;
         }
         let _epoch_span = ppfr_telemetry::span!("train_epoch");
-        model.resample(ctx, cfg.seed.wrapping_add(epoch as u64));
-        model.forward_ws(ctx, ws);
-        let loss = weighted_cross_entropy_into(
-            &ws.logits,
+        run.step(model, ctx, cfg.seed.wrapping_add(epoch as u64), &mut ws);
+    }
+    run.report(model, ctx, &mut ws)
+}
+
+/// The state one training run carries across epochs: its data, the Adam
+/// optimiser, the flat parameters and the loss history.  [`train`] and
+/// [`train_sampled`](crate::train_sampled) each run their own epoch loop
+/// around [`TrainingRun::step`] and end with [`TrainingRun::report`].
+pub(crate) struct TrainingRun<'a> {
+    labels: &'a [usize],
+    train_ids: &'a [usize],
+    weights: &'a [f64],
+    fairness: Option<&'a FairnessReg>,
+    opt: Adam,
+    params: Vec<f64>,
+    loss_history: Vec<f64>,
+}
+
+impl<'a> TrainingRun<'a> {
+    pub(crate) fn new(
+        model: &dyn GnnModel,
+        labels: &'a [usize],
+        train_ids: &'a [usize],
+        weights: &'a [f64],
+        fairness: Option<&'a FairnessReg>,
+        cfg: &TrainConfig,
+    ) -> Self {
+        assert_eq!(
+            train_ids.len(),
+            weights.len(),
+            "one weight per training node"
+        );
+        Self {
             labels,
             train_ids,
             weights,
+            fairness,
+            opt: Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay),
+            params: model.params(),
+            loss_history: Vec::with_capacity(cfg.epochs),
+        }
+    }
+
+    /// One epoch on `ctx`: the model's own resample with the epoch's
+    /// `seed`, a forward pass, the weighted loss plus the regulariser's
+    /// gradient, a backward pass and one Adam step.
+    pub(crate) fn step(
+        &mut self,
+        model: &mut dyn GnnModel,
+        ctx: &GraphContext,
+        seed: u64,
+        ws: &mut TrainWorkspace,
+    ) {
+        model.resample(ctx, seed);
+        model.forward_ws(ctx, ws);
+        let loss = weighted_cross_entropy_into(
+            &ws.logits,
+            self.labels,
+            self.train_ids,
+            self.weights,
             &mut ws.probs,
             &mut ws.d_logits,
         );
-        if let Some(reg) = fairness {
+        if let Some(reg) = self.fairness {
             reg.grad_wrt_probs_into(&ws.probs, &mut ws.d_probs);
             row_softmax_backward_into(&ws.probs, &ws.d_probs, &mut ws.d_reg);
             ws.d_logits.add_inplace(&ws.d_reg);
         }
         model.backward_ws(ctx, ws);
-        opt.step(&mut params, &ws.grads);
-        model.set_params(&params);
-        loss_history.push(loss);
+        self.opt.step(&mut self.params, &ws.grads);
+        model.set_params(&self.params);
+        self.loss_history.push(loss);
     }
-    // Final report through the warm workspace too.
-    model.forward_ws(ctx, ws);
-    let train_accuracy = accuracy(&ws.logits, labels, train_ids);
-    let final_bias = fairness.map(|reg| {
-        ppfr_linalg::row_softmax_into(&ws.logits, &mut ws.probs);
-        reg.bias(&ws.probs)
-    });
-    TrainReport {
-        loss_history,
-        train_accuracy,
-        final_bias,
+
+    /// The final report: one more forward pass on `ctx` through the warm
+    /// workspace.
+    pub(crate) fn report(
+        self,
+        model: &dyn GnnModel,
+        ctx: &GraphContext,
+        ws: &mut TrainWorkspace,
+    ) -> TrainReport {
+        model.forward_ws(ctx, ws);
+        let train_accuracy = accuracy(&ws.logits, self.labels, self.train_ids);
+        let final_bias = self.fairness.map(|reg| {
+            ppfr_linalg::row_softmax_into(&ws.logits, &mut ws.probs);
+            reg.bias(&ws.probs)
+        });
+        TrainReport {
+            loss_history: self.loss_history,
+            train_accuracy,
+            final_bias,
+        }
     }
 }
 

@@ -150,7 +150,8 @@ pub struct GatLayerBufs {
     pub h: Matrix,
     /// Layer output `Σ_j α_ij H_j`.
     pub out: Matrix,
-    /// Raw attention logits per directed edge.
+    /// Raw attention logits per directed edge, grouped by destination in
+    /// node order: the node itself, then its neighbours in ascending order.
     pub pre: Vec<f64>,
     /// Normalised attention coefficients per directed edge.
     pub alpha: Vec<f64>,

@@ -137,8 +137,9 @@ fn sampling_enabled_graphsage_train_is_thread_count_invariant() {
     assert_train_is_thread_count_invariant(
         "sampled GraphSAGE",
         || {
-            let mut rng = StdRng::seed_from_u64(17);
-            AnyModel::GraphSage(GraphSage::new(ctx.feat_dim(), 8, 2, &mut rng).with_sampling(2))
+            let mut sage = GraphSage::new(ctx.feat_dim(), 8, 2, &mut StdRng::seed_from_u64(17));
+            sage.sample_size = Some(2);
+            AnyModel::GraphSage(sage)
         },
         None,
     );

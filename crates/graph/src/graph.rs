@@ -177,19 +177,6 @@ impl Graph {
         SparseMatrix::from_csr_parts(n, n, self.offsets.clone(), self.targets.clone(), values)
     }
 
-    /// Directed edge list *including self loops*, as `(dst, src)` pairs grouped
-    /// by destination — the layout GAT attention uses.
-    pub fn attention_edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.targets.len() + self.n_nodes());
-        for u in 0..self.n_nodes() {
-            out.push((u, u));
-            for &v in self.neighbors(u) {
-                out.push((u, v));
-            }
-        }
-        out
-    }
-
     /// Returns a new graph with every edge in `extra` added (self-loops and
     /// duplicates ignored).
     pub fn with_extra_edges(&self, extra: &[(usize, usize)]) -> Graph {
@@ -260,16 +247,6 @@ mod tests {
         let m = g.mean_aggregation();
         assert_eq!(m.row_sum(2), 0.0);
         assert!((m.row_sum(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn attention_edges_include_self_loops() {
-        let g = Graph::from_edges(2, &[(0, 1)]);
-        let edges = g.attention_edges();
-        assert!(edges.contains(&(0, 0)));
-        assert!(edges.contains(&(1, 1)));
-        assert!(edges.contains(&(0, 1)));
-        assert!(edges.contains(&(1, 0)));
     }
 
     #[test]

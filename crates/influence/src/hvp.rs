@@ -336,9 +336,9 @@ mod tests {
         let ds = generate(&two_block_synthetic(), 14);
         let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
         let mut rng = StdRng::seed_from_u64(3);
-        let mut model = AnyModel::GraphSage(
-            GraphSage::new(ctx.feat_dim(), 4, ds.n_classes, &mut rng).with_sampling(2),
-        );
+        let mut sage = GraphSage::new(ctx.feat_dim(), 4, ds.n_classes, &mut rng);
+        sage.sample_size = Some(2);
+        let mut model = AnyModel::GraphSage(sage);
         model.resample(&ctx, 40);
         let mut scratch = HvpScratch::new(&model);
         // Change *non-parameter* state (the sampled aggregation operator):

@@ -182,6 +182,7 @@ pub fn run_scale_scenario(spec: &ScaleSpec) -> Result<ScaleReport, RunError> {
         )));
     }
     for (name, value) in [
+        ("feat_dim", spec.feat_dim),
         ("bias_block_rows", spec.bias_block_rows),
         ("fanout", spec.fanout),
         ("max_attack_pos", spec.max_attack_pos),
@@ -326,10 +327,11 @@ mod tests {
         };
         let err = run_scale_scenario(&one_block).expect_err("one block must be rejected");
         assert!(err.to_string().contains("two blocks"), "got {err}");
-        // One case per check. All but the degree-sum case used to panic;
-        // that one asks for an expected degree no simple graph can reach.
+        // One case per check. All but two used to panic: the degree-sum
+        // case asks for an expected degree no simple graph can reach, and
+        // a zero feat_dim trained a constant model over no feature columns.
         type Edit = fn(&mut ScaleSpec);
-        let cases: [(Edit, &str); 9] = [
+        let cases: [(Edit, &str); 10] = [
             (
                 |s| (s.n_nodes, s.n_blocks) = (10, 11),
                 "do not fit the smaller graph of 10 nodes",
@@ -348,6 +350,7 @@ mod tests {
                 |s| (s.intra_degree, s.inter_degree) = (200.0, 100.0),
                 "exceeds the 299 other nodes",
             ),
+            (|s| s.feat_dim = 0, "feat_dim must be at least 1"),
             (
                 |s| s.bias_block_rows = 0,
                 "bias_block_rows must be at least 1",

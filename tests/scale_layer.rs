@@ -15,8 +15,8 @@
 
 use ppfr_datasets::sparse_sbm_dataset;
 use ppfr_gnn::{
-    train_sampled, train_with_workspace, AnyModel, GraphContext, ModelKind, SampledContext,
-    TrainConfig, TrainWorkspace,
+    train, train_sampled, AnyModel, GraphContext, ModelKind, SampledContext, TrainConfig,
+    TrainWorkspace,
 };
 use ppfr_runner::{run_scale_scenario, ScaleReport, ScaleSpec};
 
@@ -44,8 +44,7 @@ fn train_both(seed: u64) -> (f64, f64) {
 
     let ctx = GraphContext::new(ds.graph.clone(), ds.features.clone());
     let mut full_model = AnyModel::new(ModelKind::Gcn, ds.features.cols(), 16, ds.n_classes, seed);
-    let mut ws = TrainWorkspace::new();
-    let full = train_with_workspace(
+    let full = train(
         &mut full_model,
         &ctx,
         &ds.labels,
@@ -53,7 +52,6 @@ fn train_both(seed: u64) -> (f64, f64) {
         &weights,
         None,
         &cfg,
-        &mut ws,
     );
 
     let mut sctx = SampledContext::new(ds.graph.clone(), ds.features.clone(), 4);
