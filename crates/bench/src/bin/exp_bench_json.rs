@@ -323,7 +323,8 @@ fn main() {
             seed: 1,
         };
         let (ds, ctx) = (&cora_ds, &cora_ctx);
-        let weights = vec![1.0; ds.splits.train.len()];
+        let (labels, train_ids) = (&ds.labels, &ds.splits.train);
+        let weights = vec![1.0; train_ids.len()];
         let fanout = 10;
         let mut best_run_ms = [f64::INFINITY; ModelKind::ALL.len()];
         with_forced_threads(1, || {
@@ -333,7 +334,6 @@ fn main() {
                     if let AnyModel::GraphSage(sage) = &mut model {
                         sage.sample_size = Some(fanout);
                     }
-                    let (labels, train_ids) = (&ds.labels, &ds.splits.train);
                     *best = best.min(best_ms(1, || {
                         train(&mut model, ctx, labels, train_ids, &weights, None, &cfg)
                     }));
